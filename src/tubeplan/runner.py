@@ -267,8 +267,8 @@ def run_plan(scenario: Scenario, out_dir, *, seed=None, beta=None) -> RunReport:
     return report
 
 
-def run_mc_compare(scenario: Scenario, out_dir, *, runs=10000, seed=None,
-                   record_indices=None) -> RunReport:
+def run_mc_compare(scenario: Scenario, out_dir, *, runs=10000,
+                   seed=None) -> RunReport:
     """Compare propagated variances against a Monte Carlo ensemble.
 
     Writes lc_variances.csv, mc_variances.csv, deviation.json,

@@ -205,7 +205,11 @@ def _euler_reference(model, x0, des, grid):
     out[0] = x0
     x = np.asarray(x0, dtype=float)
     for k in range(grid.count - 1):
-        x = x + dt * model.deriv(x, des(grid.t0 + k * dt), zero_n)
+        t = grid.t0 + k * dt
+        try:
+            x = x + dt * model.deriv(x, des(t), zero_n)
+        except ModelDomainError as err:
+            raise _wrap_domain_error(err, t) from err
         out[k + 1] = x
     return out
 

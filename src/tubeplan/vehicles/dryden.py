@@ -21,17 +21,22 @@ Transverse/vertical (2-state) channel, in controller-companion form:
 whose stationary Lyapunov solution is diag(L/(4V), (L/V)^3/4), so again
 Var(w) = k^2 (3 L/(4V) + (V/L)^2 (L/V)^3 / 4) = sigma^2.
 
-All helpers broadcast over V so the vehicle models can evaluate them for
-a batch of Monte Carlo states in one call.
+The coefficient helpers broadcast over V.  Their unchecked kernels
+``longitudinal`` and ``transverse`` take the vehicle body's ``xp``
+namespace (see :mod:`.elementwise`), so a model evaluates them on one
+state row in Python floats or on a batch in numpy, after checking its
+own domain once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ModelDomainError
+from .elementwise import BatchMath
 
 __all__ = [
     "longitudinal_coeffs",
@@ -40,6 +45,8 @@ __all__ = [
     "fixedwing_filters",
 ]
 
+_SQRT3 = math.sqrt(3.0)
+
 
 def longitudinal_coeffs(V, sigma, length):
     """Pole and output gain of the 1-state gust channel.
@@ -47,12 +54,12 @@ def longitudinal_coeffs(V, sigma, length):
     Returns ``(a, c)`` with ``eta_dot = a*eta + n`` and ``w = c*eta``.
     Broadcasts over ``V``; requires ``V > 0`` elementwise.
     """
-    V = np.asarray(V, dtype=float)
-    if not np.all(V > 0.0):
-        raise ModelDomainError("gust filter coefficients need airspeed > 0")
-    a = -V / length
-    c = sigma * np.sqrt(2.0 * V / length)
-    return a, c
+    return longitudinal(BatchMath, _positive(V), sigma, length)
+
+
+def longitudinal(xp, V, sigma, length):
+    """:func:`longitudinal_coeffs` without the domain check, in ``xp``."""
+    return -V / length, sigma * xp.sqrt(2.0 * V / length)
 
 
 def transverse_coeffs(V, sigma, length):
@@ -63,12 +70,21 @@ def transverse_coeffs(V, sigma, length):
         eta_dot = [[a1, a2], [1, 0]] eta + [1, 0]^T n,
         w       = c1*eta[0] + c2*eta[1].
     """
+    return transverse(BatchMath, _positive(V), sigma, length)
+
+
+def transverse(xp, V, sigma, length):
+    """:func:`transverse_coeffs` without the domain check, in ``xp``."""
+    vl = V / length
+    k = sigma * xp.sqrt(vl)
+    return -2.0 * vl, -(vl * vl), _SQRT3 * k, k * vl
+
+
+def _positive(V):
     V = np.asarray(V, dtype=float)
     if not np.all(V > 0.0):
         raise ModelDomainError("gust filter coefficients need airspeed > 0")
-    vl = V / length
-    k = sigma * np.sqrt(vl)
-    return -2.0 * vl, -(vl**2), np.sqrt(3.0) * k, k * vl
+    return V
 
 
 @dataclass

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelDomainError
-from .dryden import longitudinal_coeffs, transverse_coeffs
+from .dryden import longitudinal, transverse
+from .elementwise import BatchMath, math_for, split
 
 __all__ = [
     "FixedWingParams",
@@ -101,17 +102,21 @@ def inner_loop(V, gamma, psi, psi_des, V_des, gamma_des, params):
     V = np.asarray(V, dtype=float)
     if not np.all(V > EPS_SING):
         raise ModelDomainError("inner loop needs airspeed > 0")
-    p = params
-    cg = np.cos(gamma)
-    qS = p.S * V**2 * p.rho
+    return _inner_loop(V, np.cos(gamma), np.sin(gamma), gamma, psi,
+                       psi_des, V_des, gamma_des, params)
+
+
+def _inner_loop(V, cg, sg, gamma, psi, psi_des, V_des, gamma_des, p):
+    qS = p.S * (V * V) * p.rho
     # in these axes a positive bank drives psi_dot negative (the lift
     # term enters psi_dot with a minus sign), so the heading error must
     # enter as (psi - psi_des) for the loop to be negative feedback
     mu = p.kappa_mu * (psi - psi_des)
     CL_bar = 2.0 * p.m * p.g * cg / qS
     C_L = CL_bar + p.kappa_CL * (gamma_des - gamma)
-    T_bar = p.m * p.g * np.sin(gamma) + 0.5 * p.C_D0 * qS \
-        + 2.0 * p.K_d * (p.m * p.g * cg) ** 2 / qS
+    mgc = p.m * p.g * cg
+    T_bar = p.m * p.g * sg + 0.5 * p.C_D0 * qS \
+        + 2.0 * p.K_d * (mgc * mgc) / qS
     T_des = T_bar + p.kappa_T2 * (V_des - V)
     return mu, C_L, T_des
 
@@ -125,8 +130,12 @@ def outer_longitudinal(h, V, h_des, hdot_des, kappa):
     V = np.asarray(V, dtype=float)
     if not np.all(V > EPS_SING):
         raise ModelDomainError("longitudinal outer loop needs airspeed > 0")
+    return _outer_longitudinal(BatchMath, h, V, h_des, hdot_des, kappa)
+
+
+def _outer_longitudinal(xp, h, V, h_des, hdot_des, kappa):
     arg = (hdot_des - kappa * (h - h_des)) / V
-    return np.arcsin(np.clip(arg, -_ASIN_CLAMP, _ASIN_CLAMP))
+    return xp.asin(xp.clip(arg, -_ASIN_CLAMP, _ASIN_CLAMP))
 
 
 def outer_lateral(x, y, V, psi, gamma, V_des, psi_des,
@@ -137,29 +146,38 @@ def outer_lateral(x, y, V, psi, gamma, V_des, psi_des,
     where e is the lateral track error and S = edot + kappa e.  A becomes
     singular at |cos(gamma)| = 0 or V_des = 0, which is rejected.
     """
-    p = params
     cg = np.cos(gamma)
     V_des = np.asarray(V_des, dtype=float)
     if not np.all(np.abs(cg) > EPS_SING):
         raise ModelDomainError("lateral outer loop singular near vertical flight")
     if not np.all(V_des > EPS_SING):
         raise ModelDomainError("lateral outer loop needs desired speed > 0")
+    return _outer_lateral(
+        BatchMath, x, y, V, cg, np.cos(psi), np.sin(psi), V_des,
+        np.cos(psi_des), np.sin(psi_des),
+        split(eta_des), split(etadot_des), split(etaddot_des), params)
 
-    e = np.stack([x - eta_des[..., 0], y - eta_des[..., 1]], axis=-1)
-    edot = np.stack([
-        V * cg * np.cos(psi) - etadot_des[..., 0],
-        V * cg * np.sin(psi) - etadot_des[..., 1],
-    ], axis=-1)
-    s = edot + p.kappa * e
-    rhs = etaddot_des - p.kappa * edot - s @ p.Lam_f.T
 
-    a11 = cg * np.cos(psi_des)
-    a12 = -V_des * cg * np.sin(psi_des)
-    a21 = cg * np.sin(psi_des)
-    a22 = V_des * cg * np.cos(psi_des)
+def _outer_lateral(xp, x, y, V, cg, cpsi, spsi, V_des, cpd, spd,
+                   eta_des, etadot_des, etaddot_des, p):
+    # eta_des, etadot_des, etaddot_des are (x, y) component pairs
+    e1 = x - eta_des[0]
+    e2 = y - eta_des[1]
+    edot1 = V * cg * cpsi - etadot_des[0]
+    edot2 = V * cg * spsi - etadot_des[1]
+    s1 = edot1 + p.kappa * e1
+    s2 = edot2 + p.kappa * e2
+    Ls1, Ls2 = xp.matvec(p.Lam_f, [s1, s2])
+    rhs1 = etaddot_des[0] - p.kappa * edot1 - Ls1
+    rhs2 = etaddot_des[1] - p.kappa * edot2 - Ls2
+
+    a11 = cg * cpd
+    a12 = -V_des * cg * spd
+    a21 = cg * spd
+    a22 = V_des * cg * cpd
     det = a11 * a22 - a12 * a21
-    vdot_des = (a22 * rhs[..., 0] - a12 * rhs[..., 1]) / det
-    psidot_des = (-a21 * rhs[..., 0] + a11 * rhs[..., 1]) / det
+    vdot_des = (a22 * rhs1 - a12 * rhs2) / det
+    psidot_des = (-a21 * rhs1 + a11 * rhs2) / det
     return vdot_des, psidot_des
 
 
@@ -169,9 +187,12 @@ def wind_to_inertial(w_u, w_w, w_v, psi, gamma, mu):
     Equal to the composition Rz(psi) @ Ry(gamma) @ Rx(-mu) applied to
     (w_u, w_w, w_v); norm preserving.
     """
-    cpsi, spsi = np.cos(psi), np.sin(psi)
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    cmu, smu = np.cos(mu), np.sin(mu)
+    return _wind_to_inertial(w_u, w_w, w_v, np.cos(psi), np.sin(psi),
+                             np.cos(gamma), np.sin(gamma),
+                             np.cos(mu), np.sin(mu))
+
+
+def _wind_to_inertial(w_u, w_w, w_v, cpsi, spsi, cg, sg, cmu, smu):
     w_x = w_u * cg * cpsi - w_w * (cmu * spsi + cpsi * sg * smu) \
         - w_v * (smu * spsi - cmu * cpsi * sg)
     w_y = w_v * (cpsi * smu + cmu * sg * spsi) \
@@ -181,7 +202,7 @@ def wind_to_inertial(w_u, w_w, w_v, psi, gamma, mu):
 
 
 class FixedWingModel:
-    """Batched closed-loop dynamics; every method accepts (..., n) arrays."""
+    """Closed-loop dynamics on one (n,) state row or an (..., n) batch."""
 
     name = "fixedwing"
     n_states = 14
@@ -196,81 +217,87 @@ class FixedWingModel:
         self.params = params if params is not None else FixedWingParams()
 
     def deriv(self, x, ref, noise):
+        """Closed-loop state derivative.
+
+        One row is evaluated in Python floats, a batch on numpy column
+        views; both run this body (see :mod:`.elementwise`).  Raises
+        ModelDomainError if any row has V, |cos(gamma)| or V_des at or
+        below EPS_SING.
+        """
         p = self.params
         x = np.asarray(x, dtype=float)
-        noise = np.asarray(noise, dtype=float)
+        xp = math_for(x)
+        (X, Y, H, V, psi, gamma, T, V_des, psi_des,
+         eta_u, eta_w1, eta_w2, eta_v1, eta_v2) = split(x)
+        n_u, n_w, n_v = split(noise)
 
-        V = x[..., 3]
-        psi = x[..., 4]
-        gamma = x[..., 5]
-        T = x[..., 6]
-        V_des = x[..., 7]
-        psi_des = x[..., 8]
-        eta_u = x[..., 9]
-        eta_w = x[..., 10:12]
-        eta_v = x[..., 12:14]
-
-        if not np.all(V > EPS_SING):
+        if not xp.all(V > EPS_SING):
             raise ModelDomainError("fixed-wing dynamics need airspeed > 0")
-        cg = np.cos(gamma)
-        sg = np.sin(gamma)
-        if not np.all(np.abs(cg) > EPS_SING):
+        cg = xp.cos(gamma)
+        sg = xp.sin(gamma)
+        if not xp.all(abs(cg) > EPS_SING):
             raise ModelDomainError("fixed-wing dynamics singular near vertical flight")
+        if not xp.all(V_des > EPS_SING):
+            raise ModelDomainError("fixed-wing guidance needs desired speed > 0")
+        cpsi, spsi = xp.cos(psi), xp.sin(psi)
 
-        gamma_des = outer_longitudinal(x[..., 2], V, ref.h, ref.hdot, p.kappa)
-        vdot_des, psidot_des = outer_lateral(
-            x[..., 0], x[..., 1], V, psi, gamma, V_des, psi_des,
-            ref.eta, ref.etadot, ref.etaddot, p)
-        mu, C_L, T_cmd = inner_loop(V, gamma, psi, psi_des, V_des, gamma_des, p)
+        gamma_des = _outer_longitudinal(
+            xp, H, V, ref.h, ref.hdot, p.kappa)
+        vdot_des, psidot_des = _outer_lateral(
+            xp, X, Y, V, cg, cpsi, spsi, V_des, xp.cos(psi_des), xp.sin(psi_des),
+            split(ref.eta), split(ref.etadot), split(ref.etaddot), p)
+        mu, C_L, T_cmd = _inner_loop(V, cg, sg, gamma, psi, psi_des, V_des,
+                                     gamma_des, p)
 
         # gust filters in wind axes, evaluated at the current airspeed
-        a_u, c_u = longitudinal_coeffs(V, p.sigma_u, p.L_u)
-        aw1, aw2, cw1, cw2 = transverse_coeffs(V, p.sigma_w, p.L_w)
-        av1, av2, cv1, cv2 = transverse_coeffs(V, p.sigma_v, p.L_v)
+        a_u, c_u = longitudinal(xp, V, p.sigma_u, p.L_u)
+        aw1, aw2, cw1, cw2 = transverse(xp, V, p.sigma_w, p.L_w)
+        av1, av2, cv1, cv2 = transverse(xp, V, p.sigma_v, p.L_v)
 
-        etadot_u = a_u * eta_u + noise[..., 0]
-        etadot_w1 = aw1 * eta_w[..., 0] + aw2 * eta_w[..., 1] + noise[..., 1]
-        etadot_v1 = av1 * eta_v[..., 0] + av2 * eta_v[..., 1] + noise[..., 2]
+        etadot_u = a_u * eta_u + n_u
+        etadot_w1 = aw1 * eta_w1 + aw2 * eta_w2 + n_w
+        etadot_v1 = av1 * eta_v1 + av2 * eta_v2 + n_v
 
         w_u = c_u * eta_u
-        w_w = cw1 * eta_w[..., 0] + cw2 * eta_w[..., 1]
-        w_v = cv1 * eta_v[..., 0] + cv2 * eta_v[..., 1]
+        w_w = cw1 * eta_w1 + cw2 * eta_w2
+        w_v = cv1 * eta_v1 + cv2 * eta_v2
         # wdot = C (A eta + B n): the filters feed noise straight through
         wdot_u = c_u * etadot_u
-        wdot_w = cw1 * etadot_w1 + cw2 * eta_w[..., 0]
-        wdot_v = cv1 * etadot_v1 + cv2 * eta_v[..., 0]
+        wdot_w = cw1 * etadot_w1 + cw2 * eta_w1
+        wdot_v = cv1 * etadot_v1 + cv2 * eta_v1
 
-        w_x, w_y, w_h = wind_to_inertial(w_u, w_w, w_v, psi, gamma, mu)
-        wdot_x, wdot_y, wdot_h = wind_to_inertial(
-            wdot_u, wdot_w, wdot_v, psi, gamma, mu)
+        cmu, smu = xp.cos(mu), xp.sin(mu)
+        w_x, w_y, w_h = _wind_to_inertial(
+            w_u, w_w, w_v, cpsi, spsi, cg, sg, cmu, smu)
+        wdot_x, wdot_y, wdot_h = _wind_to_inertial(
+            wdot_u, wdot_w, wdot_v, cpsi, spsi, cg, sg, cmu, smu)
 
-        C_D = p.C_D0 + p.K_d * C_L**2
-        q = 0.5 * p.rho * p.S * V**2
+        C_D = p.C_D0 + p.K_d * (C_L * C_L)
+        q = 0.5 * p.rho * p.S * (V * V)
         lift = C_L * q
         drag = C_D * q
-        cpsi, spsi = np.cos(psi), np.sin(psi)
 
-        out = np.empty_like(x)
-        out[..., 0] = V * cg * cpsi + w_x
-        out[..., 1] = V * cg * spsi + w_y
-        out[..., 2] = V * sg + w_h
-        out[..., 3] = (T - drag) / p.m - p.g * sg \
-            - wdot_x * cg * cpsi - wdot_y * cg * spsi + wdot_h * sg
-        out[..., 4] = -(lift * np.sin(mu) - p.m * wdot_x * spsi
-                        + p.m * wdot_y * cpsi) / (V * p.m * cg)
-        out[..., 5] = (lift * np.cos(mu) - p.m * p.g * cg
-                       + p.m * wdot_x * cpsi * sg
-                       + p.m * wdot_y * sg * spsi
-                       + p.m * wdot_h * cg) / (V * p.m)
-        out[..., 6] = p.kappa_T1 * (T_cmd - T)
-        out[..., 7] = vdot_des
-        out[..., 8] = psidot_des
-        out[..., 9] = etadot_u
-        out[..., 10] = etadot_w1
-        out[..., 11] = eta_w[..., 0]
-        out[..., 12] = etadot_v1
-        out[..., 13] = eta_v[..., 0]
-        return out
+        return xp.stack([
+            V * cg * cpsi + w_x,
+            V * cg * spsi + w_y,
+            V * sg + w_h,
+            (T - drag) / p.m - p.g * sg
+            - wdot_x * cg * cpsi - wdot_y * cg * spsi + wdot_h * sg,
+            -(lift * smu - p.m * wdot_x * spsi
+              + p.m * wdot_y * cpsi) / (V * p.m * cg),
+            (lift * cmu - p.m * p.g * cg
+             + p.m * wdot_x * cpsi * sg
+             + p.m * wdot_y * sg * spsi
+             + p.m * wdot_h * cg) / (V * p.m),
+            p.kappa_T1 * (T_cmd - T),
+            vdot_des,
+            psidot_des,
+            etadot_u,
+            etadot_w1,
+            eta_w1,
+            etadot_v1,
+            eta_v1,
+        ], x)
 
     def trim_state(self, xy, altitude, speed, heading):
         """Steady-flight state matched to a straight, level reference."""

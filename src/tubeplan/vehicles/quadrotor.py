@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelDomainError
-from .dryden import longitudinal_coeffs
+from .dryden import longitudinal
+from .elementwise import math_for, split
 
 __all__ = ["QuadrotorParams", "QuadrotorModel"]
 
@@ -71,7 +72,7 @@ class QuadrotorParams:
 
 
 class QuadrotorModel:
-    """Batched closed-loop dynamics; every method accepts (..., n) arrays."""
+    """Closed-loop dynamics on one (n,) state row or an (..., n) batch."""
 
     name = "quadrotor"
     n_states = 9
@@ -85,32 +86,58 @@ class QuadrotorModel:
     def controller(self, x, ref):
         """Commanded acceleration for the current state and reference."""
         x = np.asarray(x, dtype=float)
-        e = x[..., 0:3] - ref.r
-        edot = x[..., 3:6] - ref.rdot
-        s = edot + e @ self.params.K.T
-        return ref.rddot - edot @ self.params.K.T - s @ self.params.Lam.T
+        xp = math_for(x)
+        return xp.stack(self._command(xp, split(x), ref), x)
+
+    def _command(self, xp, cols, ref):
+        # u = rddot_des - K edot - Lam (edot + K e), per component
+        K, Lam = self.params.K, self.params.Lam
+        rx, ry, rz = split(ref.r)
+        vx, vy, vz = split(ref.rdot)
+        ax, ay, az = split(ref.rddot)
+        e = [cols[0] - rx, cols[1] - ry, cols[2] - rz]
+        edot = [cols[3] - vx, cols[4] - vy, cols[5] - vz]
+        Ke = xp.matvec(K, e)
+        s = [edot[0] + Ke[0], edot[1] + Ke[1], edot[2] + Ke[2]]
+        Kd = xp.matvec(K, edot)
+        Ls = xp.matvec(Lam, s)
+        return [ax - Kd[0] - Ls[0], ay - Kd[1] - Ls[1], az - Kd[2] - Ls[2]]
 
     def deriv(self, x, ref, noise):
-        """Closed-loop state derivative; raises on zero vehicle speed."""
+        """Closed-loop state derivative; raises on zero vehicle speed.
+
+        One row is evaluated in Python floats, a batch on numpy column
+        views; both run this body (see :mod:`.elementwise`).
+        """
         p = self.params
         x = np.asarray(x, dtype=float)
-        noise = np.asarray(noise, dtype=float)
-        v = x[..., 3:6]
-        eta = x[..., 6:9]
+        xp = math_for(x)
+        cols = split(x)
+        _, _, _, vx, vy, vz, eta_x, eta_y, eta_z = cols
 
-        speed = np.linalg.norm(v, axis=-1)
-        if not np.all(speed > 0.0):
+        speed = xp.sqrt(vx * vx + vy * vy + vz * vz)
+        if not xp.all(speed > 0.0):
             raise ModelDomainError(
                 "quadrotor gust filters are singular at zero vehicle speed")
-        pole, gain = longitudinal_coeffs(speed[..., None], p.sigma, p.L)
+        ux, uy, uz = self._command(xp, cols, ref)
+        (sig_x, sig_y, sig_z), (L_x, L_y, L_z) = p.sigma.tolist(), p.L.tolist()
+        a_x, c_x = longitudinal(xp, speed, sig_x, L_x)
+        a_y, c_y = longitudinal(xp, speed, sig_y, L_y)
+        a_z, c_z = longitudinal(xp, speed, sig_z, L_z)
 
-        w = gain * eta
-        vq = v - w
-        drag = (0.5 * p.rho * p.S * p.C_D / p.m) \
-            * vq * np.linalg.norm(vq, axis=-1, keepdims=True)
-
-        out = np.empty_like(x)
-        out[..., 0:3] = v
-        out[..., 3:6] = self.controller(x, ref) - drag
-        out[..., 6:9] = pole * eta + noise
-        return out
+        # drag on the gust-relative velocity V_q = V0 - w, w_i = c_i eta_i
+        qx = vx - c_x * eta_x
+        qy = vy - c_y * eta_y
+        qz = vz - c_z * eta_z
+        q_norm = xp.sqrt(qx * qx + qy * qy + qz * qz)
+        k_drag = 0.5 * p.rho * p.S * p.C_D / p.m
+        n_x, n_y, n_z = split(noise)
+        return xp.stack([
+            vx, vy, vz,
+            ux - k_drag * qx * q_norm,
+            uy - k_drag * qy * q_norm,
+            uz - k_drag * qz * q_norm,
+            a_x * eta_x + n_x,
+            a_y * eta_y + n_y,
+            a_z * eta_z + n_z,
+        ], x)

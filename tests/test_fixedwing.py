@@ -13,7 +13,7 @@ import pytest
 import sympy as sp
 
 from tubeplan.errors import ModelDomainError
-from tubeplan.simcore import TimeGrid, Trajectory, linearize
+from tubeplan.simcore import TimeGrid, Trajectory, _stack_refs, linearize
 from tubeplan.vehicles import (
     EPS_SING,
     FixedWingModel,
@@ -176,6 +176,67 @@ def test_batched_deriv_equals_single_evaluations():
     for k in range(6):
         assert np.allclose(batch[k], model.deriv(X[k], ref, N[k]),
                            atol=1e-13)
+
+
+def test_row_deriv_matches_the_rows_of_a_batch():
+    """A single row runs in Python floats, a batch in numpy: same body."""
+    model = FixedWingModel(FixedWingParams(
+        Lam_f=[[1.0, 0.3], [-0.2, 0.8]], kappa_mu=3.0))
+    rng = np.random.default_rng(17)
+    spread = np.array([5.0, 5.0, 3.0, 2.0, 0.3, 0.1, 0.5, 2.0, 0.3,
+                       0.5, 0.5, 0.5, 0.5, 0.5])
+    X = model.trim_state((0, 0), 100.0, 20.0, 0.2) \
+        + spread * rng.normal(size=(5, 7, 14))
+    N = rng.normal(size=(5, 7, 3))
+    refs = [make_ref(rng.normal(size=2), (20.0, 0.0) + rng.normal(size=2),
+                     rng.normal(size=2), h=100.0 + rng.normal(),
+                     hdot=rng.normal()) for _ in range(5)]
+
+    def close(row, batch_row):
+        assert np.all(np.abs(row - batch_row) <= 1e-12 * np.abs(batch_row))
+
+    shared = model.deriv(X[0], refs[0], N[0])
+    for r in range(7):
+        close(model.deriv(X[0, r], refs[0], N[0, r]), shared[r])
+    # one reference per grid point, broadcast as linearize builds it
+    per_point = model.deriv(X, _stack_refs(refs), N)
+    for k in range(5):
+        for r in range(7):
+            close(model.deriv(X[k, r], refs[k], N[k, r]), per_point[k, r])
+
+
+def test_infinite_heading_gives_nan_on_a_row_as_in_a_batch():
+    # math.cos raises on inf where numpy returns nan; the row path follows numpy
+    model = FixedWingModel()
+    x = model.trim_state((0, 0), 100.0, 20.0, 0.0)
+    x[4] = np.inf
+    ref = make_ref((0, 0), (20.0, 0.0))
+    with np.errstate(invalid="ignore"):
+        row = model.deriv(x, ref, np.zeros(3))
+        batch = model.deriv(x[None], ref, np.zeros((1, 3)))[0]
+    assert np.isnan(row).any()
+    np.testing.assert_array_equal(np.isnan(row), np.isnan(batch))
+
+
+@pytest.mark.parametrize("column, value", [
+    (3, EPS_SING),        # airspeed
+    (5, np.pi / 2),       # |cos(gamma)| below EPS_SING
+    (7, EPS_SING),        # desired speed
+])
+def test_domain_errors_raise_alone_and_inside_a_batch(column, value):
+    model = FixedWingModel()
+    x0 = model.trim_state((0, 0), 100.0, 20.0, 0.0)
+    ref = make_ref((0, 0), (20.0, 0.0))
+    bad = x0.copy()
+    bad[column] = value
+    with pytest.raises(ModelDomainError) as alone:
+        model.deriv(bad, ref, np.zeros(3))
+    X = np.tile(x0, (5, 1))
+    model.deriv(X, ref, np.zeros((5, 3)))
+    X[3] = bad
+    with pytest.raises(ModelDomainError) as in_batch:
+        model.deriv(X, ref, np.zeros((5, 3)))
+    assert str(in_batch.value) == str(alone.value)
 
 
 # --------------------------------------------------------------------------

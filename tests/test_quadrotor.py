@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tubeplan.errors import ModelDomainError
-from tubeplan.simcore import TimeGrid, integrate_nominal
+from tubeplan.simcore import TimeGrid, _stack_refs, integrate_nominal
 from tubeplan.vehicles import (
     PolylineProfile3D,
     QuadrotorModel,
@@ -89,6 +89,47 @@ def test_batched_deriv_equals_single_evaluations():
     for k in range(8):
         assert np.allclose(batch[k], model.deriv(X[k], ref, N[k]),
                            atol=1e-14)
+
+
+def test_row_deriv_matches_the_rows_of_a_batch():
+    """A single row runs in Python floats, a batch in numpy: same body."""
+    params = QuadrotorParams(
+        K=[[2.0, 0.3, 0.1], [0.2, 2.5, -0.2], [0.0, 0.1, 1.5]],
+        Lam=[[1.0, 0.2, 0.0], [0.1, 2.0, 0.3], [0.0, -0.1, 3.0]],
+        sigma=[0.5, 0.7, 0.2], L=[40.0, 50.0, 60.0])
+    model = QuadrotorModel(params)
+    rng = np.random.default_rng(19)
+    X = rng.normal(size=(5, 7, 9))
+    X[..., 3] += 3.0                      # keep the speed positive
+    N = rng.normal(size=(5, 7, 3))
+    refs = [make_ref(rng.normal(size=3), rng.normal(size=3),
+                     rng.normal(size=3)) for _ in range(5)]
+
+    def close(row, batch_row):
+        assert np.all(np.abs(row - batch_row) <= 1e-12 * np.abs(batch_row))
+
+    shared = model.deriv(X[0], refs[0], N[0])
+    for r in range(7):
+        close(model.deriv(X[0, r], refs[0], N[0, r]), shared[r])
+    # one reference per grid point, broadcast as linearize builds it
+    per_point = model.deriv(X, _stack_refs(refs), N)
+    for k in range(5):
+        for r in range(7):
+            close(model.deriv(X[k, r], refs[k], N[k, r]), per_point[k, r])
+
+
+def test_zero_speed_raises_alone_and_inside_a_batch():
+    model = QuadrotorModel()
+    ref = make_ref((0, 0, 0), (2, 0, 0))
+    X = np.zeros((5, 9))
+    X[:, 3] = 2.0
+    model.deriv(X, ref, np.zeros((5, 3)))
+    X[2, 3] = 0.0
+    with pytest.raises(ModelDomainError) as alone:
+        model.deriv(X[2], ref, np.zeros(3))
+    with pytest.raises(ModelDomainError) as in_batch:
+        model.deriv(X, ref, np.zeros((5, 3)))
+    assert str(in_batch.value) == str(alone.value)
 
 
 def test_gust_state_shifts_drag_through_relative_velocity():

@@ -137,6 +137,15 @@ def test_integration_wraps_domain_errors_with_time():
         integrate_nominal(model, np.array([1.0]), toy_des, grid)
 
 
+def test_ensemble_wraps_domain_errors_with_time():
+    # the zero-noise reference path leaves the domain at t = ln 5
+    model = GuardedModel([[1.0]], [[1.0]], limit=5.0)
+    grid = TimeGrid(0.0, 5.0, 0.01)
+    with pytest.raises(ModelDomainError, match="t="):
+        mc_ensemble(model, np.array([1.0]), toy_des, grid, runs=2,
+                    base_seed=0)
+
+
 def test_integration_validates_shapes():
     model = LinearModel(np.zeros((2, 2)), np.eye(2))
     grid = TimeGrid(0.0, 1.0, 0.1)
