@@ -9,7 +9,6 @@ from the propagated covariance (plan).
 """
 
 from .errors import (
-    ActiveSetError,
     BracketError,
     InfeasibleRegionError,
     ModelDomainError,
@@ -79,7 +78,6 @@ from .vehicles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSetError",
     "Bounds",
     "BracketError",
     "ClearanceReport",

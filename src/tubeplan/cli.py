@@ -23,14 +23,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (ActiveSetError, BracketError, InfeasibleRegionError,
-                     ModelDomainError, PlanningError, ScenarioError)
+from .errors import (BracketError, InfeasibleRegionError, ModelDomainError,
+                     PlanningError, ScenarioError)
 from .runner import run_mc_compare, run_plan, run_validate
 from .scenario import load_scenario
 
 _ERRORS = (ScenarioError, PlanningError, ModelDomainError,
-           InfeasibleRegionError, ActiveSetError, BracketError,
-           ValueError, OSError)
+           InfeasibleRegionError, BracketError, ValueError, OSError)
 
 
 def _add_common(sub):

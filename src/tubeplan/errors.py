@@ -17,11 +17,6 @@ class InfeasibleRegionError(RuntimeError):
     """The constraint polyhedron handed to the QP solver is empty."""
 
 
-class ActiveSetError(RuntimeError):
-    """Defensive guard: the active-set QP exceeded its iteration budget
-    or failed its KKT residual check."""
-
-
 class BracketError(RuntimeError):
     """Bisection could not bracket or meet tolerance on its target."""
 

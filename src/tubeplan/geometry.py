@@ -9,16 +9,26 @@ intersects the region is decided by the small quadratic program
 
     c*^2 = min_z (z - r)^T Sigma^-1 (z - r)   s.t.  A z <= b;
 
-the ellipsoid misses the region exactly when ``c*^2 >= c^2``.  The QP is
-solved with a primal active-set method after the substitution
-``z = r + L u`` (``Sigma = L L^T``), which turns it into a minimum-norm
-problem ``min ||u||^2 s.t. G u <= h``.  A cheap bounding-sphere test
-prunes clearly separated pairs before any QP is solved.
+the ellipsoid misses the region exactly when ``c*^2 >= c^2``.  In 3D the
+minimizer is either ``r`` itself (``c*^2 = 0``) or the Sigma-metric
+projection of ``r`` onto the affine hull of a linearly independent set
+``S`` of one to three faces: with ``h = b - A r``,
 
-``buffer_touch_distance`` inverts the test: it finds the uniform face
-offset ``d'`` at which the tube's most critical cross-section exactly
-attains ``c*^2 = c^2``, which is the quantity the planner subtracts from
-an obstacle's buffer to drive the tube toward tangency.
+    lam_S = (A_S Sigma A_S^T)^-1 h_S,   z_S = r + Sigma A_S^T lam_S,
+    c*^2_S = h_S^T lam_S.
+
+The sets depend on ``A`` alone and are listed once per obstacle.  The QP
+is solved exactly by evaluating every set for a batch of tube samples at
+once and keeping the smallest ``c*^2_S`` whose ``z_S`` is feasible.  A
+cheap bounding-sphere test prunes clearly separated samples first, and
+the rest are visited in order of a separating-face lower bound until it
+exceeds the best value found.
+
+``buffer_touch_distance`` inverts the test: it finds the smallest uniform
+face offset ``d'`` at which some tube sample attains ``c*^2 = c^2``
+against ``{A z <= b + d'}``.  For a fixed set, ``c*^2_S(d)`` is a
+quadratic in ``d`` and the feasibility of ``z_S(d)`` an interval of
+``d``, so ``d'`` is a minimum of closed-form roots over samples and sets.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ActiveSetError, BracketError, InfeasibleRegionError, ScenarioError
+from .errors import InfeasibleRegionError, ScenarioError
 from .uncertainty import ConfidenceEllipsoid, Tube
 
 __all__ = [
@@ -43,73 +53,43 @@ __all__ = [
 ]
 
 _FEAS_TOL = 1e-9
+_CHUNK_BYTES = 2_000_000      # largest (samples x sets x faces) temporary
 
 
 # --------------------------------------------------------------------------
 # polytope helpers
 
 
-def _enumerate_vertices(A, b, tol=_FEAS_TOL):
-    """All basic feasible points of {z : A z <= b} (empty array if none)."""
-    m = A.shape[0]
-    found = []
-    for rows in itertools.combinations(range(m), 3):
-        sub = A[list(rows)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        v = np.linalg.solve(sub, b[list(rows)])
-        if np.all(A @ v <= b + tol):
-            found.append(v)
-    if not found:
-        return np.empty((0, 3))
-    pts = np.array(found)
-    keep = []
-    for p in pts:
-        if all(np.linalg.norm(p - q) > 1e-9 for q in keep):
-            keep.append(p)
-    return np.array(keep)
+def _combinations(m, k):
+    """All k-subsets of range(m) in lexicographic order, as an (n, k) array."""
+    return np.array(list(itertools.combinations(range(m), k)),
+                    dtype=np.intp).reshape(-1, k)
 
 
-def _unbounded_direction(A, tol=1e-10):
-    """A unit recession direction of {z : A z <= b} if one exists, else None.
+def _independent_triples(A):
+    """Row triples of A that span R^3, in lexicographic order."""
+    T = _combinations(A.shape[0], 3)
+    return T[np.abs(np.linalg.det(A[T])) >= 1e-12]
 
-    Any nonzero direction can be scaled so its largest component is +-1,
-    i.e. so it lies on a face of the unit cube.  Each cube face is swept
-    by clipping the square of remaining coordinates against the
-    half-planes induced by A d <= 0; any surviving point certifies an
-    unbounded direction.
-    """
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            others = [i for i in range(3) if i != axis]
-            # Clip [-1,1]^2 against a_i[others] . (u, v) <= -sign * a_i[axis]
-            poly = [np.array([-1.0, -1.0]), np.array([1.0, -1.0]),
-                    np.array([1.0, 1.0]), np.array([-1.0, 1.0])]
-            for a in A:
-                n2 = a[others]
-                rhs = -sign * a[axis]
-                nxt = []
-                k = len(poly)
-                for i in range(k):
-                    p, q = poly[i], poly[(i + 1) % k]
-                    fp = n2 @ p - rhs
-                    fq = n2 @ q - rhs
-                    if fp <= tol:
-                        nxt.append(p)
-                    if (fp <= tol) != (fq <= tol) and abs(fp - fq) > 1e-300:
-                        t = fp / (fp - fq)
-                        nxt.append(p + t * (q - p))
-                poly = nxt
-                if not poly:
-                    break
-            for p2 in poly:
-                d = np.empty(3)
-                d[axis] = sign
-                d[others[0]], d[others[1]] = p2
-                nd = np.linalg.norm(d)
-                if nd > 1e-6 and np.all(A @ (d / nd) <= 1e-8):
-                    return d / nd
-    return None
+
+def _basic_points(A, b, triples, tol=_FEAS_TOL):
+    """Feasible points of {A z <= b} where the faces of a triple meet."""
+    V = np.linalg.solve(A[triples], b[triples][..., None])[..., 0]
+    return V[np.all(V @ A.T <= b + tol, axis=1)]
+
+
+def _enumerate_vertices(A, b, triples):
+    """Distinct vertices of {A z <= b}, first occurrence kept."""
+    V = _basic_points(A, b, triples)
+    close = np.linalg.norm(V[:, None] - V[None], axis=2) <= 1e-9
+    return V[~np.tril(close, -1).any(axis=1)]
+
+
+def _face_sets(A, triples):
+    """The linearly independent face sets of size 1, 2 and 3."""
+    P = _combinations(A.shape[0], 2)
+    P = P[np.linalg.norm(np.cross(A[P[:, 0]], A[P[:, 1]]), axis=1) >= 1e-12]
+    return np.arange(A.shape[0])[:, None], P, triples
 
 
 @dataclass
@@ -129,6 +109,7 @@ class CuboidObstacle:
     vertices: np.ndarray = field(init=False, repr=False)
     centroid: np.ndarray = field(init=False, repr=False)
     circumradius: float = field(init=False, repr=False)
+    face_sets: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -147,18 +128,27 @@ class CuboidObstacle:
         self.b = b / norms
         self.buffer = float(self.buffer)
 
-        d = _unbounded_direction(self.A)
-        if d is not None:
+        # The region is bounded iff {A d <= 0, |d_i| <= 1} has no vertex
+        # but d = 0; its row triples include those of A alone.
+        m = A.shape[0]
+        cone = np.vstack([self.A, np.eye(3), -np.eye(3)])
+        triples = _independent_triples(cone)
+        far = _basic_points(cone, np.r_[np.zeros(m), np.ones(6)], triples)
+        far = far[np.linalg.norm(far, axis=1) > 0.5]
+        if far.shape[0]:
+            d = far[0] / np.linalg.norm(far[0])
             raise ScenarioError(
                 f"obstacle {self.id!r}: region is unbounded "
                 f"(recession direction {np.round(d, 6).tolist()})")
-        verts = _enumerate_vertices(self.A, self.b)
+        triples = triples[triples[:, 2] < m]
+        verts = _enumerate_vertices(self.A, self.b, triples)
         if verts.shape[0] == 0:
             raise ScenarioError(f"obstacle {self.id!r}: region is empty")
         self.vertices = verts
         self.centroid = verts.mean(axis=0)
         self.circumradius = float(
             np.max(np.linalg.norm(verts - self.centroid, axis=1)))
+        self.face_sets = _face_sets(self.A, triples)
 
     @classmethod
     def from_box(cls, center, half_extents, yaw=0.0, buffer=0.0,
@@ -208,108 +198,140 @@ def overall_verdict(reports):
 
 
 # --------------------------------------------------------------------------
-# quadratic program
+# the batched face-set kernel
 
 
-def _metric_factor(sigma):
-    """Cholesky factor of sigma, regularized when (near-)singular."""
-    sigma = np.asarray(sigma, dtype=float)
+def _regularized(sigmas):
+    """``sigmas`` (n, 3, 3), each one whose Cholesky factor fails plus
+    max(1e-12 tr, 1e-30) I; the batch is split only when it fails."""
     try:
-        return np.linalg.cholesky(sigma)
+        np.linalg.cholesky(sigmas)
+        return sigmas
     except np.linalg.LinAlgError:
-        eps = max(1e-12 * float(np.trace(sigma)), 1e-30)
-        return np.linalg.cholesky(sigma + eps * np.eye(3))
+        if len(sigmas) > 1:
+            half = len(sigmas) // 2
+            return np.concatenate([_regularized(sigmas[:half]),
+                                   _regularized(sigmas[half:])])
+        eps = max(1e-12 * float(np.trace(sigmas[0])), 1e-30)
+        reg = sigmas + eps * np.eye(3)
+        np.linalg.cholesky(reg)
+        return reg
 
 
-def _independent_active_rows(G, u, h, tol=1e-8):
-    idx = [int(i) for i in np.flatnonzero(np.abs(G @ u - h) <= tol)]
-    keep: list[int] = []
-    for i in idx:
-        trial = G[keep + [i]]
-        if np.linalg.matrix_rank(trial, tol=1e-10) == len(keep) + 1:
-            keep.append(i)
-        if len(keep) == 3:
-            break
-    return keep
+def _chunk_size(A, face_sets):
+    """Samples per kernel call, so that no (samples x sets x faces)
+    temporary exceeds _CHUNK_BYTES."""
+    per_sample = 8 * A.shape[0] * sum(len(S) for S in face_sets)
+    return max(1, _CHUNK_BYTES // per_sample)
 
 
-def _min_norm_active_set(G, h, u0, max_iter=200):
-    """min ||u||^2 s.t. G u <= h from feasible u0, primal active set.
+def _best_first(bound, chunk):
+    """Sample indices in increasing ``bound`` order, in chunks that start
+    small and double up to ``chunk``."""
+    order = np.argsort(bound, kind="stable")
+    start, size = 0, 8
+    while start < order.size:
+        yield order[start:start + size]
+        start, size = start + size, min(2 * size, chunk)
 
-    Returns (u, working_set, multipliers).  Rows enter the working set
-    only as blocking constraints, which keeps it linearly independent.
+
+def _face_spread(A, sigmas):
+    """sqrt(a_i^T Sigma a_i) for every sample and face, (N, m)."""
+    return np.sqrt(np.sum((sigmas @ A.T) * A.T, axis=1))
+
+
+def _sym_inverse(M):
+    """Inverses of a stack of symmetric k x k matrices, k <= 3 (cofactors)."""
+    k = M.shape[-1]
+    if k == 1:
+        return 1.0 / M
+    if k == 2:
+        a, b, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 1]
+        adj = np.stack([d, -b, -b, a], axis=-1)
+        det = a * d - b * b
+    else:
+        a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 0, 2]
+        d, e, f = M[..., 1, 1], M[..., 1, 2], M[..., 2, 2]
+        c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+        c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
+        adj = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=-1)
+        det = a * c00 + b * c01 + c * c02
+    return (adj / det[..., None]).reshape(M.shape)
+
+
+def _projections(A, h, sigmas, face_sets):
+    """Per group of face sets S (all of one size k), for every sample:
+    ``(S, h_S, (A_S Sigma A_S^T)^-1, Sigma A_S^T)``, shaped (n, k),
+    (N, n, k), (N, n, k, k) and (N, 3, n, k)."""
+    SA = sigmas @ A.T
+    M = A @ SA
+    for S in face_sets:
+        yield (S, h[:, S], _sym_inverse(M[:, S[:, :, None], S[:, None, :]]),
+               SA[:, :, S])
+
+
+def _step(Minv, SAS, g):
+    """Multipliers ``lam = Minv g`` (N, n, k) and the steps
+    ``Sigma A_S^T lam`` (N, 3, n)."""
+    lam = np.einsum("xnij,xnj->xni", Minv, g)
+    return lam, np.einsum("xink,xnk->xin", SAS, lam)
+
+
+def _clearance(A, h, face_sets, sigmas):
+    """Exact c*^2 and step z* - r of every sample, given h = b - A r.
+
+    ``c*^2`` is inf for a sample with no feasible projection, which for
+    a nonempty region does not happen.
     """
-    u = np.asarray(u0, dtype=float).copy()
-    W = _independent_active_rows(G, u, h)
-    for _ in range(max_iter):
-        if W:
-            GW = G[W]
-            M = GW @ GW.T
-            coef = np.linalg.solve(M, GW @ u)
-            p = GW.T @ coef - u
-        else:
-            p = -u
-        if np.linalg.norm(p) <= 1e-12 * (1.0 + np.linalg.norm(u)):
-            if not W:
-                return u, W, np.empty(0)
-            lam = -2.0 * np.linalg.solve(M, GW @ u)
-            worst = int(np.argmin(lam))
-            if lam[worst] >= -1e-12:
-                return u, W, lam
-            W.pop(worst)
-            continue
-        alpha = 1.0
-        blocker = -1
-        for i in range(G.shape[0]):
-            if i in W:
-                continue
-            gp = G[i] @ p
-            if gp > 1e-14:
-                ai = (h[i] - G[i] @ u) / gp
-                if ai < alpha - 1e-15:
-                    alpha = max(ai, 0.0)
-                    blocker = i
-        u = u + alpha * p
-        if blocker >= 0:
-            W.append(blocker)
-    raise ActiveSetError("active-set iteration limit exceeded")
+    n = h.shape[0]
+    rows = np.arange(n)
+    best = np.full(n, np.inf)
+    step = np.zeros((n, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _, hS, Minv, SAS in _projections(A, h, sigmas, face_sets):
+            lam, dz = _step(Minv, SAS, hS)
+            c2 = np.einsum("xnk,xnk->xn", hS, lam)
+            slack = np.max(A @ dz - h[:, :, None], axis=1)
+            c2 = np.where(slack <= _FEAS_TOL, c2, np.inf)
+            j = np.argmin(c2, axis=1)
+            better = c2[rows, j] < best
+            best[better] = c2[rows, j][better]
+            step[better] = dz[rows, :, j][better]
+    inside = np.all(h >= -_FEAS_TOL, axis=1)
+    best[inside] = 0.0
+    step[inside] = 0.0
+    return best, step
 
 
-def _feasible_point(A, b):
-    verts = _enumerate_vertices(A, b)
-    if verts.shape[0] == 0:
-        raise InfeasibleRegionError("constraint region is empty")
-    return verts.mean(axis=0)
+def _touch(A, h, face_sets, sigmas, c2):
+    """Per sample, the smallest d with c*^2 <= c2 against {A z <= b + d}.
 
-
-def _solve_qp_core(sigma, center, A, b, start_point=None):
-    center = np.asarray(center, dtype=float).reshape(3)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if np.all(A @ center <= b + _FEAS_TOL):
-        return center.copy(), 0.0
-    L = _metric_factor(sigma)
-    G = A @ L
-    h = b - A @ center
-    if start_point is not None and np.all(A @ start_point <= b + _FEAS_TOL):
-        z0 = np.asarray(start_point, dtype=float)
-    else:
-        z0 = _feasible_point(A, b)
-    u0 = np.linalg.solve(L, z0 - center)
-    u, W, lam = _min_norm_active_set(G, h, u0)
-    # KKT verification: stationarity, feasibility, sign of multipliers.
-    scale = 1.0 + float(np.linalg.norm(u))
-    primal = float(np.max(G @ u - h, initial=0.0))
-    if W:
-        stat = float(np.linalg.norm(2.0 * u + G[W].T @ lam))
-    else:
-        stat = float(np.linalg.norm(2.0 * u))
-    if primal > 1e-9 * scale or stat > 1e-9 * scale or (
-            lam.size and float(lam.min()) < -1e-9):
-        raise ActiveSetError(
-            f"KKT residual too large (primal {primal:.2e}, stationarity "
-            f"{stat:.2e})")
-    z = center + L @ u
-    return z, float(u @ u)
+    Inflating by d turns h = b - A r into h + d, so for a face set S the
+    multipliers are lam + d mu (mu = (A_S Sigma A_S^T)^-1 1), the
+    objective is q0 + 2 q1 d + q2 d^2, and the slacks of the other faces
+    at z_S(d) are alpha + d beta.  The centre itself is inside from
+    d = max(-h) on.
+    """
+    best = np.max(-h, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for S, hS, Minv, SAS in _projections(A, h, sigmas, face_sets):
+            lam, dz = _step(Minv, SAS, hS)
+            mu, dmu = _step(Minv, SAS, np.ones_like(hS))
+            q0 = np.einsum("xnk,xnk->xn", hS, lam)
+            q1, q2 = lam.sum(axis=2), mu.sum(axis=2)
+            own = np.zeros((A.shape[0], len(S)), dtype=bool)
+            own[S, np.arange(len(S))[:, None]] = True
+            alpha = np.where(own, 0.0, A @ dz - h[:, :, None])
+            beta = np.where(own, 0.0, A @ dmu - 1.0)
+            # beta = +0 gives a bound of +inf (no limit) or -inf (never)
+            bound = (_FEAS_TOL - alpha) / beta
+            lo = np.max(np.where(beta < 0.0, bound, -np.inf), axis=1)
+            hi = np.min(np.where(beta >= 0.0, bound, np.inf), axis=1)
+            root = np.sqrt(q1 * q1 - q2 * (q0 - c2))
+            left = np.maximum((-q1 - root) / q2, lo)
+            ok = left <= np.minimum((-q1 + root) / q2, hi)
+            best = np.minimum(best, np.min(np.where(ok, left, np.inf), axis=1))
+    return best
 
 
 def solve_qp(sigma, center, A_O, b_O):
@@ -319,8 +341,21 @@ def solve_qp(sigma, center, A_O, b_O):
     Mahalanobis distance; ``cstar2 = 0`` exactly when the center is
     feasible.  Raises InfeasibleRegionError for an empty region.
     """
-    A_O = np.asarray(A_O, dtype=float)
-    return _solve_qp_core(sigma, center, A_O, b_O)
+    A = np.asarray(A_O, dtype=float)
+    center = np.asarray(center, dtype=float).reshape(3)
+    h = np.asarray(b_O, dtype=float).reshape(1, -1) - A @ center
+    sigmas = _regularized(np.asarray(sigma, dtype=float).reshape(1, 3, 3))
+    cstar2, step = _clearance(A, h, _face_sets(A, _independent_triples(A)),
+                              sigmas)
+    if cstar2[0] == np.inf:
+        raise InfeasibleRegionError("constraint region is empty")
+    return center + step[0], float(cstar2[0])
+
+
+def _prefilter_mask(centers, lam_max, c2, obs):
+    reach = math.sqrt(c2) * np.sqrt(lam_max)
+    sep = np.linalg.norm(centers - obs.centroid, axis=1)
+    return sep <= reach + obs.circumradius + max(obs.buffer, 0.0) + _FEAS_TOL
 
 
 def sphere_prefilter(ell: ConfidenceEllipsoid, obs: CuboidObstacle) -> bool:
@@ -331,130 +366,80 @@ def sphere_prefilter(ell: ConfidenceEllipsoid, obs: CuboidObstacle) -> bool:
     buffer.  Returns False only when intersection is impossible.
     """
     lam_max = max(float(np.linalg.eigvalsh(ell.sigma)[-1]), 0.0)
-    reach = math.sqrt(ell.c2) * math.sqrt(lam_max)
-    sep = float(np.linalg.norm(ell.center - obs.centroid))
-    return sep <= reach + obs.circumradius + max(obs.buffer, 0.0) + _FEAS_TOL
+    return bool(_prefilter_mask(np.reshape(ell.center, (1, 3)), lam_max,
+                                ell.c2, obs)[0])
 
 
 def check_tube_collision(tube: Tube, obstacles, stride=1):
     """Minimum c*^2 of every obstacle over stride-sampled tube sections.
 
-    The QP runs against the true obstacle (no buffer) whenever the sphere
-    prefilter cannot rule intersection out; obstacles the prefilter
-    always rejects report ``min_cstar2 = inf``.  Returns one
-    ClearanceReport per obstacle, in input order.
+    The QP runs against the true obstacle (no buffer) on the sections
+    the sphere prefilter cannot rule out, in order of the lower bound
+    max_i(a_i^T r - b_i)_+^2 / (a_i^T Sigma a_i), until that bound
+    exceeds the incumbent; obstacles the prefilter always rejects report
+    ``min_cstar2 = inf``.  The first section attaining the minimum is
+    reported.  Returns one ClearanceReport per obstacle, in input order.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    idx = np.arange(0, len(tube), stride)
+    lam_max = np.maximum(np.linalg.eigvalsh(tube.sigmas[idx])[:, -1], 0.0) \
+        if idx.size else np.empty(0)
     reports = []
     for obs in obstacles:
-        best = math.inf
-        best_t = None
-        best_z = None
-        warm = None
-        for k in range(0, len(tube), stride):
-            ell = tube[k]
-            if not sphere_prefilter(ell, obs):
-                continue
-            try:
-                z, c2v = _solve_qp_core(ell.sigma, ell.center, obs.A, obs.b,
-                                        start_point=warm)
-            except (InfeasibleRegionError, ActiveSetError) as exc:
-                raise type(exc)(
-                    f"obstacle {obs.id!r} at t={ell.t:.6g}: {exc}") from exc
-            warm = z
-            if c2v < best:
-                best, best_t, best_z = c2v, ell.t, z
+        best, best_t, best_z = math.inf, None, None
+        keep = idx[_prefilter_mask(tube.centers[idx], lam_max, tube.c2, obs)]
+        if keep.size:
+            sigmas = _regularized(tube.sigmas[keep])
+            h = obs.b - tube.centers[keep] @ obs.A.T
+            bound = np.max(np.maximum(-h, 0.0)
+                           / _face_spread(obs.A, sigmas), axis=1) ** 2
+            seen, values, steps = [], [], []
+            for k in _best_first(bound, _chunk_size(obs.A, obs.face_sets)):
+                if bound[k[0]] > best:
+                    break
+                cstar2, step = _clearance(obs.A, h[k], obs.face_sets,
+                                          sigmas[k])
+                best = min(best, float(cstar2.min()))
+                seen.append(k)
+                values.append(cstar2)
+                steps.append(step)
+            seen, values = np.concatenate(seen), np.concatenate(values)
+            j = np.lexsort((seen, values))[0]
+            k = keep[seen[j]]
+            best_t = float(tube.times[k])
+            if best == math.inf:
+                raise InfeasibleRegionError(
+                    f"obstacle {obs.id!r} at t={best_t:.6g}: "
+                    "no feasible point")
+            best_z = tube.centers[k] + np.concatenate(steps)[j]
         reports.append(ClearanceReport(
             obstacle_id=obs.id, min_cstar2=best, argmin_t=best_t,
             z_star=best_z, c2=tube.c2))
     return reports
 
 
-def _most_critical_sample(tube: Tube, obs: CuboidObstacle):
-    """Index of the tube sample with smallest c*^2 against the true obstacle.
-
-    Samples are visited in order of an inexpensive lower bound
-    (Euclidean separation squared over the largest eigenvalue), so most
-    QPs are pruned once a good incumbent exists.
-    """
-    n = len(tube)
-    lam_max = np.maximum(np.linalg.eigvalsh(tube.sigmas)[:, -1], 1e-30)
-    sep = np.linalg.norm(tube.centers - obs.centroid, axis=1)
-    gap = np.maximum(sep - obs.circumradius, 0.0)
-    bound = gap * gap / lam_max
-    order = np.argsort(bound)
-    best = math.inf
-    best_k = int(order[0])
-    warm = None
-    for k in order:
-        if bound[k] >= best:
-            break
-        ell = tube[int(k)]
-        z, c2v = _solve_qp_core(ell.sigma, ell.center, obs.A, obs.b,
-                                start_point=warm)
-        warm = z
-        if c2v < best:
-            best, best_k = c2v, int(k)
-    return best_k, best
-
-
 def buffer_touch_distance(tube: Tube, obs: CuboidObstacle, c2) -> float:
-    """Uniform face offset d' at which the tube exactly touches level c^2.
+    """Smallest uniform face offset d' at which the tube touches level c^2.
 
-    At the tube's most critical sample, d' solves c*^2(d') = c2 for the
-    inflated region {A z <= b + d'}; positive d' means the tube clears
+    d' is the least d for which some tube section has c*^2 <= c2 against
+    the inflated region {A z <= b + d}; positive d' means the tube clears
     the true obstacle with that much metric room to spare, negative d'
     means the obstacle would have to shrink by |d'| to escape the tube.
-    Solved by bisection (c*^2 is non-increasing in d'), tolerance 1e-6
-    on the objective.
+    Exact over the whole tube: sections are visited in order of the lower
+    bound max_i(a_i^T r - b_i - c sqrt(a_i^T Sigma a_i)) of their own d'
+    until that bound reaches the incumbent.
     """
     if len(tube) == 0:
         raise ValueError("tube is empty")
     c2 = float(c2)
-    k, f0 = _most_critical_sample(tube, obs)
-    ell = tube[k]
-
-    def objective(d):
-        try:
-            _, val = _solve_qp_core(ell.sigma, ell.center, obs.A, obs.b + d)
-        except InfeasibleRegionError:
-            return math.inf
-        return val
-
-    if abs(f0 - c2) <= 1e-6:
-        return 0.0
-    if f0 > c2:
-        lo = 0.0
-        hi = max(float(np.max(obs.A @ ell.center - obs.b)), 0.0) + 1.0
-        for _ in range(60):
-            if objective(hi) < c2:
-                break
-            hi *= 2.0
-        else:
-            raise BracketError(
-                f"obstacle {obs.id!r}: no inflation reaches the tube")
-    else:
-        hi = 0.0
-        lo = -1.0
-        for _ in range(60):
-            if objective(lo) > c2:
-                break
-            lo *= 2.0
-        else:
-            raise BracketError(
-                f"obstacle {obs.id!r}: no shrinkage escapes the tube")
-    # Invariant: objective(lo) > c2 >= objective(hi), objective non-increasing.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = objective(mid)
-        if abs(val - c2) <= 1e-6:
-            return mid
-        if val > c2:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * (1.0 + abs(hi)):
-            return 0.5 * (lo + hi)
-    raise BracketError(
-        f"obstacle {obs.id!r}: buffer bisection failed to converge")
+    sigmas = _regularized(tube.sigmas)
+    h = obs.b - tube.centers @ obs.A.T
+    bound = np.max(-h - math.sqrt(c2) * _face_spread(obs.A, sigmas), axis=1)
+    best = math.inf
+    for k in _best_first(bound, _chunk_size(obs.A, obs.face_sets)):
+        if bound[k[0]] >= best:
+            break
+        best = min(best, float(np.min(
+            _touch(obs.A, h[k], obs.face_sets, sigmas[k], c2))))
+    return best

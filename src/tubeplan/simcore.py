@@ -89,12 +89,16 @@ def integrate_nominal(model, x0, des, grid):
     out = np.empty((grid.count, model.n_states))
     out[0] = x0
     x = x0
+    t1 = ref1 = None
     for k in range(grid.count - 1):
         t = grid.t0 + k * dt
         try:
-            ref0 = des(t)
+            # the previous step's end sample, unless t + dt rounded
+            # differently from t0 + k dt
+            ref0 = ref1 if t == t1 else des(t)
             refh = des(t + 0.5 * dt)
-            ref1 = des(t + dt)
+            t1 = t + dt
+            ref1 = des(t1)
             k1 = model.deriv(x, ref0, zero_n)
             k2 = model.deriv(x + 0.5 * dt * k1, refh, zero_n)
             k3 = model.deriv(x + 0.5 * dt * k2, refh, zero_n)

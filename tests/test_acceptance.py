@@ -179,7 +179,7 @@ def _lattice_min_mahalanobis(sigma, center, obs, pts_per_axis=100):
     pts = mid + local @ normals
     d = pts - center
     S_inv = np.linalg.inv(sigma)
-    return float(np.min(np.einsum("ki,ij,kj->k", d, S_inv, d)))
+    return float(np.min(np.einsum("ki,ki->k", d @ S_inv, d)))
 
 
 def test_criterion_04_qp_matches_million_point_grid_on_100_instances():

@@ -331,3 +331,211 @@ def test_buffer_touch_rejects_empty_tube():
                  sigmas=np.empty((0, 3, 3)), beta=0.999, c2=9.0)
     with pytest.raises(ValueError):
         buffer_touch_distance(empty, obs, 9.0)
+
+
+def test_buffer_touch_is_tube_wide():
+    # Sample B is the more critical one against the true box (c*^2 20.25
+    # against 25), but sample A reaches the level first as the box grows:
+    # d' = min_k (g_k - c s_k), not the touch of the initially critical B.
+    c2 = chi2_quantile(0.999, 3)
+    c = math.sqrt(c2)
+    obs = CuboidObstacle.from_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    tube = make_tube([(1.5, 0.0, 0.0), (5.5, 0.0, 0.0)],
+                     [0.01 * np.eye(3), np.eye(3)], c2=c2)
+    expected = min(0.5 - c * 0.1, 4.5 - c * 1.0)
+    assert expected == pytest.approx(0.0967, abs=1e-4)
+    assert buffer_touch_distance(tube, obs, c2) == pytest.approx(
+        expected, abs=1e-9)
+
+
+def _inflated_lattice_touch(centers, sigmas, mid, half, yaw, c2, points):
+    """Bisection on d of the lattice minimum over the box grown by d."""
+
+    def lattice(d):
+        grown = CuboidObstacle.from_box(mid, half + d, yaw=yaw)
+        return min(grid_min_mahalanobis(S, r, grown, pts_per_axis=points)
+                   for r, S in zip(centers, sigmas))
+
+    lo = -float(np.min(half)) + 1e-6
+    hi = float(np.max(np.linalg.norm(centers - mid, axis=1)))
+    if lattice(lo) <= c2:
+        return None                        # touches before the box vanishes
+    for _ in range(24):
+        mid_d = 0.5 * (lo + hi)
+        if lattice(mid_d) > c2:
+            lo = mid_d
+        else:
+            hi = mid_d
+    return hi
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_buffer_touch_matches_inflated_lattice_bisection(data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    n = data.draw(st.integers(2, 5))
+    rng = np.random.default_rng(seed)
+    c2 = chi2_quantile(0.999, 3)
+    half = rng.uniform(0.3, 1.0, size=3)
+    mid = rng.uniform(-2.0, 2.0, size=3)
+    yaw = rng.uniform(-np.pi, np.pi)
+    obs = CuboidObstacle.from_box(mid, half, yaw=yaw)
+    centers, sigmas = [], []
+    for _ in range(n):
+        u = rng.normal(size=3)
+        centers.append(mid + u / np.linalg.norm(u)
+                       * (np.linalg.norm(half) + rng.uniform(0.0, 1.5)))
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        eig = rng.uniform(0.7, 1.3, size=3) * rng.uniform(0.05, 0.4) ** 2
+        sigmas.append((Q * eig) @ Q.T)
+    centers, sigmas = np.array(centers), np.array(sigmas)
+    points = 30
+    oracle = _inflated_lattice_touch(centers, sigmas, mid, half, yaw, c2,
+                                     points)
+    if oracle is None:
+        return
+    d = buffer_touch_distance(make_tube(centers, sigmas, c2), obs, c2)
+    # Lattice points lie inside the box, so the lattice crosses the level
+    # no earlier than the true minimum.  A face minimizer is within half a
+    # cell diagonal of a face lattice point; Euclidean error e costs at
+    # most e sqrt(cond Sigma) of buffer.
+    cell = 2.0 * float(np.max(half + oracle)) / (points - 1)
+    slack = cell * math.sqrt(0.5) * math.sqrt(1.3 / 0.7)
+    assert d <= oracle + 1e-6
+    assert d >= oracle - slack - 1e-6
+
+
+# --------------------------------------------------------------------------
+# polytopes beyond boxes
+
+
+def make_prism(rng, sides, radius=1.5, z_lo=-1.0, z_hi=1.0):
+    """Vertical prism over a jittered regular polygon (as in perfbench)."""
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    th = phase + 2.0 * math.pi * np.arange(sides) / sides
+    A = np.column_stack([np.cos(th), np.sin(th), np.zeros(sides)])
+    b = radius * rng.uniform(0.8, 1.0, size=sides)
+    A = np.vstack([A, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    return CuboidObstacle(A=A, b=np.r_[b, z_hi, -z_lo])
+
+
+def lattice_min_in_polytope(sigma, center, obs, pts_per_axis):
+    """Dense-lattice oracle over the polytope's bounding box, restricted
+    to the lattice points inside the polytope."""
+    lo, hi = obs.vertices.min(axis=0), obs.vertices.max(axis=0)
+    axes = [np.linspace(lo[i], hi[i], pts_per_axis) for i in range(3)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                   axis=1)
+    pts = pts[np.all(pts @ obs.A.T <= obs.b + 1e-12, axis=1)]
+    d = pts - center
+    return float(np.min(np.einsum("ki,ki->k", d @ np.linalg.inv(sigma), d)))
+
+
+@pytest.mark.parametrize("sides", [6, 9, 13, 18])
+def test_qp_on_prisms_matches_lattice_oracle(sides):
+    rng = np.random.default_rng(sides)
+    obs = make_prism(rng, sides)
+    points = 70
+    for _ in range(8):
+        sigma = random_spd(rng)
+        center = rng.uniform(-4.0, 4.0, size=3)
+        z, c2 = solve_qp(sigma, center, obs.A, obs.b)
+        assert np.all(obs.A @ z <= obs.b + 1e-8)
+        d = z - center
+        assert d @ np.linalg.inv(sigma) @ d == pytest.approx(
+            c2, rel=1e-9, abs=1e-12)
+        oracle = lattice_min_in_polytope(sigma, center, obs, points)
+        assert c2 <= oracle + 1e-9
+        # some lattice point lies within two cells of the minimizer, and a
+        # Euclidean step e moves the Mahalanobis distance by at most
+        # e / sqrt(lambda_min)
+        cell = float(np.max(np.ptp(obs.vertices, axis=0))) / (points - 1)
+        reach = 2.0 * cell / math.sqrt(np.linalg.eigvalsh(sigma)[0])
+        assert math.sqrt(oracle) <= math.sqrt(c2) + reach
+
+
+def test_twenty_face_prism_lists_its_face_sets():
+    obs = make_prism(np.random.default_rng(0), 18)
+    singles, pairs, triples = obs.face_sets
+    # 18 side normals lie in a plane: 9 opposite pairs and the two caps
+    # are parallel, and any three sides are dependent.
+    assert (len(singles), len(pairs), len(triples)) == (20, 180, 288)
+
+
+def test_qp_empty_prism_raises():
+    rng = np.random.default_rng(3)
+    obs = make_prism(rng, 12)
+    A = obs.A
+    b = obs.b.copy()
+    b[-2:] = [-2.0, 1.0]                       # z <= -2 and z >= -1
+    with pytest.raises(InfeasibleRegionError):
+        solve_qp(np.eye(3), np.zeros(3), A, b)
+
+
+def test_zero_covariance_samples_inside_a_batch():
+    # Sections with Sigma = 0 are regularized one by one to 1e-30 I and
+    # do not disturb their neighbours.
+    c2 = 9.0
+    obs = CuboidObstacle.from_box((5.0, 0.0, 0.0), (1.0, 4.0, 4.0))
+    centers = [(1.0, 0.0, 0.0), (3.5, 0.0, 0.0), (2.0, 0.0, 0.0)]
+    sigmas = np.array([0.25 * np.eye(3), np.zeros((3, 3)),
+                       np.zeros((3, 3))])
+    tube = make_tube(centers, sigmas, c2=c2)
+    (rep,) = check_tube_collision(tube, [obs])
+    assert rep.min_cstar2 == pytest.approx(3.0**2 / 0.25, rel=1e-12)
+    assert rep.argmin_t == 0.0
+    for k, sigma in enumerate(sigmas):
+        _, alone = solve_qp(sigma, np.asarray(centers[k]), obs.A, obs.b)
+        assert np.isfinite(alone) and alone >= rep.min_cstar2
+    # the zero-covariance section 0.5 m off the face touches first
+    d = buffer_touch_distance(tube, obs, c2)
+    assert d == pytest.approx(0.5, abs=1e-9)
+
+
+def test_tube_results_equal_the_per_section_extremes():
+    # Sections are visited in lower-bound order and pruned; the results
+    # must equal the extremes taken over every section one at a time.
+    rng = np.random.default_rng(8)
+    obs = make_prism(rng, 11)
+    c2 = chi2_quantile(0.999, 3)
+    n = 60
+    u = rng.normal(size=(n, 3))
+    centers = obs.centroid + u / np.linalg.norm(u, axis=1)[:, None] \
+        * rng.uniform(2.0, 5.0, size=(n, 1))
+    sigmas = np.array([random_spd(rng, scale=rng.uniform(0.01, 0.5))
+                       for _ in range(n)])
+    tube = make_tube(centers, sigmas, c2=c2)
+    values = [solve_qp(sigmas[k], centers[k], obs.A, obs.b)[1]
+              if sphere_prefilter(tube[k], obs) else math.inf
+              for k in range(n)]
+    (rep,) = check_tube_collision(tube, [obs])
+    first = int(np.argmin(values))
+    assert 0.0 < rep.min_cstar2 < math.inf
+    assert rep.min_cstar2 == pytest.approx(values[first], rel=1e-12)
+    assert rep.argmin_t == tube.times[first]
+    touches = [buffer_touch_distance(make_tube(centers[k], sigmas[k], c2),
+                                     obs, c2) for k in range(n)]
+    assert buffer_touch_distance(tube, obs, c2) == pytest.approx(
+        min(touches), abs=1e-12)
+
+
+def test_pruning_looks_past_a_misleading_lower_bound():
+    # Ten sections sit diagonally off a corner: their separating-face
+    # bounds (c*^2 >= t^2 / 3, d' >= t / sqrt 3 - c) are the smallest, so
+    # they are visited first, but the face-on section last in the tube
+    # has the least c*^2 and touches first.
+    c2, t = 9.0, 2.9
+    obs = CuboidObstacle.from_box((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
+    corner = (2.0 + t / math.sqrt(3.0)) * np.ones(3)
+    centers = [corner] * 10 + [(4.0, 0.0, 0.0)]
+    tube = make_tube(centers, np.eye(3), c2=c2)
+    (rep,) = check_tube_collision(tube, [obs])
+    assert rep.min_cstar2 == pytest.approx(4.0, rel=1e-12)
+    assert rep.argmin_t == 10.0
+    assert buffer_touch_distance(tube, obs, c2) == pytest.approx(
+        -1.0, abs=1e-12)
+    corner_only = make_tube(centers[:10], np.eye(3), c2=c2)
+    (rep,) = check_tube_collision(corner_only, [obs])
+    assert rep.min_cstar2 == pytest.approx(t * t, rel=1e-12)
+    assert buffer_touch_distance(corner_only, obs, c2) == pytest.approx(
+        (t - 3.0) / math.sqrt(3.0), abs=1e-12)
