@@ -1,16 +1,19 @@
-"""Time grids, nominal integration, linearization and Monte Carlo.
+"""Time grids, closed-loop integration, linearization and Monte Carlo.
 
-The nominal (noise-free) trajectory is integrated with classic RK4.
-Monte Carlo runs use Euler-Maruyama with piecewise-constant white noise
-n_k ~ N(0, 1/dt), the step-limit approximation of unit-intensity
-continuous white noise.  Randomness comes from numpy's Philox counter
-generator (run i of an ensemble seeds Philox with base_seed + i), with
-normal variates produced by numpy's ziggurat sampler; given the same
-(model, x0, reference, grid, seed) every output bit is reproducible.
+One stepper advances the closed loop across a grid, on one state row or
+on a (runs, n) batch.  Without noise it takes classic RK4 steps, giving
+the nominal trajectory; with a noise array it takes Euler-Maruyama steps
+under piecewise-constant white noise n_k ~ N(0, 1/dt), the step-limit
+approximation of unit-intensity continuous white noise.  Randomness
+comes from numpy's Philox counter generator (run i of an ensemble seeds
+Philox with base_seed + i), with normal variates produced by numpy's
+ziggurat sampler; given the same (model, x0, reference, grid, seed)
+every output bit is reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,35 +82,47 @@ def _wrap_domain_error(err, t):
     return ModelDomainError(f"model domain error at t={t:.6g}: {err}")
 
 
+def _steps(model, x, grid, ref, noise=None):
+    """Yield the closed-loop state at every grid time, starting with x.
+
+    x is one state row or a (runs, n) batch.  Without noise each step is
+    classic RK4 with zero noise; with a noise array of shape
+    (..., count - 1, m) step k is Euler-Maruyama on noise[..., k, :].
+    Step k samples ref at t = t0 + k dt, and RK4 also at t + dt/2 and
+    t + dt (not t0 + (k + 1) dt, which can differ in the last bit and
+    would change the nominal trajectory).  A model domain error is
+    re-raised naming t.
+    """
+    dt = grid.dt
+    zero_n = np.zeros(model.n_noise)
+    yield x
+    for k in range(grid.count - 1):
+        t = grid.t0 + k * dt
+        try:
+            if noise is not None:
+                x = x + dt * model.deriv(x, ref(t), noise[..., k, :])
+            else:
+                k1 = model.deriv(x, ref(t), zero_n)
+                refh = ref(t + 0.5 * dt)
+                k2 = model.deriv(x + 0.5 * dt * k1, refh, zero_n)
+                k3 = model.deriv(x + 0.5 * dt * k2, refh, zero_n)
+                k4 = model.deriv(x + dt * k3, ref(t + dt), zero_n)
+                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        except ModelDomainError as err:
+            raise _wrap_domain_error(err, t) from err
+        yield x
+
+
 def integrate_nominal(model, x0, des, grid):
     """Classic fixed-step RK4 of the closed-loop dynamics with zero noise."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n_states,):
         raise ValueError(f"x0 must have shape ({model.n_states},)")
-    zero_n = np.zeros(model.n_noise)
-    dt = grid.dt
-    out = np.empty((grid.count, model.n_states))
-    out[0] = x0
-    x = x0
-    t1 = ref1 = None
-    for k in range(grid.count - 1):
-        t = grid.t0 + k * dt
-        try:
-            # the previous step's end sample, unless t + dt rounded
-            # differently from t0 + k dt
-            ref0 = ref1 if t == t1 else des(t)
-            refh = des(t + 0.5 * dt)
-            t1 = t + dt
-            ref1 = des(t1)
-            k1 = model.deriv(x, ref0, zero_n)
-            k2 = model.deriv(x + 0.5 * dt * k1, refh, zero_n)
-            k3 = model.deriv(x + 0.5 * dt * k2, refh, zero_n)
-            k4 = model.deriv(x + dt * k3, ref1, zero_n)
-        except ModelDomainError as err:
-            raise _wrap_domain_error(err, t) from err
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = x
-    return Trajectory(grid=grid, states=out, model=model.name)
+    # a step's end sample is reused as the next step's start whenever
+    # t + dt and t0 + (k + 1) dt round alike; nothing older is kept
+    ref = functools.lru_cache(maxsize=1)(des)
+    return Trajectory(grid=grid, states=list(_steps(model, x0, grid, ref)),
+                      model=model.name)
 
 
 def _stack_refs(samples):
@@ -185,37 +200,9 @@ def _noise_for_run(seed, steps, m, dt):
 
 def mc_run(model, x0, des, grid, seed):
     """One Euler-Maruyama sample path, fully determined by the seed."""
-    x0 = np.asarray(x0, dtype=float)
-    dt = grid.dt
-    noise = _noise_for_run(seed, grid.count - 1, model.n_noise, dt)
-    out = np.empty((grid.count, model.n_states))
-    out[0] = x0
-    x = x0
-    for k in range(grid.count - 1):
-        t = grid.t0 + k * dt
-        try:
-            x = x + dt * model.deriv(x, des(t), noise[k])
-        except ModelDomainError as err:
-            raise _wrap_domain_error(err, t) from err
-        out[k + 1] = x
-    return Trajectory(grid=grid, states=out, model=model.name)
-
-
-def _euler_reference(model, x0, des, grid):
-    """Zero-noise Euler path used to center the ensemble accumulators."""
-    dt = grid.dt
-    zero_n = np.zeros(model.n_noise)
-    out = np.empty((grid.count, model.n_states))
-    out[0] = x0
-    x = np.asarray(x0, dtype=float)
-    for k in range(grid.count - 1):
-        t = grid.t0 + k * dt
-        try:
-            x = x + dt * model.deriv(x, des(t), zero_n)
-        except ModelDomainError as err:
-            raise _wrap_domain_error(err, t) from err
-        out[k + 1] = x
-    return out
+    noise = _noise_for_run(seed, grid.count - 1, model.n_noise, grid.dt)
+    states = _steps(model, np.asarray(x0, dtype=float), grid, des, noise)
+    return Trajectory(grid=grid, states=list(states), model=model.name)
 
 
 def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
@@ -237,8 +224,10 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     m = model.n_noise
     dt = grid.dt
     count = grid.count
-    refs = [des(grid.t0 + k * dt) for k in range(count - 1)]
-    ref_path = _euler_reference(model, x0, des, grid)
+    # the reference path and every block sample des at the same times
+    ref = functools.cache(des)
+    ref_path = np.array(list(_steps(model, x0, grid, ref,
+                                    np.zeros((count - 1, m)))))
 
     sum_d = np.zeros((count, n))
     sum_o = np.zeros((count, n, n))
@@ -254,18 +243,13 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
         noise = np.empty((block, count - 1, m))
         for r in range(block):
             noise[r] = _noise_for_run(base_seed + lo + r, count - 1, m, dt)
-        X = np.tile(x0, (block, 1))
-        for k in range(count):
+        states = _steps(model, np.tile(x0, (block, 1)), grid, ref, noise)
+        for k, X in enumerate(states):
             d = X - ref_path[k]
             sum_d[k] += d.sum(axis=0)
             sum_o[k] += d.T @ d
             if recorded is not None and k in record_pos:
                 recorded[lo:hi, record_pos[k]] = X
-            if k < count - 1:
-                try:
-                    X = X + dt * model.deriv(X, refs[k], noise[:, k])
-                except ModelDomainError as err:
-                    raise _wrap_domain_error(err, grid.t0 + k * dt) from err
 
     mean = ref_path + sum_d / runs
     cov = (sum_o - np.einsum("ki,kj->kij", sum_d, sum_d) / runs) / (runs - 1)

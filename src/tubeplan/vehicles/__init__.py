@@ -6,15 +6,7 @@ from .dryden import (
     longitudinal_coeffs,
     transverse_coeffs,
 )
-from .fixedwing import (
-    EPS_SING,
-    FixedWingModel,
-    FixedWingParams,
-    inner_loop,
-    outer_lateral,
-    outer_longitudinal,
-    wind_to_inertial,
-)
+from .fixedwing import FixedWingModel, FixedWingParams
 from .quadrotor import QuadrotorModel, QuadrotorParams
 from .reference import (
     FixedWingPolylineProfile,
@@ -26,7 +18,6 @@ from .reference import (
 )
 
 __all__ = [
-    "EPS_SING",
     "FixedWingGustFilters",
     "FixedWingModel",
     "FixedWingParams",
@@ -39,10 +30,6 @@ __all__ = [
     "QuadrotorRef",
     "ascent_cruise_descent",
     "fixedwing_filters",
-    "inner_loop",
     "longitudinal_coeffs",
-    "outer_lateral",
-    "outer_longitudinal",
     "transverse_coeffs",
-    "wind_to_inertial",
 ]

@@ -173,13 +173,12 @@ def _lattice_min_mahalanobis(sigma, center, obs, pts_per_axis=100):
     normals = obs.A[0::2]
     mid = obs.centroid
     h = obs.b[0::2] - normals @ mid
-    axes = [np.linspace(-hk, hk, pts_per_axis) for hk in h]
-    G = np.meshgrid(*axes, indexing="ij")
-    local = np.stack([g.ravel() for g in G], axis=1)
-    pts = mid + local @ normals
-    d = pts - center
+    # lattice offsets from the center, broadcast over the three face axes
+    u, v, w = (np.linspace(-hk, hk, pts_per_axis)[:, None] * nk
+               for hk, nk in zip(h, normals))
+    d = (mid - center) + u[:, None, None] + v[:, None] + w
     S_inv = np.linalg.inv(sigma)
-    return float(np.min(np.einsum("ki,ki->k", d @ S_inv, d)))
+    return float(np.min(np.einsum("...i,...i->...", d @ S_inv, d)))
 
 
 def test_criterion_04_qp_matches_million_point_grid_on_100_instances():

@@ -14,11 +14,9 @@ import sympy as sp
 
 from tubeplan.errors import ModelDomainError
 from tubeplan.simcore import TimeGrid, Trajectory, _stack_refs, linearize
-from tubeplan.vehicles import (
+from tubeplan.vehicles import FixedWingModel, FixedWingParams, FixedWingRef
+from tubeplan.vehicles.fixedwing import (
     EPS_SING,
-    FixedWingModel,
-    FixedWingParams,
-    FixedWingRef,
     inner_loop,
     outer_lateral,
     outer_longitudinal,

@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tubeplan.errors import (
-    BracketError,
-    InfeasibleRegionError,
-    ScenarioError,
-)
+from tubeplan.errors import InfeasibleRegionError, ScenarioError
 from tubeplan.geometry import (
     ClearanceReport,
     CuboidObstacle,

@@ -8,6 +8,7 @@ solution for order-of-accuracy checks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,20 +131,40 @@ def test_rk4_reproduces_rotation_to_fourth_order():
     assert e2 < 1e-7
 
 
-def test_integration_wraps_domain_errors_with_time():
+@pytest.mark.parametrize("integrate", [
+    integrate_nominal,
+    functools.partial(mc_run, seed=0),
+    functools.partial(mc_ensemble, runs=2, base_seed=0),
+], ids=["integrate_nominal", "mc_run", "mc_ensemble"])
+def test_integration_wraps_domain_errors_with_time(integrate):
+    # x_dot = x + n leaves x <= 5 well inside the 5 s grid
     model = GuardedModel([[1.0]], [[1.0]], limit=5.0)
     grid = TimeGrid(0.0, 5.0, 0.01)
     with pytest.raises(ModelDomainError, match="t="):
-        integrate_nominal(model, np.array([1.0]), toy_des, grid)
+        integrate(model, np.array([1.0]), toy_des, grid)
 
 
-def test_ensemble_wraps_domain_errors_with_time():
-    # the zero-noise reference path leaves the domain at t = ln 5
-    model = GuardedModel([[1.0]], [[1.0]], limit=5.0)
-    grid = TimeGrid(0.0, 5.0, 0.01)
-    with pytest.raises(ModelDomainError, match="t="):
-        mc_ensemble(model, np.array([1.0]), toy_des, grid, runs=2,
-                    base_seed=0)
+def test_reference_is_sampled_once_per_distinct_time():
+    model = LinearModel([[-1.0]], [[1.0]])
+    grid = TimeGrid(0.0, 1.0, 0.01)
+    times = []
+
+    def des(t):
+        times.append(t)
+        return ToyRef(t)
+
+    integrate_nominal(model, np.zeros(1), des, grid)
+    dt = grid.dt
+    steps = [grid.t0 + k * dt for k in range(grid.count - 1)]
+    assert sorted(times) == sorted(
+        {s for t in steps for s in (t, t + 0.5 * dt, t + dt)})
+
+    # 1 030 runs span three integration blocks; the reference path and
+    # every block share one sample per step time
+    times.clear()
+    mc_ensemble(model, np.zeros(1), des, TimeGrid(0.0, 0.2, 0.02),
+                runs=1030, base_seed=3)
+    assert times == [0.02 * k for k in range(10)]
 
 
 def test_integration_validates_shapes():
