@@ -18,6 +18,7 @@ subtrees are either reconnected through fresh samples or pruned.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -793,10 +794,12 @@ def dynamic_informed_rrt_star(start, goal, obstacles, cfg: PlannerConfig,
     covariance (zero for a deterministic start).  Every non-final round
     applies b_j <- b_j - d_j from comp_obs_dist; any buffer that grew
     triggers tree surgery.  The final tube and per-obstacle clearances
-    are evaluated against the true (unbuffered) obstacles.
+    are evaluated against the true (unbuffered) obstacles.  Buffers are
+    set on shallow copies, so the caller's obstacles are left as passed.
     """
     start = np.asarray(start, dtype=float).reshape(2)
     goal = np.asarray(goal, dtype=float).reshape(2)
+    obstacles = [copy.copy(obs) for obs in obstacles]
     init = evaluator.initial_buffer()
     for obs in obstacles:
         obs.buffer = init

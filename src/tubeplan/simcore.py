@@ -2,7 +2,7 @@
 
 One stepper advances the closed loop across a grid, on one state row or
 on a (runs, n) batch.  Without noise it takes classic RK4 steps, giving
-the nominal trajectory; with a noise array it takes Euler-Maruyama steps
+the nominal trajectory; with noise samples it takes Euler-Maruyama steps
 under piecewise-constant white noise n_k ~ N(0, 1/dt), the step-limit
 approximation of unit-intensity continuous white noise.  Randomness
 comes from numpy's Philox counter generator (run i of an ensemble seeds
@@ -30,9 +30,13 @@ __all__ = [
     "mc_ensemble",
 ]
 
-# ensemble runs are integrated in fixed-size blocks, accumulated in block
-# order, so the reduction is deterministic regardless of where it executes
-_CHUNK = 512
+# widest pass of ensemble runs integrated together: wide enough to spread
+# numpy's per-call dispatch over many rows, capped so that a pass's state
+# columns and model temporaries stay cache-sized at any run count
+_PASS = 2048
+# each pass draws its runs' noise ahead in time chunks of at most this
+# many bytes, instead of holding a (runs, count - 1, m) array
+_NOISE_BYTES = 12_000_000
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,9 @@ def _steps(model, x, grid, ref, noise=None):
     """Yield the closed-loop state at every grid time, starting with x.
 
     x is one state row or a (runs, n) batch.  Without noise each step is
-    classic RK4 with zero noise; with a noise array of shape
-    (..., count - 1, m) step k is Euler-Maruyama on noise[..., k, :].
+    classic RK4 with zero noise; with noise, an iterable of count - 1
+    per-step samples shaped (m,) or (runs, m), step k is Euler-Maruyama
+    on its k-th sample.
     Step k samples ref at t = t0 + k dt, and RK4 also at t + dt/2 and
     t + dt (not t0 + (k + 1) dt, which can differ in the last bit and
     would change the nominal trajectory).  A model domain error is
@@ -95,12 +100,13 @@ def _steps(model, x, grid, ref, noise=None):
     """
     dt = grid.dt
     zero_n = np.zeros(model.n_noise)
+    noise = None if noise is None else iter(noise)
     yield x
     for k in range(grid.count - 1):
         t = grid.t0 + k * dt
         try:
             if noise is not None:
-                x = x + dt * model.deriv(x, ref(t), noise[..., k, :])
+                x = x + dt * model.deriv(x, ref(t), next(noise))
             else:
                 k1 = model.deriv(x, ref(t), zero_n)
                 refh = ref(t + 0.5 * dt)
@@ -193,29 +199,59 @@ def linearize(model, nominal, des):
     return LinearizationHistory(grid=grid, A=A, B_n=B)
 
 
-def _noise_for_run(seed, steps, m, dt):
+def _noise_stream(seed, m, dt):
+    """Run ``seed``'s white noise: ``draw(steps)`` returns its next samples.
+
+    Philox(seed) feeds numpy's ziggurat standard normals, scaled to
+    N(0, 1/dt) and returned as a (steps, m) array.  Successive draws
+    continue one stream, so drawing it in chunks gives the bits of one
+    draw of the total length.
+    """
     rng = np.random.Generator(np.random.Philox(seed))
-    return rng.standard_normal((steps, m)) / np.sqrt(dt)
+    return lambda steps: rng.standard_normal((steps, m)) / np.sqrt(dt)
 
 
 def mc_run(model, x0, des, grid, seed):
     """One Euler-Maruyama sample path, fully determined by the seed."""
-    noise = _noise_for_run(seed, grid.count - 1, model.n_noise, grid.dt)
+    noise = _noise_stream(seed, model.n_noise, grid.dt)(grid.count - 1)
     states = _steps(model, np.asarray(x0, dtype=float), grid, des, noise)
     return Trajectory(grid=grid, states=list(states), model=model.name)
+
+
+def _pass_noise(seeds, steps, m, dt):
+    """Per-step (runs, m) noise of the runs ``seeds``, drawn in time chunks.
+
+    A chunk spans as many steps as fit in _NOISE_BYTES.  Each yielded
+    sample is a Fortran-ordered view, so every component's column is
+    contiguous; it is overwritten by the next chunk's draw.
+    """
+    draws = [_noise_stream(seed, m, dt) for seed in seeds]
+    chunk = min(steps, max(1, _NOISE_BYTES // (8 * m * len(draws))))
+    buf = np.empty((chunk, m, len(draws)))
+    for lo in range(0, steps, chunk):
+        size = min(chunk, steps - lo)
+        for r, draw in enumerate(draws):
+            buf[:size, :, r] = draw(size)
+        for k in range(size):
+            yield buf[k].T
 
 
 def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     """Seeded Monte Carlo ensemble: mean trajectory and sample covariance.
 
     Run i draws its noise exactly as ``mc_run(..., seed=base_seed + i)``
-    would; runs are integrated vectorized in blocks of 512 and reduced in
+    would, in time chunks of about 12 MB across a pass.  Runs are
+    integrated in passes of up to 2048, each holding its state
+    column-major so the model works on contiguous state columns; a run's
+    states do not depend on the pass it falls in.  Each step of a pass
+    adds its deviations to the sums in one reduction, pass after pass in
     run order, so results are reproducible bit for bit.  The sample
     covariance is the unbiased estimator, accumulated about a
     deterministic reference path to keep the reduction well conditioned.
 
-    When ``record_indices`` is given, per-run states at those grid
-    indices are returned as an extra (runs, len(indices), n) array.
+    When ``record_indices`` (distinct grid indices) is given, per-run
+    states at those indices are returned as an extra
+    (runs, len(indices), n) array.
     """
     if runs < 2:
         raise ValueError("an ensemble needs at least two runs")
@@ -224,7 +260,7 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     m = model.n_noise
     dt = grid.dt
     count = grid.count
-    # the reference path and every block sample des at the same times
+    # the reference path and every pass sample des at the same times
     ref = functools.cache(des)
     ref_path = np.array(list(_steps(model, x0, grid, ref,
                                     np.zeros((count - 1, m)))))
@@ -234,17 +270,18 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     recorded = None
     if record_indices is not None:
         record_indices = [int(i) for i in record_indices]
+        if (len(set(record_indices)) != len(record_indices)
+                or not all(0 <= k < count for k in record_indices)):
+            raise ValueError("record_indices must be distinct grid indices")
         recorded = np.empty((runs, len(record_indices), n))
         record_pos = {k: j for j, k in enumerate(record_indices)}
 
-    for lo in range(0, runs, _CHUNK):
-        hi = min(lo + _CHUNK, runs)
-        block = hi - lo
-        noise = np.empty((block, count - 1, m))
-        for r in range(block):
-            noise[r] = _noise_for_run(base_seed + lo + r, count - 1, m, dt)
-        states = _steps(model, np.tile(x0, (block, 1)), grid, ref, noise)
-        for k, X in enumerate(states):
+    for lo in range(0, runs, _PASS):
+        hi = min(lo + _PASS, runs)
+        x = np.full((hi - lo, n), x0, order="F")
+        noise = _pass_noise(range(base_seed + lo, base_seed + hi),
+                            count - 1, m, dt)
+        for k, X in enumerate(_steps(model, x, grid, ref, noise)):
             d = X - ref_path[k]
             sum_d[k] += d.sum(axis=0)
             sum_o[k] += d.T @ d

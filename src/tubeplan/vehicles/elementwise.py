@@ -102,8 +102,12 @@ class BatchMath:
 
     @staticmethod
     def stack(parts, x):
-        """Components back into one array over the batch axes of ``x``."""
-        out = np.empty(x.shape[:-1] + (len(parts),))
+        """Components back into one array over the batch axes of ``x``.
+
+        The array takes the memory order of ``x``, so a column-major
+        batch gets contiguous output columns.
+        """
+        out = np.empty_like(x, shape=x.shape[:-1] + (len(parts),))
         for i, q in enumerate(parts):
             out[..., i] = q
         return out

@@ -176,6 +176,20 @@ def test_batched_deriv_equals_single_evaluations():
                            atol=1e-13)
 
 
+def test_column_major_batch_gives_the_bits_of_the_c_ordered_copy():
+    # Monte Carlo holds its batch column-major; the result keeps that order
+    model = FixedWingModel()
+    rng = np.random.default_rng(29)
+    base = model.trim_state((0, 0), 100.0, 20.0, 0.3)
+    X = base + 0.05 * rng.normal(size=(301, 14))
+    N = rng.normal(size=(301, 3))
+    ref = make_ref((0, 0), (20.0, 0.0))
+    c_out = model.deriv(X, ref, N)
+    f_out = model.deriv(np.asfortranarray(X), ref, np.asfortranarray(N))
+    assert c_out.flags.c_contiguous and f_out.flags.f_contiguous
+    assert np.array_equal(f_out, c_out)
+
+
 def test_row_deriv_matches_the_rows_of_a_batch():
     """A single row runs in Python floats, a batch in numpy: same body."""
     model = FixedWingModel(FixedWingParams(

@@ -472,11 +472,9 @@ def test_dynamic_planner_is_deterministic_and_shrinks_buffers():
     P0[:3, :3] = 0.01 * np.eye(3)
 
     def run():
-        obs = [CuboidObstacle(o.A.copy(), o.b.copy(), buffer=o.buffer,
-                              id=o.id) for o in obstacles]
         ev = TubeEvaluator(model=model, dt=0.02, beta=0.999, P0=P0.copy())
         rng = np.random.default_rng(123)
-        return dynamic_informed_rrt_star((0.0, 0.0), (100.0, 0.0), obs,
+        return dynamic_informed_rrt_star((0.0, 0.0), (100.0, 0.0), obstacles,
                                          cfg, ev, rng)
 
     res1 = run()
@@ -491,6 +489,24 @@ def test_dynamic_planner_is_deterministic_and_shrinks_buffers():
     # clearance spare at this scale: subsequent rounds shrink the buffer
     assert res1.buffer_history[-1]["wall"] <= init + 1e-12
     assert all(r.verdict == "clear" for r in res1.reports)
+
+
+def test_dynamic_planner_leaves_the_callers_obstacles_unchanged():
+    # the planner sizes buffers of its own; what the caller set stays
+    model = QuadrotorModel()
+    obstacles = [box(45.0, 0.0, hx=4.0, hy=4.0, buffer=0.25, id="wall"),
+                 box(45.0, 20.0, hx=3.0, hy=3.0, id="side")]
+    cfg = free_config(bounds=Bounds((-10.0, -30.0), (110.0, 30.0)),
+                      N_max=600, N_conv=100, M=2)
+    P0 = np.zeros((9, 9))
+    P0[:3, :3] = 0.01 * np.eye(3)
+    ev = TubeEvaluator(model=model, dt=0.02, beta=0.999, P0=P0)
+    res = dynamic_informed_rrt_star((0.0, 0.0), (100.0, 0.0), obstacles,
+                                    cfg, ev, np.random.default_rng(5))
+    assert res.solved
+    init = math.sqrt(chi2_quantile(0.999, 3)) * 0.1
+    assert res.buffer_history[0] == {"wall": init, "side": init}
+    assert [obs.buffer for obs in obstacles] == [0.25, 0.0]
 
 
 def test_dynamic_planner_with_zero_start_covariance_keeps_zero_buffers():

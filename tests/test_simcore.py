@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from tubeplan import simcore
 from tubeplan.errors import ModelDomainError
 from tubeplan.simcore import (
     TimeGrid,
@@ -159,11 +160,11 @@ def test_reference_is_sampled_once_per_distinct_time():
     assert sorted(times) == sorted(
         {s for t in steps for s in (t, t + 0.5 * dt, t + dt)})
 
-    # 1 030 runs span three integration blocks; the reference path and
-    # every block share one sample per step time
+    # the reference path and every pass of the ensemble share one sample
+    # per step time
     times.clear()
     mc_ensemble(model, np.zeros(1), des, TimeGrid(0.0, 0.2, 0.02),
-                runs=1030, base_seed=3)
+                runs=simcore._PASS + 2, base_seed=3)
     assert times == [0.02 * k for k in range(10)]
 
 
@@ -268,14 +269,73 @@ def test_ensemble_mean_is_the_average_of_individual_runs():
 
 def test_ensemble_is_bit_reproducible_across_chunk_boundaries():
     model = LinearModel([[-1.0]], [[1.0]])
-    grid = TimeGrid(0.0, 0.2, 0.02)
-    # 513 runs straddles the internal block size of 512
-    m1, c1 = mc_ensemble(model, np.zeros(1), toy_des, grid, runs=513,
-                         base_seed=9)
-    m2, c2 = mc_ensemble(model, np.zeros(1), toy_des, grid, runs=513,
-                         base_seed=9)
+    # one run more than a pass holds, on a grid 20 steps longer than one
+    # noise chunk of a full pass
+    runs = simcore._PASS + 1
+    chunk = simcore._NOISE_BYTES // (8 * simcore._PASS)
+    grid = TimeGrid(0.0, 0.02 * (chunk + 20), 0.02)
+    x0 = np.zeros(1)
+    idx = [0, chunk - 1, chunk, chunk + 1, grid.count - 1]
+    m1, c1, rec = mc_ensemble(model, x0, toy_des, grid, runs=runs,
+                              base_seed=9, record_indices=idx)
+    m2, c2 = mc_ensemble(model, x0, toy_des, grid, runs=runs, base_seed=9)
     assert np.array_equal(m1.states, m2.states)
     assert np.array_equal(c1.P, c2.P)
+    for i in (0, runs - 2, runs - 1):
+        path = mc_run(model, x0, toy_des, grid, seed=9 + i).states
+        assert np.array_equal(rec[i], path[idx])
+
+
+def _scenario_setup(scenario):
+    model = scenario.build_model()
+    profile = scenario.build_profile()
+    return model, profile, scenario.initial_state(model, profile)
+
+
+@pytest.mark.parametrize("which", ["quad_scenario", "fw_scenario"])
+def test_ensemble_runs_do_not_depend_on_pass_or_noise_chunk(
+        which, request, monkeypatch):
+    model, profile, x0 = _scenario_setup(request.getfixturevalue(which))
+    grid = TimeGrid(0.0, 0.3, 0.01)
+    idx = list(range(grid.count))
+    runs = 8
+    one_pass = mc_ensemble(model, x0, profile, grid, runs=runs,
+                           base_seed=40, record_indices=idx)
+    # passes of 3, 3 and 2 runs, drawing noise 7, 7 and 10 steps at a time
+    monkeypatch.setattr(simcore, "_PASS", 3)
+    monkeypatch.setattr(simcore, "_NOISE_BYTES", 8 * model.n_noise * 3 * 7)
+    mean, cov, rec = mc_ensemble(model, x0, profile, grid, runs=runs,
+                                 base_seed=40, record_indices=idx)
+    assert np.array_equal(rec, one_pass[2])
+    # only the cross-run reduction order differs
+    assert np.allclose(mean.states, one_pass[0].states, rtol=1e-14, atol=0)
+    assert np.allclose(cov.P, one_pass[1].P, rtol=1e-12, atol=1e-20)
+    for i in range(runs):
+        path = mc_run(model, x0, profile, grid, seed=40 + i).states
+        if model.name == "quadrotor":
+            assert np.array_equal(rec[i], path)
+        else:
+            # a row steps in Python floats, whose math.sin/cos may differ
+            # from numpy's by an ulp, so the fixed-wing agrees to rounding
+            assert np.allclose(rec[i], path, rtol=1e-12, atol=1e-12)
+
+
+def test_chunked_noise_draws_equal_one_draw():
+    whole = simcore._noise_stream(5, 3, 0.01)(100)
+    draw = simcore._noise_stream(5, 3, 0.01)
+    chunks = np.concatenate([draw(k) for k in (1, 32, 0, 60, 7)])
+    assert np.array_equal(chunks, whole)
+    rng = np.random.Generator(np.random.Philox(5))
+    assert np.array_equal(whole, rng.standard_normal((100, 3)) / 0.1)
+
+
+def test_recorded_indices_must_be_distinct_grid_indices():
+    model = LinearModel([[-1.0]], [[1.0]])
+    grid = TimeGrid(0.0, 0.3, 0.03)
+    for idx in ([0, 4, 4], [0, grid.count]):
+        with pytest.raises(ValueError):
+            mc_ensemble(model, np.zeros(1), toy_des, grid, runs=3,
+                        base_seed=1, record_indices=idx)
 
 
 def test_recorded_states_match_individual_runs():
