@@ -17,14 +17,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=REPO / "artifacts",
                         help="artifact root directory")
-    parser.add_argument("--stride", type=int, default=1,
-                        help="collision-check every k-th tube sample")
     args = parser.parse_args()
 
     for path in SCENARIOS:
         scenario = load_scenario(path)
         out = Path(args.out) / f"validate-{scenario.name}"
-        report = run_validate(scenario, out, stride=args.stride)
+        report = run_validate(scenario, out)
         t = report.timings_ms
         print(f"{scenario.name}: verdict={report.verdict}")
         print(f"  nominal {t['nominal_ms']:.1f} ms | "

@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_val)
     p_val.add_argument("--beta", type=float, default=None,
                        help="override the confidence level")
-    p_val.add_argument("--stride", type=int, default=1,
-                       help="check every k-th tube sample (default 1)")
 
     p_plan = sub.add_parser(
         "plan", help="plan a path whose uncertainty tube clears obstacles")
@@ -85,10 +83,8 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.command == "validate":
-            if args.stride < 1:
-                raise ValueError("--stride must be >= 1")
-            report = run_validate(scenario, args.out, stride=args.stride,
-                                  seed=args.seed, beta=args.beta)
+            report = run_validate(scenario, args.out, seed=args.seed,
+                                  beta=args.beta)
         elif args.command == "plan":
             report = run_plan(scenario, args.out, seed=args.seed,
                               beta=args.beta)

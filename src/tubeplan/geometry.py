@@ -370,8 +370,8 @@ def sphere_prefilter(ell: ConfidenceEllipsoid, obs: CuboidObstacle) -> bool:
                                 ell.c2, obs)[0])
 
 
-def check_tube_collision(tube: Tube, obstacles, stride=1):
-    """Minimum c*^2 of every obstacle over stride-sampled tube sections.
+def check_tube_collision(tube: Tube, obstacles):
+    """Minimum c*^2 of every obstacle over every tube section.
 
     The QP runs against the true obstacle (no buffer) on the sections
     the sphere prefilter cannot rule out, in order of the lower bound
@@ -380,15 +380,12 @@ def check_tube_collision(tube: Tube, obstacles, stride=1):
     ``min_cstar2 = inf``.  The first section attaining the minimum is
     reported.  Returns one ClearanceReport per obstacle, in input order.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    idx = np.arange(0, len(tube), stride)
-    lam_max = np.maximum(np.linalg.eigvalsh(tube.sigmas[idx])[:, -1], 0.0) \
-        if idx.size else np.empty(0)
+    lam_max = np.maximum(np.linalg.eigvalsh(tube.sigmas)[:, -1], 0.0)
     reports = []
     for obs in obstacles:
         best, best_t, best_z = math.inf, None, None
-        keep = idx[_prefilter_mask(tube.centers[idx], lam_max, tube.c2, obs)]
+        keep = np.flatnonzero(
+            _prefilter_mask(tube.centers, lam_max, tube.c2, obs))
         if keep.size:
             sigmas = _regularized(tube.sigmas[keep])
             h = obs.b - tube.centers[keep] @ obs.A.T

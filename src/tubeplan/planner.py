@@ -830,7 +830,7 @@ def dynamic_informed_rrt_star(start, goal, obstacles, cfg: PlannerConfig,
     path = tree.best_path()
     tube, _, _ = evaluator.tube_for_path(path, cfg.altitude,
                                          cfg.cruise_speed)
-    reports = check_tube_collision(tube, obstacles, stride=1)
+    reports = check_tube_collision(tube, obstacles)
     return PlanResult(
         path=path, tube=tube, reports=reports,
         buffer_history=buffer_history, cost_history=cost_history,

@@ -149,7 +149,7 @@ def _prepare(scenario: Scenario):
 # modes
 
 
-def run_validate(scenario: Scenario, out_dir, *, stride=1, seed=None,
+def run_validate(scenario: Scenario, out_dir, *, seed=None,
                  beta=None) -> RunReport:
     """Propagate the tube along the scenario trajectory and check obstacles.
 
@@ -179,7 +179,7 @@ def run_validate(scenario: Scenario, out_dir, *, stride=1, seed=None,
     timings["lc_ms"] = (timings["linearize_ms"] + timings["covariance_ms"]
                         + timings["tube_ms"])
     tic = time.perf_counter()
-    reports = check_tube_collision(tube, obstacles, stride=stride)
+    reports = check_tube_collision(tube, obstacles)
     timings["collision_ms"] = 1e3 * (time.perf_counter() - tic)
 
     times = grid.times()
@@ -196,8 +196,7 @@ def run_validate(scenario: Scenario, out_dir, *, stride=1, seed=None,
         seed=sc.seed, beta=sc.beta,
         verdict=overall_verdict(reports),
         clearance=_clearance_dicts(reports),
-        extras={"stride": int(stride), "grid_points": grid.count,
-                "c2": float(tube.c2)},
+        extras={"grid_points": grid.count, "c2": float(tube.c2)},
         timings_ms=timings)
     _write_json(out / "report.json", report.to_dict())
     _write_json(out / "timings.json", timings)

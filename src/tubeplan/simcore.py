@@ -4,16 +4,18 @@ One stepper advances the closed loop across a grid, on one state row or
 on a (runs, n) batch.  Without noise it takes classic RK4 steps, giving
 the nominal trajectory; with noise samples it takes Euler-Maruyama steps
 under piecewise-constant white noise n_k ~ N(0, 1/dt), the step-limit
-approximation of unit-intensity continuous white noise.  Randomness
-comes from numpy's Philox counter generator (run i of an ensemble seeds
-Philox with base_seed + i), with normal variates produced by numpy's
-ziggurat sampler; given the same (model, x0, reference, grid, seed)
-every output bit is reproducible.
+approximation of unit-intensity continuous white noise.  The desired
+trajectory is sampled with one call per set of step times (profiles take
+arrays of times, see ``vehicles.reference``), and each step reads its
+own row of those samples.  Randomness comes from numpy's Philox counter
+generator (run i of an ensemble seeds Philox with base_seed + i), with
+normal variates produced by numpy's ziggurat sampler; given the same
+(model, x0, reference, grid, seed) every output bit is reproducible.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,36 +88,65 @@ def _wrap_domain_error(err, t):
     return ModelDomainError(f"model domain error at t={t:.6g}: {err}")
 
 
-def _steps(model, x, grid, ref, noise=None):
+def _step_refs(des, grid, rk4):
+    """des sampled at the step starts, and for RK4 the mids and ends too.
+
+    Step k starts at t = t0 + k dt; RK4 also samples t + dt/2 and t + dt
+    (not t0 + (k + 1) dt, which can differ in the last bit and would
+    change the nominal trajectory).  Each set of times is one call of des.
+    """
+    t = grid.times()[:-1]
+    sets = (t, t + 0.5 * grid.dt, t + grid.dt) if rk4 else (t,)
+    return [des(times) for times in sets]
+
+
+# reference rows converted to Python floats at a time: enough to spread
+# the conversion's numpy calls, few enough that only a block is held
+_ROW_BLOCK = 256
+
+
+def _rows(ref):
+    """Yield one reference per time of ``ref``, sampled at an array of times.
+
+    Each row is of the class of ``ref``, with Python floats for scalar
+    fields and lists of floats for vector fields, so a model body reads
+    it without numpy dispatch.
+    """
+    cls = type(ref)
+    arrays = [getattr(ref, f.name) for f in dataclasses.fields(cls)]
+    for lo in range(0, len(arrays[0]), _ROW_BLOCK):
+        cols = [a[lo:lo + _ROW_BLOCK].tolist() for a in arrays]
+        for vals in zip(*cols, strict=True):
+            yield cls(*vals)
+
+
+def _steps(model, x, grid, refs, noise=None):
     """Yield the closed-loop state at every grid time, starting with x.
 
-    x is one state row or a (runs, n) batch.  Without noise each step is
+    x is one state row or a (runs, n) batch, and refs the samples of
+    _step_refs; step k reads row k of each.  Without noise each step is
     classic RK4 with zero noise; with noise, an iterable of count - 1
     per-step samples shaped (m,) or (runs, m), step k is Euler-Maruyama
-    on its k-th sample.
-    Step k samples ref at t = t0 + k dt, and RK4 also at t + dt/2 and
-    t + dt (not t0 + (k + 1) dt, which can differ in the last bit and
-    would change the nominal trajectory).  A model domain error is
-    re-raised naming t.
+    on its k-th sample.  A model domain error is re-raised naming the
+    step's start time.
     """
     dt = grid.dt
     zero_n = np.zeros(model.n_noise)
     noise = None if noise is None else iter(noise)
     yield x
-    for k in range(grid.count - 1):
-        t = grid.t0 + k * dt
+    for k, ref in enumerate(zip(*map(_rows, refs), strict=True)):
         try:
             if noise is not None:
-                x = x + dt * model.deriv(x, ref(t), next(noise))
+                x = x + dt * model.deriv(x, ref[0], next(noise))
             else:
-                k1 = model.deriv(x, ref(t), zero_n)
-                refh = ref(t + 0.5 * dt)
+                ref1, refh, ref2 = ref
+                k1 = model.deriv(x, ref1, zero_n)
                 k2 = model.deriv(x + 0.5 * dt * k1, refh, zero_n)
                 k3 = model.deriv(x + 0.5 * dt * k2, refh, zero_n)
-                k4 = model.deriv(x + dt * k3, ref(t + dt), zero_n)
+                k4 = model.deriv(x + dt * k3, ref2, zero_n)
                 x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         except ModelDomainError as err:
-            raise _wrap_domain_error(err, t) from err
+            raise _wrap_domain_error(err, grid.t0 + k * dt) from err
         yield x
 
 
@@ -124,28 +155,9 @@ def integrate_nominal(model, x0, des, grid):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n_states,):
         raise ValueError(f"x0 must have shape ({model.n_states},)")
-    # a step's end sample is reused as the next step's start whenever
-    # t + dt and t0 + (k + 1) dt round alike; nothing older is kept
-    ref = functools.lru_cache(maxsize=1)(des)
-    return Trajectory(grid=grid, states=list(_steps(model, x0, grid, ref)),
+    refs = _step_refs(des, grid, rk4=True)
+    return Trajectory(grid=grid, states=list(_steps(model, x0, grid, refs)),
                       model=model.name)
-
-
-def _stack_refs(samples):
-    """Stack per-time reference samples into one broadcastable reference.
-
-    Scalar fields become (count, 1) columns and vector fields
-    (count, 1, d) blocks, so a model evaluated on a (count, rows, n)
-    state batch broadcasts each grid point against its own reference.
-    """
-    import dataclasses
-
-    cls = type(samples[0])
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        arr = np.asarray([getattr(s, f.name) for s in samples], dtype=float)
-        kwargs[f.name] = arr[:, None] if arr.ndim == 1 else arr[:, None, :]
-    return cls(**kwargs)
 
 
 # grid points linearized per batched model call: large enough that numpy
@@ -159,7 +171,9 @@ def linearize(model, nominal, des):
     Evaluated at every grid point of the nominal trajectory with zero
     noise; per-column step max(1e-6, 1e-6 |x_i|).  All 2(n + m)
     perturbed evaluations of a grid point run inside one batched model
-    call, with grid points blocked together for speed.
+    call, with grid points blocked together for speed.  Each block
+    samples des once, at a (block, 1) column of its times, so every grid
+    point broadcasts against its own reference.
     """
     n = model.n_states
     m = model.n_noise
@@ -181,9 +195,8 @@ def linearize(model, nominal, des):
         N = np.zeros((block, rows, m))
         N[:, 2 * n + 2 * jdx, jdx] += 1e-6
         N[:, 2 * n + 2 * jdx + 1, jdx] -= 1e-6
-        ref = _stack_refs([des(t) for t in times[lo:hi]])
         try:
-            D = model.deriv(X, ref, N)
+            D = model.deriv(X, des(times[lo:hi, None]), N)
         except ModelDomainError:
             # redo pointwise so the error names the offending time
             for k in range(lo, hi):
@@ -214,7 +227,8 @@ def _noise_stream(seed, m, dt):
 def mc_run(model, x0, des, grid, seed):
     """One Euler-Maruyama sample path, fully determined by the seed."""
     noise = _noise_stream(seed, model.n_noise, grid.dt)(grid.count - 1)
-    states = _steps(model, np.asarray(x0, dtype=float), grid, des, noise)
+    refs = _step_refs(des, grid, rk4=False)
+    states = _steps(model, np.asarray(x0, dtype=float), grid, refs, noise)
     return Trajectory(grid=grid, states=list(states), model=model.name)
 
 
@@ -260,9 +274,9 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     m = model.n_noise
     dt = grid.dt
     count = grid.count
-    # the reference path and every pass sample des at the same times
-    ref = functools.cache(des)
-    ref_path = np.array(list(_steps(model, x0, grid, ref,
+    # the reference path and every pass share one sample of des
+    refs = _step_refs(des, grid, rk4=False)
+    ref_path = np.array(list(_steps(model, x0, grid, refs,
                                     np.zeros((count - 1, m)))))
 
     sum_d = np.zeros((count, n))
@@ -281,7 +295,7 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
         x = np.full((hi - lo, n), x0, order="F")
         noise = _pass_noise(range(base_seed + lo, base_seed + hi),
                             count - 1, m, dt)
-        for k, X in enumerate(_steps(model, x, grid, ref, noise)):
+        for k, X in enumerate(_steps(model, x, grid, refs, noise)):
             d = X - ref_path[k]
             sum_d[k] += d.sum(axis=0)
             sum_o[k] += d.T @ d

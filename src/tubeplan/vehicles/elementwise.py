@@ -38,9 +38,12 @@ def _nan_outside(fn):
 def split(a):
     """Components of ``a`` along its last axis.
 
-    A 1-D array (a state row, a reference vector) gives Python floats;
-    a batch gives numpy views, one per component.
+    A 1-D array (a state row, a reference vector) gives Python floats,
+    and a list (a vector field of a stepper's reference row) is already
+    its components; a batch gives numpy views, one per component.
     """
+    if isinstance(a, list):
+        return a
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         return a.tolist()

@@ -4,6 +4,13 @@ A provider is a callable mapping time to a reference sample.  Quadrotor
 references carry position/velocity/acceleration; fixed-wing references
 carry altitude plus a lateral (x, y) track.  Profiles are defined on a
 finite duration and hold their endpoint beyond it.
+
+Every profile samples one time or an array of times in one call: for
+``t`` a float or an array, scalar fields take the shape ``np.shape(t)``
+and vector fields ``np.shape(t) + (d,)``.  Each sample of an array call
+has the bits of the call at that single time, so ``prof(times)`` samples
+a whole grid at once and ``prof(times[:, None])`` gives fields that
+broadcast against a (times, rows, n) batch of states.
 """
 
 from __future__ import annotations
@@ -24,9 +31,9 @@ __all__ = [
 
 @dataclass
 class QuadrotorRef:
-    """Quadrotor reference sample: position, velocity, acceleration."""
+    """Quadrotor reference: position, velocity, acceleration at time(s) t."""
 
-    t: float
+    t: float | np.ndarray
     r: np.ndarray
     rdot: np.ndarray
     rddot: np.ndarray
@@ -34,18 +41,37 @@ class QuadrotorRef:
 
 @dataclass
 class FixedWingRef:
-    """Fixed-wing reference sample.
+    """Fixed-wing reference at time(s) t.
 
     eta is the lateral (x, y) track; etaddot may be a finite-difference
     estimate of the track acceleration.
     """
 
-    t: float
-    h: float
-    hdot: float
+    t: float | np.ndarray
+    h: float | np.ndarray
+    hdot: float | np.ndarray
     eta: np.ndarray
     etadot: np.ndarray
     etaddot: np.ndarray
+
+
+def _times(t):
+    # a float for one time, an array for many
+    return np.asarray(t, dtype=float)[()]
+
+
+def _constant(t, value):
+    # a scalar field that does not change over time, shaped like t
+    return np.full(np.shape(t), value)[()]
+
+
+def _central_difference(f, t, d):
+    """Track acceleration of both fixed-wing profiles from their velocity f.
+
+    (f(t + d) - f(t - d)) / (2 d), where d is the integration step the
+    profile was built for.
+    """
+    return (f(t + d) - f(t - d)) / (2.0 * d)
 
 
 class _Polyline:
@@ -69,13 +95,19 @@ class _Polyline:
         self.duration = float(self.t_knots[-1])
 
     def position_velocity(self, t):
-        if t <= 0.0:
-            return self.points[0].copy(), self.velocities[0].copy()
-        if t >= self.duration:
-            return self.points[-1].copy(), np.zeros_like(self.points[-1])
-        k = int(np.searchsorted(self.t_knots, t, side="right")) - 1
-        pos = self.points[k] + self.velocities[k] * (t - self.t_knots[k])
-        return pos, self.velocities[k].copy()
+        """Position and velocity at time(s) t, shaped np.shape(t) + (d,)."""
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self.t_knots, t, side="right") - 1,
+                    0, len(self.velocities) - 1)
+        pos = self.points[k] \
+            + self.velocities[k] * (t - self.t_knots[k])[..., None]
+        before = (t <= 0.0)[..., None]
+        after = (t >= self.duration)[..., None]
+        pos = np.where(before, self.points[0],
+                       np.where(after, self.points[-1], pos))
+        vel = np.where(before, self.velocities[0],
+                       np.where(after, 0.0, self.velocities[k]))
+        return pos, vel
 
 
 class PolylineProfile3D:
@@ -91,28 +123,12 @@ class PolylineProfile3D:
         self.duration = self._line.duration
 
     def __call__(self, t):
-        r, rdot = self._line.position_velocity(float(t))
-        return QuadrotorRef(t=float(t), r=r, rdot=rdot, rddot=np.zeros(3))
+        t = _times(t)
+        r, rdot = self._line.position_velocity(t)
+        return QuadrotorRef(t=t, r=r, rdot=rdot, rddot=np.zeros_like(r))
 
 
-class _FixedWingProfileBase:
-    """Shared finite-difference estimate of the track acceleration.
-
-    etaddot(t) = (etadot(t + d) - etadot(t - d)) / (2 d), where d is the
-    integration step the profile was built for.
-    """
-
-    fd_step: float
-
-    def _etadot(self, t):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _etaddot(self, t):
-        d = self.fd_step
-        return (self._etadot(t + d) - self._etadot(t - d)) / (2.0 * d)
-
-
-class FixedWingPolylineProfile(_FixedWingProfileBase):
+class FixedWingPolylineProfile:
     """Fixed-wing reference at constant altitude along a 2D polyline."""
 
     def __init__(self, points_xy, altitude, speed, fd_step):
@@ -123,19 +139,18 @@ class FixedWingPolylineProfile(_FixedWingProfileBase):
         self.fd_step = float(fd_step)
         self.duration = self._line.duration
 
-    def _etadot(self, t):
-        return self._line.position_velocity(float(t))[1]
-
     def __call__(self, t):
-        t = float(t)
+        t = _times(t)
         eta, etadot = self._line.position_velocity(t)
         return FixedWingRef(
-            t=t, h=self.altitude, hdot=0.0,
-            eta=eta, etadot=etadot, etaddot=self._etaddot(t),
+            t=t, h=_constant(t, self.altitude), hdot=_constant(t, 0.0),
+            eta=eta, etadot=etadot,
+            etaddot=_central_difference(
+                lambda s: self._line.position_velocity(s)[1], t, self.fd_step),
         )
 
 
-class LateralSinusoidProfile(_FixedWingProfileBase):
+class LateralSinusoidProfile:
     """Constant-altitude cruise with a sinusoidal lateral offset.
 
     eta(t) = (x0 + V t, y0 + A sin(2 pi t / T)).  The track acceleration
@@ -156,20 +171,21 @@ class LateralSinusoidProfile(_FixedWingProfileBase):
         self.duration = float("inf")
 
     def _etadot(self, t):
-        return np.array([
-            self.cruise_speed,
+        return np.stack([
+            _constant(t, self.cruise_speed),
             self.amplitude * self.omega * np.cos(self.omega * t),
-        ])
+        ], axis=-1)
 
     def __call__(self, t):
-        t = float(t)
-        eta = self.origin + np.array([
+        t = _times(t)
+        eta = self.origin + np.stack([
             self.cruise_speed * t,
             self.amplitude * np.sin(self.omega * t),
-        ])
+        ], axis=-1)
         return FixedWingRef(
-            t=t, h=self.altitude, hdot=0.0,
-            eta=eta, etadot=self._etadot(t), etaddot=self._etaddot(t),
+            t=t, h=_constant(t, self.altitude), hdot=_constant(t, 0.0),
+            eta=eta, etadot=self._etadot(t),
+            etaddot=_central_difference(self._etadot, t, self.fd_step),
         )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -588,8 +589,15 @@ class _GustChannel:
             + np.asarray(noise, dtype=float)
 
 
+@dataclass
+class _StillRef:
+    """A reference that carries only its times: the channels track nothing."""
+
+    t: np.ndarray
+
+
 def _still(t):
-    return None
+    return _StillRef(t=np.asarray(t, dtype=float))
 
 
 def test_criterion_09_ou_and_gust_channel_match_their_closed_forms():

@@ -146,18 +146,6 @@ def test_beta_override_changes_the_threshold(tmp_path):
     assert r2["extras"]["c2"] < r1["extras"]["c2"]
 
 
-def test_stride_is_recorded_and_validated(tmp_path):
-    scn = write_quad_scenario(tmp_path)
-    out = tmp_path / "out"
-    code = main(["validate", "--scenario", str(scn), "--out", str(out),
-                 "--stride", "5"])
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["extras"]["stride"] == 5
-    assert main(["validate", "--scenario", str(scn), "--out",
-                 str(tmp_path / "bad"), "--stride", "0"]) == 1
-
-
 def test_validate_collision_exits_two(tmp_path, capsys):
     scn = write_quad_scenario(tmp_path, obstacle_y=0.0)
     out = tmp_path / "out"

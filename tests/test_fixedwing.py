@@ -13,8 +13,13 @@ import pytest
 import sympy as sp
 
 from tubeplan.errors import ModelDomainError
-from tubeplan.simcore import TimeGrid, Trajectory, _stack_refs, linearize
-from tubeplan.vehicles import FixedWingModel, FixedWingParams, FixedWingRef
+from tubeplan.simcore import TimeGrid, Trajectory, linearize
+from tubeplan.vehicles import (
+    FixedWingModel,
+    FixedWingParams,
+    FixedWingRef,
+    LateralSinusoidProfile,
+)
 from tubeplan.vehicles.fixedwing import (
     EPS_SING,
     inner_loop,
@@ -200,21 +205,26 @@ def test_row_deriv_matches_the_rows_of_a_batch():
     X = model.trim_state((0, 0), 100.0, 20.0, 0.2) \
         + spread * rng.normal(size=(5, 7, 14))
     N = rng.normal(size=(5, 7, 3))
-    refs = [make_ref(rng.normal(size=2), (20.0, 0.0) + rng.normal(size=2),
-                     rng.normal(size=2), h=100.0 + rng.normal(),
-                     hdot=rng.normal()) for _ in range(5)]
+    ref = make_ref(rng.normal(size=2), (20.0, 0.0) + rng.normal(size=2),
+                   rng.normal(size=2), h=100.0 + rng.normal(),
+                   hdot=rng.normal())
 
     def close(row, batch_row):
         assert np.all(np.abs(row - batch_row) <= 1e-12 * np.abs(batch_row))
 
-    shared = model.deriv(X[0], refs[0], N[0])
+    shared = model.deriv(X[0], ref, N[0])
     for r in range(7):
-        close(model.deriv(X[0, r], refs[0], N[0, r]), shared[r])
-    # one reference per grid point, broadcast as linearize builds it
-    per_point = model.deriv(X, _stack_refs(refs), N)
+        close(model.deriv(X[0, r], ref, N[0, r]), shared[r])
+    # one reference per grid point, sampled as linearize samples it
+    prof = LateralSinusoidProfile(cruise_speed=20.0, amplitude=3.0,
+                                  period=4.0, altitude=101.0, fd_step=0.01,
+                                  origin=(-1.0, 0.5))
+    times = np.array([0.0, 0.13, 0.5, 1.0, 2.7])
+    per_point = model.deriv(X, prof(times[:, None]), N)
     for k in range(5):
         for r in range(7):
-            close(model.deriv(X[k, r], refs[k], N[k, r]), per_point[k, r])
+            close(model.deriv(X[k, r], prof(times[k]), N[k, r]),
+                  per_point[k, r])
 
 
 def test_infinite_heading_gives_nan_on_a_row_as_in_a_batch():

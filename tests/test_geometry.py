@@ -241,18 +241,16 @@ def test_check_tube_collision_reports_the_critical_section():
     assert np.allclose(rep.z_star, (4.0, 0.0, 0.0), atol=1e-6)
 
 
-def test_check_tube_collision_clear_case_and_stride():
+def test_check_tube_collision_clear_case():
     obs = CuboidObstacle.from_box((50.0, 0.0, 0.0), (1.0, 1.0, 1.0),
                                   id="far")
     centers = [(t, 0.0, 0.0) for t in np.linspace(0, 5, 11)]
     tube = make_tube(centers, 0.01 * np.eye(3), c2=9.0)
-    reports = check_tube_collision(tube, [obs], stride=3)
+    reports = check_tube_collision(tube, [obs])
     (rep,) = reports
     assert rep.verdict == "clear"
     assert rep.min_cstar2 == math.inf         # prefilter rejected everywhere
     assert rep.argmin_t is None
-    with pytest.raises(ValueError):
-        check_tube_collision(tube, [obs], stride=0)
 
 
 def test_overall_verdict_aggregates():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tubeplan.errors import ModelDomainError
-from tubeplan.simcore import TimeGrid, _stack_refs, integrate_nominal
+from tubeplan.simcore import TimeGrid, integrate_nominal
 from tubeplan.vehicles import (
     PolylineProfile3D,
     QuadrotorModel,
@@ -116,20 +116,23 @@ def test_row_deriv_matches_the_rows_of_a_batch():
     X = rng.normal(size=(5, 7, 9))
     X[..., 3] += 3.0                      # keep the speed positive
     N = rng.normal(size=(5, 7, 3))
-    refs = [make_ref(rng.normal(size=3), rng.normal(size=3),
-                     rng.normal(size=3)) for _ in range(5)]
+    ref = make_ref(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
 
     def close(row, batch_row):
         assert np.all(np.abs(row - batch_row) <= 1e-12 * np.abs(batch_row))
 
-    shared = model.deriv(X[0], refs[0], N[0])
+    shared = model.deriv(X[0], ref, N[0])
     for r in range(7):
-        close(model.deriv(X[0, r], refs[0], N[0, r]), shared[r])
-    # one reference per grid point, broadcast as linearize builds it
-    per_point = model.deriv(X, _stack_refs(refs), N)
+        close(model.deriv(X[0, r], ref, N[0, r]), shared[r])
+    # one reference per grid point, sampled as linearize samples it:
+    # before the start, on two legs, at a knot and past the end
+    prof = PolylineProfile3D([(0, 0, 1), (3, 0, 1), (3, 4, 2)], [1.5, 2.0])
+    times = np.array([-0.4, 0.7, 2.0, 3.1, 9.0])
+    per_point = model.deriv(X, prof(times[:, None]), N)
     for k in range(5):
         for r in range(7):
-            close(model.deriv(X[k, r], refs[k], N[k, r]), per_point[k, r])
+            close(model.deriv(X[k, r], prof(times[k]), N[k, r]),
+                  per_point[k, r])
 
 
 def test_zero_speed_raises_alone_and_inside_a_batch():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,45 @@ def test_fixedwing_polyline_reports_track_and_fd_acceleration():
     assert np.allclose(ref.etaddot, 0.0, atol=1e-9)
     with pytest.raises(ValueError):
         FixedWingPolylineProfile([(0, 0), (1, 0)], 50.0, 20.0, fd_step=0.0)
+
+
+# --------------------------------------------------------------------------
+# sampling many times at once
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64),
+        np.ascontiguousarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("prof", [
+    PolylineProfile3D([(0, 0, 1), (3, 0, 1), (3, 4, 1), (10, 4, 2)],
+                      [1.5, 2.0, 0.7]),
+    FixedWingPolylineProfile([(0.0, 0.0), (100.0, 0.0), (150.0, 80.0)],
+                             altitude=50.0, speed=20.0, fd_step=0.01),
+    LateralSinusoidProfile(cruise_speed=20.0, amplitude=10.0, period=20.0,
+                           altitude=100.0, fd_step=0.01, origin=(1.0, 2.0)),
+], ids=["polyline3d", "fixedwing-polyline", "lateral-sinusoid"])
+def test_array_sample_has_the_bits_of_each_single_time(prof):
+    dt = fd = 0.01
+    end = prof.duration if np.isfinite(prof.duration) else 25.0
+    grid = 0.0 + dt * np.arange(round(end / dt) + 1)
+    knots = prof._line.t_knots if hasattr(prof, "_line") else [0.0, 10.0]
+    offsets = np.array([-1.1, -1.0, -0.5, -1e-10, 0.0, 1e-10, 0.5, 1.0, 1.1])
+    times = np.concatenate([
+        grid, grid + 0.5 * dt, grid + dt,                 # step times
+        [-3.0, -0.5 * dt],                                # before the start
+        (np.asarray(knots)[:, None] + fd * offsets).ravel(),  # near knots
+        [end, end + 0.5 * dt, end + 7.0],                # at and after the end
+    ])
+    many = prof(times)
+    column = prof(times[:, None])
+    singles = [prof(float(t)) for t in times]
+    for f in dataclasses.fields(many):
+        field = getattr(many, f.name)
+        one = [getattr(s, f.name) for s in singles]
+        assert np.shape(field) == times.shape + np.shape(one[0])
+        assert _same_bits(field, np.array(one))
+        assert _same_bits(getattr(column, f.name), np.asarray(field)[:, None])

@@ -225,6 +225,9 @@ def test_initial_covariance_forms():
         parse_scenario(variant(initial_covariance=[0.1, 0.1, -0.1]))
     with pytest.raises(ScenarioError, match="initial_covariance"):
         parse_scenario(variant(initial_covariance=[0.1, 0.1]))
+    # a full matrix is not a form the schema accepts
+    with pytest.raises(ScenarioError, match=r"initial_covariance\[0\]"):
+        parse_scenario(variant(initial_covariance=np.eye(9).tolist()))
 
 
 # --------------------------------------------------------------------------

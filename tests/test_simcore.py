@@ -32,7 +32,7 @@ class ToyRef:
 
 
 def toy_des(t):
-    return ToyRef(t=float(t))
+    return ToyRef(t=np.asarray(t, dtype=float))
 
 
 class LinearModel:
@@ -148,24 +148,30 @@ def test_integration_wraps_domain_errors_with_time(integrate):
 def test_reference_is_sampled_once_per_distinct_time():
     model = LinearModel([[-1.0]], [[1.0]])
     grid = TimeGrid(0.0, 1.0, 0.01)
-    times = []
+    calls = []
 
     def des(t):
-        times.append(t)
-        return ToyRef(t)
+        calls.append(np.array(t, dtype=float))
+        return toy_des(t)
 
+    # RK4 samples its step starts, midpoints and ends in one call each
     integrate_nominal(model, np.zeros(1), des, grid)
     dt = grid.dt
     steps = [grid.t0 + k * dt for k in range(grid.count - 1)]
-    assert sorted(times) == sorted(
-        {s for t in steps for s in (t, t + 0.5 * dt, t + dt)})
+    assert len(calls) <= 3
+    assert {t for c in calls for t in c.ravel().tolist()} == {
+        s for t in steps for s in (t, t + 0.5 * dt, t + dt)}
 
-    # the reference path and every pass of the ensemble share one sample
-    # per step time
-    times.clear()
-    mc_ensemble(model, np.zeros(1), des, TimeGrid(0.0, 0.2, 0.02),
-                runs=simcore._PASS + 2, base_seed=3)
-    assert times == [0.02 * k for k in range(10)]
+    # Euler-Maruyama samples the step starts once; the ensemble's
+    # reference path and every pass share that one sample
+    small = TimeGrid(0.0, 0.2, 0.02)
+    for run in (functools.partial(mc_run, seed=3),
+                functools.partial(mc_ensemble, runs=simcore._PASS + 2,
+                                  base_seed=3)):
+        calls.clear()
+        run(model, np.zeros(1), des, small)
+        assert len(calls) == 1
+        assert calls[0].tolist() == [0.02 * k for k in range(10)]
 
 
 def test_integration_validates_shapes():
