@@ -31,6 +31,10 @@ def test_polyline_hits_waypoints_at_arc_length_times():
     assert np.allclose(mid.r, (1.5, 0.0, 1.0))
     assert np.allclose(mid.rdot, (1.5, 0.0, 0.0))
     assert np.allclose(mid.rddot, 0.0)
+    # before the start: the first waypoint, moving along the first leg
+    early = prof(-1.0)
+    assert np.allclose(early.r, pts[0])
+    assert np.allclose(early.rdot, (1.5, 0.0, 0.0))
 
 
 def test_polyline_velocity_is_piecewise_constant_at_segment_speed():
