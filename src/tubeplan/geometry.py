@@ -94,17 +94,16 @@ def _face_sets(A, triples):
 
 @dataclass
 class CuboidObstacle:
-    """Bounded convex region {z : A z <= b} with a mutable face buffer.
+    """Bounded convex region {z : A z <= b}, the true obstacle.
 
-    ``b`` always describes the true obstacle; ``buffer`` is the planner's
-    current uniform inflation, applied as ``b + buffer`` where needed.
-    Rows of ``A`` are unit-normalized at construction so the buffer is a
-    metric distance.
+    Rows of ``A`` are unit-normalized at construction, so ``{A z <= b + d}``
+    is the region inflated by the metric distance ``d``.  The planner's
+    buffers, sized by ``buffer_touch_distance``, are such inflations; the
+    planner keeps them itself and never changes an obstacle.
     """
 
     A: np.ndarray
     b: np.ndarray
-    buffer: float = 0.0
     id: str = "obstacle"
     vertices: np.ndarray = field(init=False, repr=False)
     centroid: np.ndarray = field(init=False, repr=False)
@@ -126,7 +125,6 @@ class CuboidObstacle:
             raise ScenarioError(f"obstacle {self.id!r}: zero row in A")
         self.A = A / norms[:, None]
         self.b = b / norms
-        self.buffer = float(self.buffer)
 
         # The region is bounded iff {A d <= 0, |d_i| <= 1} has no vertex
         # but d = 0; its row triples include those of A alone.
@@ -151,8 +149,7 @@ class CuboidObstacle:
         self.face_sets = _face_sets(self.A, triples)
 
     @classmethod
-    def from_box(cls, center, half_extents, yaw=0.0, buffer=0.0,
-                 id="obstacle"):
+    def from_box(cls, center, half_extents, yaw=0.0, id="obstacle"):
         """Axis-aligned box rotated by ``yaw`` about the vertical axis."""
         center = np.asarray(center, dtype=float).reshape(3)
         h = np.asarray(half_extents, dtype=float).reshape(3)
@@ -166,15 +163,11 @@ class CuboidObstacle:
             axis = R[:, i]
             rows.extend([axis, -axis])
             rhs.extend([axis @ center + h[i], -(axis @ center) + h[i]])
-        return cls(A=np.array(rows), b=np.array(rhs), buffer=buffer, id=id)
+        return cls(A=np.array(rows), b=np.array(rhs), id=id)
 
-    def buffered_b(self, extra=0.0):
-        """Right-hand side including the current buffer plus ``extra``."""
-        return self.b + (self.buffer + extra)
-
-    def contains(self, z, *, buffered=False, tol=_FEAS_TOL):
-        rhs = self.buffered_b() if buffered else self.b
-        return bool(np.all(self.A @ np.asarray(z, dtype=float) <= rhs + tol))
+    def contains(self, z, *, tol=_FEAS_TOL):
+        z = np.asarray(z, dtype=float)
+        return bool(np.all(self.A @ z <= self.b + tol))
 
 
 @dataclass
@@ -355,15 +348,15 @@ def solve_qp(sigma, center, A_O, b_O):
 def _prefilter_mask(centers, lam_max, c2, obs):
     reach = math.sqrt(c2) * np.sqrt(lam_max)
     sep = np.linalg.norm(centers - obs.centroid, axis=1)
-    return sep <= reach + obs.circumradius + max(obs.buffer, 0.0) + _FEAS_TOL
+    return sep <= reach + obs.circumradius + _FEAS_TOL
 
 
 def sphere_prefilter(ell: ConfidenceEllipsoid, obs: CuboidObstacle) -> bool:
     """Necessary condition for ellipsoid-obstacle intersection.
 
     Compares the ellipsoid's bounding sphere (radius c * sqrt(lambda_max))
-    with the obstacle's circumscribed sphere inflated by any positive
-    buffer.  Returns False only when intersection is impossible.
+    with the obstacle's circumscribed sphere.  Returns False only when
+    intersection is impossible.
     """
     lam_max = max(float(np.linalg.eigvalsh(ell.sigma)[-1]), 0.0)
     return bool(_prefilter_mask(np.reshape(ell.center, (1, 3)), lam_max,
@@ -373,7 +366,7 @@ def sphere_prefilter(ell: ConfidenceEllipsoid, obs: CuboidObstacle) -> bool:
 def check_tube_collision(tube: Tube, obstacles):
     """Minimum c*^2 of every obstacle over every tube section.
 
-    The QP runs against the true obstacle (no buffer) on the sections
+    The QP runs against each obstacle as given on the sections
     the sphere prefilter cannot rule out, in order of the lower bound
     max_i(a_i^T r - b_i)_+^2 / (a_i^T Sigma a_i), until that bound
     exceeds the incumbent; obstacles the prefilter always rejects report

@@ -3,14 +3,16 @@
 The inner planner is an informed RRT*: once a first solution exists,
 samples are drawn only from the ellipse of points that could shorten it,
 and both a choose-parent pass and a rewiring pass keep the tree
-asymptotically optimal.  Obstacles enter the planner as their buffered
-constant-altitude cross-sections.
+asymptotically optimal.  The planner keeps one buffer per obstacle and,
+for each buffer value, cuts the obstacle inflated by that buffer at the
+planning altitude once (``CrossSection``); every collision gate reads
+these cross-sections, and the obstacles themselves never change.
 
 The outer loop makes the plan chance-constrained.  Each round it
 propagates the closed-loop state covariance along the current best path,
 measures how far the resulting probability tube is from touching each
-true obstacle (``buffer_touch_distance``), and shifts the obstacle
-buffers by exactly that amount, so buffers contract toward the size at
+true obstacle (``buffer_touch_distance``), and shifts that obstacle's
+buffer by exactly that amount, so buffers contract toward the size at
 which the tube is tangent to the true obstacle.  A buffer that grows
 invalidates part of the tree; those nodes are removed and the stranded
 subtrees are either reconnected through fresh samples or pruned.
@@ -18,14 +20,17 @@ subtrees are either reconnected through fresh samples or pruned.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PlanningError
-from .geometry import buffer_touch_distance, check_tube_collision
+from .geometry import (
+    CuboidObstacle,
+    buffer_touch_distance,
+    check_tube_collision,
+)
 from .simcore import TimeGrid, integrate_nominal, linearize
 from .uncertainty import Tube, build_tube, chi2_quantile, propagate_covariance
 from .vehicles import FixedWingPolylineProfile, PolylineProfile3D
@@ -33,9 +38,9 @@ from .vehicles import FixedWingPolylineProfile, PolylineProfile3D
 __all__ = [
     "Bounds",
     "PlannerConfig",
-    "PlanNode",
     "PlanTree",
     "sample_ellipse",
+    "CrossSection",
     "no_collision_2d",
     "add_node",
     "informed_rrt_star",
@@ -113,16 +118,6 @@ class PlannerConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.goal_bias <= 0.2:
             raise ValueError("goal_bias must lie in [0, 0.2]")
-
-
-@dataclass
-class PlanNode:
-    """Read-only view of one tree node."""
-
-    index: int
-    coords: np.ndarray
-    parent: int
-    cost: float
 
 
 class PlanTree:
@@ -218,23 +213,21 @@ class PlanTree:
         return sorted(i for i in self._x_soln
                       if self._alive[i] and not self._orphan[i])
 
-    def c_best(self):
-        best = math.inf
-        for i in self.solution_nodes():
-            total = self._cost[i] + float(
-                np.linalg.norm(self._xy[i] - self.goal))
-            if total < best:
-                best = float(total)
-        return best
-
-    def best_goal_node(self):
+    def _best_solution(self):
+        """(total cost, node) of the cheapest solution, or (inf, None)."""
         best, best_i = math.inf, None
         for i in self.solution_nodes():
             total = self._cost[i] + float(
                 np.linalg.norm(self._xy[i] - self.goal))
             if total < best:
                 best, best_i = float(total), i
-        return best_i
+        return best, best_i
+
+    def c_best(self):
+        return self._best_solution()[0]
+
+    def best_goal_node(self):
+        return self._best_solution()[1]
 
     def best_path(self):
         """Waypoints root -> goal of the cheapest solution, goal appended."""
@@ -253,10 +246,6 @@ class PlanTree:
             if np.linalg.norm(p - out[-1]) > 1e-9:
                 out.append(p)
         return np.array(out)
-
-    def node(self, i):
-        return PlanNode(index=i, coords=self.coords(i),
-                        parent=self.parent(i), cost=self.cost(i))
 
     def to_records(self):
         """Flat node dump (alive connected nodes only) for artifacts."""
@@ -433,58 +422,72 @@ def sample_ellipse(start, goal, c_best, bounds: Bounds, rng):
     return np.clip(q, bounds.lo, bounds.hi)
 
 
-def _cross_section_rows(obs, altitude):
-    """(A2, rhs) of the buffered cross-section {q : A2 q <= rhs}."""
-    A = obs.A
-    rhs = obs.buffered_b() - A[:, 2] * altitude
-    return A[:, :2], rhs
+@dataclass(frozen=True, eq=False)
+class CrossSection:
+    """Planar region {q : A2 q <= rhs} where ``obstacle``, inflated by the
+    planner's ``buffer``, meets the plane z = ``altitude``.
 
-
-def _point_in_cross_section(obs, q, altitude, tol=1e-12):
-    A2, rhs = _cross_section_rows(obs, altitude)
-    return bool(np.all(A2 @ np.asarray(q, dtype=float) <= rhs + tol))
-
-
-def _segment_hits_obstacle(obs, p, q, altitude):
-    """Exact test: does segment pq meet the buffered cross-section?
-
-    Every half-space constraint is affine along the segment, so the
-    feasible parameter set is an interval obtained by clipping [0, 1];
-    the segment intersects iff the interval is nonempty.  Grazing
-    contact counts as a hit.
+    Built once per buffer value; ``obstacle`` is left as it is.
     """
-    A2, rhs = _cross_section_rows(obs, altitude)
-    alpha = A2 @ p - rhs
-    beta = A2 @ (q - p)
-    t0, t1 = 0.0, 1.0
-    for al, be in zip(alpha, beta):
-        if abs(be) < 1e-15:
-            if al > 1e-12:
+
+    obstacle: CuboidObstacle
+    altitude: float
+    buffer: float
+    A2: np.ndarray = field(init=False, repr=False)
+    rhs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        A = self.obstacle.A
+        object.__setattr__(self, "A2", A[:, :2])
+        object.__setattr__(self, "rhs", (self.obstacle.b + self.buffer)
+                           - A[:, 2] * self.altitude)
+
+    @property
+    def id(self):
+        return self.obstacle.id
+
+    def contains(self, q):
+        return bool(np.all(self.A2 @ np.asarray(q, dtype=float)
+                           <= self.rhs + 1e-12))
+
+    def meets_segment(self, p, q):
+        """Exact test: does segment pq meet the region?
+
+        Every half-space constraint is affine along the segment, so the
+        feasible parameter set is an interval obtained by clipping
+        [0, 1]; the segment intersects iff the interval is nonempty.
+        Grazing contact counts as a hit.
+        """
+        alpha = self.A2 @ p - self.rhs
+        beta = self.A2 @ (q - p)
+        t0, t1 = 0.0, 1.0
+        for al, be in zip(alpha, beta):
+            if abs(be) < 1e-15:
+                if al > 1e-12:
+                    return False
+                continue
+            crossing = -al / be
+            if be > 0.0:
+                t1 = min(t1, crossing)
+            else:
+                t0 = max(t0, crossing)
+            if t0 > t1 + 1e-12:
                 return False
-            continue
-        crossing = -al / be
-        if be > 0.0:
-            t1 = min(t1, crossing)
-        else:
-            t0 = max(t0, crossing)
-        if t0 > t1 + 1e-12:
-            return False
-    return t0 <= t1 + 1e-12
+        return t0 <= t1 + 1e-12
 
 
-def no_collision_2d(p, q, obstacles, altitude):
-    """True iff segment pq avoids every buffered obstacle cross-section."""
+def no_collision_2d(p, q, sections):
+    """True iff segment pq avoids every obstacle cross-section."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    return not any(_segment_hits_obstacle(o, p, q, altitude)
-                   for o in obstacles)
+    return not any(s.meets_segment(p, q) for s in sections)
 
 
 # --------------------------------------------------------------------------
 # tree growth
 
 
-def add_node(tree: PlanTree, obstacles, cfg: PlannerConfig, rng):
+def add_node(tree: PlanTree, sections, cfg: PlannerConfig, rng):
     """One sampling/steer/choose-parent/rewire round.
 
     Returns the index of the inserted node, or None when the sample was
@@ -507,7 +510,7 @@ def add_node(tree: PlanTree, obstacles, cfg: PlannerConfig, rng):
     if gap < 1e-12:
         return None
     x_new = x_near + min(cfg.step, gap) / gap * (x_rand - x_near)
-    if not no_collision_2d(x_near, x_new, obstacles, cfg.altitude):
+    if not no_collision_2d(x_near, x_new, sections):
         return None
     near_idx = tree.near(x_new, cfg.r_w)
     dists = {int(i): float(np.linalg.norm(tree.coords(int(i)) - x_new))
@@ -524,7 +527,7 @@ def add_node(tree: PlanTree, obstacles, cfg: PlannerConfig, rng):
         if total >= new_cost:
             break
         if i == i_near or no_collision_2d(tree.coords(i), x_new,
-                                          obstacles, cfg.altitude):
+                                          sections):
             parent, new_cost = i, total
             break
     j = tree.insert(x_new, parent, new_cost)
@@ -534,23 +537,23 @@ def add_node(tree: PlanTree, obstacles, cfg: PlannerConfig, rng):
             continue
         through = new_cost + dists[i]
         if through < tree.cost(i) - 1e-12 and no_collision_2d(
-                x_new, tree.coords(i), obstacles, cfg.altitude):
+                x_new, tree.coords(i), sections):
             tree.reparent(i, j, through)
     return j
 
 
-def _require_free_endpoint(label, q, obstacles, cfg):
+def _require_free_endpoint(label, q, sections, cfg):
     if not cfg.bounds.contains(q):
         raise PlanningError(f"{label} {np.round(q, 3).tolist()} is outside "
                             "the sampling bounds")
-    for obs in obstacles:
-        if _point_in_cross_section(obs, q, cfg.altitude):
+    for s in sections:
+        if s.contains(q):
             raise PlanningError(
-                f"{label} lies inside buffered obstacle {obs.id!r} "
-                f"(buffer {obs.buffer:.3f} m)")
+                f"{label} lies inside buffered obstacle {s.id!r} "
+                f"(buffer {s.buffer:.3f} m)")
 
 
-def informed_rrt_star(start, goal, obstacles, cfg: PlannerConfig, rng,
+def informed_rrt_star(start, goal, sections, cfg: PlannerConfig, rng,
                       tree: PlanTree | None = None):
     """Grow (or continue) a tree until the best cost stalls or N_max.
 
@@ -561,13 +564,13 @@ def informed_rrt_star(start, goal, obstacles, cfg: PlannerConfig, rng,
     """
     start = np.asarray(start, dtype=float).reshape(2)
     goal = np.asarray(goal, dtype=float).reshape(2)
-    _require_free_endpoint("start", start, obstacles, cfg)
-    _require_free_endpoint("goal", goal, obstacles, cfg)
+    _require_free_endpoint("start", start, sections, cfg)
+    _require_free_endpoint("goal", goal, sections, cfg)
     if tree is None:
         tree = PlanTree(start, goal, cfg.goal_radius)
     history = []
     for _ in range(cfg.N_max):
-        add_node(tree, obstacles, cfg, rng)
+        add_node(tree, sections, cfg, rng)
         c = tree.c_best()
         history.append(c)
         if len(history) > cfg.N_conv:
@@ -612,7 +615,7 @@ class TubeEvaluator:
     candidate planar path.  When no explicit initial state is given, one
     is synthesized at the first waypoint heading along the first leg at
     cruise speed (quadrotor: matched position/velocity; fixed-wing:
-    steady-flight trim).
+    steady-flight trim).  ``P0`` defaults to zero, a deterministic start.
     """
 
     model: object
@@ -620,7 +623,6 @@ class TubeEvaluator:
     beta: float
     P0: np.ndarray | None = None
     initial_state: np.ndarray | None = None
-    fd_step: float | None = None
     c2: float = field(init=False)
 
     def __post_init__(self):
@@ -629,17 +631,16 @@ class TubeEvaluator:
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         self.c2 = chi2_quantile(self.beta, dof=3)
-        if self.P0 is not None:
-            self.P0 = np.asarray(self.P0, dtype=float)
+        self.P0 = (np.zeros((self.model.n_states,) * 2) if self.P0 is None
+                   else np.asarray(self.P0, dtype=float))
 
     def initial_buffer(self):
-        """c * sqrt(largest position variance) of P0, or 0 when unset."""
-        if self.P0 is None:
-            return 0.0
+        """c * sqrt(largest position variance) of P0."""
         rows = list(self.model.position_rows)
         block = self.P0[np.ix_(rows, rows)]
-        lam = max(float(np.linalg.eigvalsh(block)[-1]), 0.0)
-        return math.sqrt(self.c2) * math.sqrt(lam)
+        lam = float(np.linalg.eigvalsh(block)[-1])
+        # +0.0, never -0.0, for a zero P0: the buffer goes into buffers.json
+        return math.sqrt(self.c2) * math.sqrt(lam) if lam > 0.0 else 0.0
 
     def _initial_state_for(self, path, altitude, cruise_speed):
         if self.initial_state is not None:
@@ -660,8 +661,7 @@ class TubeEvaluator:
     def tube_for_path(self, path_xy, altitude, cruise_speed):
         """(tube, nominal trajectory, covariance history) for a path."""
         des = path_to_trajectory(path_xy, altitude, cruise_speed,
-                                 vehicle=self.model.name,
-                                 fd_step=self.fd_step or self.dt)
+                                 vehicle=self.model.name, fd_step=self.dt)
         if des.duration < 2.0 * self.dt:
             raise PlanningError("path is too short for the time grid")
         grid = TimeGrid(0.0, des.duration, self.dt)
@@ -669,9 +669,7 @@ class TubeEvaluator:
                                      altitude, cruise_speed)
         nominal = integrate_nominal(self.model, x0, des, grid)
         lin = linearize(self.model, nominal, des)
-        P0 = self.P0 if self.P0 is not None \
-            else np.zeros((self.model.n_states,) * 2)
-        cov = propagate_covariance(lin, P0)
+        cov = propagate_covariance(lin, self.P0)
         tube = build_tube(nominal, cov, self.beta,
                           position_rows=self.model.position_rows)
         return tube, nominal, cov
@@ -681,12 +679,13 @@ class TubeEvaluator:
 # the dynamic outer loop
 
 
-def comp_obs_dist(tree: PlanTree, obstacles, evaluator: TubeEvaluator,
+def comp_obs_dist(tree: PlanTree, sections, evaluator: TubeEvaluator,
                   cfg: PlannerConfig):
     """Signed buffer adjustment per obstacle from the current best path.
 
     Propagates the tube along the tree's best path, then for every
-    obstacle returns d_j = min(buffer_touch_distance, current buffer):
+    cross-section returns d_j = min(buffer_touch_distance of its true
+    obstacle, its current buffer):
     positive d_j shrinks the buffer by the tube's spare clearance
     (capped so buffers stay nonnegative), negative d_j grows it by the
     violation depth.  Also returns the evaluated tube.
@@ -695,17 +694,17 @@ def comp_obs_dist(tree: PlanTree, obstacles, evaluator: TubeEvaluator,
     tube, _, _ = evaluator.tube_for_path(path, cfg.altitude,
                                          cfg.cruise_speed)
     adjustments = {}
-    for obs in obstacles:
-        d_touch = buffer_touch_distance(tube, obs, tube.c2)
-        adjustments[obs.id] = min(d_touch, obs.buffer)
+    for s in sections:
+        d_touch = buffer_touch_distance(tube, s.obstacle, tube.c2)
+        adjustments[s.id] = min(d_touch, s.buffer)
     return adjustments, tube
 
 
-def cleanup_and_regrow(tree: PlanTree, grown_obstacle, obstacles,
+def cleanup_and_regrow(tree: PlanTree, grown: CrossSection, sections,
                        cfg: PlannerConfig, rng):
-    """Repair the tree after ``grown_obstacle``'s buffer increased.
+    """Repair the tree after an obstacle's buffer grew to ``grown``.
 
-    Nodes inside the newly buffered region die; surviving subtrees
+    Nodes inside the grown cross-section die; surviving subtrees
     hanging under them, and surviving nodes whose parent edge now
     crosses the region, are detached as orphan components.  Fresh
     add_node growth then tries to reconnect each component through any
@@ -713,14 +712,12 @@ def cleanup_and_regrow(tree: PlanTree, grown_obstacle, obstacles,
     there); components still orphaned after N_max/4 iterations are
     pruned.
     """
-    alt = cfg.altitude
     alive = [int(i) for i in np.flatnonzero(tree._alive[:tree.size])]
-    dead = {i for i in alive
-            if _point_in_cross_section(grown_obstacle, tree._xy[i], alt)}
+    dead = {i for i in alive if grown.contains(tree._xy[i])}
     if tree.root in dead:
         raise PlanningError(
-            f"start became infeasible: buffered obstacle "
-            f"{grown_obstacle.id!r} covers it")
+            f"start became infeasible: buffered obstacle {grown.id!r} "
+            f"(buffer {grown.buffer:.3f} m) covers it")
     roots = set()
     for i in dead:
         for ch in tree._children[i]:
@@ -732,8 +729,7 @@ def cleanup_and_regrow(tree: PlanTree, grown_obstacle, obstacles,
         p = tree.parent(i)
         if p < 0 or p in dead:
             continue
-        if _segment_hits_obstacle(grown_obstacle, tree._xy[p], tree._xy[i],
-                                  alt):
+        if grown.meets_segment(tree._xy[p], tree._xy[i]):
             roots.add(i)
     for i in sorted(dead):
         tree.kill(i)
@@ -744,7 +740,7 @@ def cleanup_and_regrow(tree: PlanTree, grown_obstacle, obstacles,
     for _ in range(cap):
         if len(tree.orphan_nodes()) == 0:
             break
-        j = add_node(tree, obstacles, cfg, rng)
+        j = add_node(tree, sections, cfg, rng)
         if j is None:
             continue
         x_new = tree.coords(j)
@@ -759,7 +755,7 @@ def cleanup_and_regrow(tree: PlanTree, grown_obstacle, obstacles,
                 if d[k] > cfg.r_w:
                     break
                 cand = int(orphans[k])
-                if no_collision_2d(x_new, tree._xy[cand], obstacles, alt):
+                if no_collision_2d(x_new, tree._xy[cand], sections):
                     tree.adopt_orphan(cand, j)
                     connected = True
                     break
@@ -790,24 +786,24 @@ def dynamic_informed_rrt_star(start, goal, obstacles, cfg: PlannerConfig,
                               evaluator: TubeEvaluator, rng):
     """M rounds of plan / propagate / resize buffers / repair tree.
 
-    Buffers start at c * sqrt(lambda_max) of the initial position
-    covariance (zero for a deterministic start).  Every non-final round
-    applies b_j <- b_j - d_j from comp_obs_dist; any buffer that grew
-    triggers tree surgery.  The final tube and per-obstacle clearances
-    are evaluated against the true (unbuffered) obstacles.  Buffers are
-    set on shallow copies, so the caller's obstacles are left as passed.
+    The planner keeps one buffer per obstacle, as a ``CrossSection``
+    rebuilt once per resize.  Buffers start at
+    c * sqrt(lambda_max) of the initial position covariance (zero for a
+    deterministic start).  Every non-final round applies
+    b_j <- b_j - d_j from comp_obs_dist; any buffer that grew triggers
+    tree surgery.  The final tube and per-obstacle clearances are
+    evaluated against the caller's true obstacles, which are never
+    changed.
     """
     start = np.asarray(start, dtype=float).reshape(2)
     goal = np.asarray(goal, dtype=float).reshape(2)
-    obstacles = [copy.copy(obs) for obs in obstacles]
     init = evaluator.initial_buffer()
-    for obs in obstacles:
-        obs.buffer = init
-    buffer_history = [{obs.id: obs.buffer for obs in obstacles}]
+    sections = [CrossSection(obs, cfg.altitude, init) for obs in obstacles]
+    buffer_history = [{s.id: s.buffer for s in sections}]
     cost_history = []
     tree = None
     for outer in range(cfg.M):
-        tree = informed_rrt_star(start, goal, obstacles, cfg, rng, tree=tree)
+        tree = informed_rrt_star(start, goal, sections, cfg, rng, tree=tree)
         cost_history.append(tree.c_best())
         if not math.isfinite(tree.c_best()):
             return PlanResult(
@@ -817,16 +813,17 @@ def dynamic_informed_rrt_star(start, goal, obstacles, cfg: PlannerConfig,
                 message="no path to the goal was found", tree=tree)
         if outer == cfg.M - 1:
             break
-        adjustments, _ = comp_obs_dist(tree, obstacles, evaluator, cfg)
+        adjustments, _ = comp_obs_dist(tree, sections, evaluator, cfg)
         grown = []
-        for obs in obstacles:
-            d_j = adjustments[obs.id]
-            obs.buffer = obs.buffer - d_j
+        for j, s in enumerate(sections):
+            d_j = adjustments[s.id]
+            sections[j] = CrossSection(s.obstacle, cfg.altitude,
+                                       s.buffer - d_j)
             if d_j < -1e-12:
-                grown.append(obs)
-        buffer_history.append({obs.id: obs.buffer for obs in obstacles})
-        for obs in grown:
-            cleanup_and_regrow(tree, obs, obstacles, cfg, rng)
+                grown.append(sections[j])
+        buffer_history.append({s.id: s.buffer for s in sections})
+        for s in grown:
+            cleanup_and_regrow(tree, s, sections, cfg, rng)
     path = tree.best_path()
     tube, _, _ = evaluator.tube_for_path(path, cfg.altitude,
                                          cfg.cruise_speed)

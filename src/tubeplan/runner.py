@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PlanningError
 from .geometry import check_tube_collision, overall_verdict
 from .planner import TubeEvaluator, dynamic_informed_rrt_star
 from .scenario import Scenario, parse_scenario
@@ -207,8 +206,11 @@ def run_plan(scenario: Scenario, out_dir, *, seed=None, beta=None) -> RunReport:
     """Plan a chance-constrained path and post-check it against obstacles.
 
     Writes path.csv, tube.jsonl, buffers.json, tree.jsonl, report.json
-    and timings.json.  Raises PlanningError when no path is found (the
-    report and artifacts are still written for diagnosis).
+    and timings.json.  When no path is found the report's verdict is
+    "error" and path.csv and tube.jsonl are not written; the rest still
+    are, for diagnosis.  Raises PlanningError, before writing any
+    artifact, when the start or the goal lies inside a buffered obstacle
+    (or a grown buffer later covers the start).
     """
     sc = _with_overrides(scenario, seed=seed, beta=beta)
     out = Path(out_dir)
@@ -222,10 +224,8 @@ def run_plan(scenario: Scenario, out_dir, *, seed=None, beta=None) -> RunReport:
     explicit_x0 = None
     if sc.data["initial_state"] != "auto":
         explicit_x0 = np.asarray(sc.data["initial_state"], dtype=float)
-    evaluator = TubeEvaluator(
-        model=model, dt=grid.dt, beta=sc.beta,
-        P0=P0 if np.any(P0) else None,
-        initial_state=explicit_x0, fd_step=grid.dt)
+    evaluator = TubeEvaluator(model=model, dt=grid.dt, beta=sc.beta, P0=P0,
+                              initial_state=explicit_x0)
     rng = np.random.default_rng(sc.seed)
 
     timings = {}

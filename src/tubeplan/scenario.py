@@ -34,8 +34,7 @@ from .vehicles import (
     ascent_cruise_descent,
 )
 
-__all__ = ["Scenario", "load_scenario", "parse_scenario", "scenario_hash",
-           "SCHEMA_VERSION"]
+__all__ = ["Scenario", "load_scenario", "parse_scenario", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
@@ -262,10 +261,6 @@ class Scenario:
         payload = json.dumps(self.data, sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def scenario_hash(scenario: Scenario) -> str:
-    return scenario.hash()
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tubeplan.errors import PlanningError
 from tubeplan.geometry import (
     CuboidObstacle,
     solve_qp,
@@ -24,6 +23,7 @@ from tubeplan.geometry import (
 )
 from tubeplan.planner import (
     Bounds,
+    CrossSection,
     PlannerConfig,
     PlanTree,
     TubeEvaluator,
@@ -32,7 +32,7 @@ from tubeplan.planner import (
     dynamic_informed_rrt_star,
     informed_rrt_star,
 )
-from tubeplan.runner import run_plan, run_validate
+from tubeplan.runner import run_plan
 from tubeplan.scenario import parse_scenario
 from tubeplan.simcore import TimeGrid, integrate_nominal, linearize, mc_ensemble
 from tubeplan.uncertainty import (
@@ -313,7 +313,8 @@ def test_criterion_06_planner_near_optimal_free_space_and_single_wall():
     assert oracle == pytest.approx(closed_form, rel=1e-9)
 
     tic = time.perf_counter()
-    tree_w = informed_rrt_star((10.0, 0.0), (90.0, 0.0), [wall], cfg,
+    tree_w = informed_rrt_star((10.0, 0.0), (90.0, 0.0),
+                               [CrossSection(wall, cfg.altitude, 0.0)], cfg,
                                np.random.default_rng(31))
     wall_s = time.perf_counter() - tic
     wall_cost = tree_w.c_best()
@@ -382,12 +383,12 @@ def test_criterion_08b_tree_fuzz_10k_mutations_zero_violations():
     bounds = Bounds((0.0, 0.0), (100.0, 100.0))
     cfg = PlannerConfig(bounds=bounds, altitude=10.0, cruise_speed=5.0,
                         N_max=200, goal_bias=0.05)
-    obstacles = [
+    obstacles = [CrossSection(obs, cfg.altitude, 0.0) for obs in (
         CuboidObstacle.from_box((35.0, 40.0, 10.0), (6.0, 6.0, 10.0),
                                 id="a"),
         CuboidObstacle.from_box((70.0, 60.0, 10.0), (5.0, 8.0, 10.0),
                                 yaw=0.4, id="b"),
-    ]
+    )]
 
     def fresh():
         return PlanTree((5.0, 5.0), (95.0, 95.0), cfg.goal_radius)
@@ -426,12 +427,11 @@ def test_criterion_08b_tree_fuzz_10k_mutations_zero_violations():
                 tree.kill(int(rng.choice(leaves)))
                 mutations += 1
         else:
-            grown = CuboidObstacle.from_box(
+            grown = CrossSection(CuboidObstacle.from_box(
                 (float(rng.uniform(15, 85)), float(rng.uniform(15, 85)),
-                 10.0), (4.0, 4.0, 10.0),
-                buffer=float(rng.uniform(0.0, 2.0)), id="grown")
-            root_xy = tree.coords(tree.root)
-            if grown.contains((*root_xy, cfg.altitude), buffered=True):
+                 10.0), (4.0, 4.0, 10.0), id="grown"),
+                cfg.altitude, float(rng.uniform(0.0, 2.0)))
+            if grown.contains(tree.coords(tree.root)):
                 continue
             cleanup_and_regrow(tree, grown, obstacles, cfg, rng)
             mutations += 1

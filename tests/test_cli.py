@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from tubeplan.cli import main
+from tubeplan.errors import PlanningError
 from tubeplan.geometry import solve_qp, sphere_prefilter
+from tubeplan.runner import run_plan
 from tubeplan.scenario import load_scenario
 from tubeplan.uncertainty import ConfidenceEllipsoid
 
@@ -295,8 +297,9 @@ def test_plan_rerun_is_byte_identical_except_timings(tmp_path):
     assert read_bytes(out1, stable) == read_bytes(out2, stable)
 
 
-def test_plan_unreachable_goal_exits_one(tmp_path, capsys):
-    scn = write_plan_scenario(
+def write_walled_plan_scenario(tmp_path):
+    """A wall across the whole sampling region between start and goal."""
+    return write_plan_scenario(
         tmp_path, name="walled.json",
         obstacles=[{"id": "wall",
                     "box": {"center": [30.0, 0.0, 10.0],
@@ -308,7 +311,37 @@ def test_plan_unreachable_goal_exits_one(tmp_path, capsys):
             "altitude": 10.0, "cruise_speed": 5.0,
             "N_max": 300, "N_conv": 50, "M": 2,
         })
+
+
+def test_plan_unreachable_goal_exits_one(tmp_path, capsys):
+    scn = write_walled_plan_scenario(tmp_path)
     code = main(["plan", "--scenario", str(scn),
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_run_plan_without_a_path_reports_error_and_writes_no_path(tmp_path):
+    out = tmp_path / "out"
+    report = run_plan(load_scenario(write_walled_plan_scenario(tmp_path)),
+                      out)
+    assert report.verdict == "error"
+    assert report.extras["solved"] is False
+    assert report.extras["message"] == "no path to the goal was found"
+    assert report.clearance == []
+    assert {p.name for p in out.iterdir()} == (
+        PLAN_ARTIFACTS - {"path.csv", "tube.jsonl"})
+    assert json.loads((out / "report.json").read_text())["verdict"] == "error"
+
+
+def test_run_plan_raises_before_writing_when_the_start_is_blocked(tmp_path):
+    scn = write_plan_scenario(
+        tmp_path, obstacles=[{"id": "ontop",
+                              "box": {"center": [0.0, 0.0, 10.0],
+                                      "half_extents": [3.0, 3.0, 10.0],
+                                      "yaw": 0.0}}])
+    out = tmp_path / "out"
+    with pytest.raises(PlanningError, match="start lies inside buffered "
+                       "obstacle 'ontop'"):
+        run_plan(load_scenario(scn), out)
+    assert list(out.iterdir()) == []

@@ -14,6 +14,7 @@ from tubeplan.errors import PlanningError
 from tubeplan.geometry import CuboidObstacle
 from tubeplan.planner import (
     Bounds,
+    CrossSection,
     PlannerConfig,
     PlanTree,
     TubeEvaluator,
@@ -100,8 +101,7 @@ def test_tree_queries():
     hits = set(tree.near((6.0, 0.0), 3.01).tolist())
     assert hits == {a, b, c}
     assert np.allclose(tree.coords(c), (6.0, 3.0))
-    node = tree.node(b)
-    assert node.parent == a and node.cost == 6.0
+    assert tree.parent(b) == a and tree.cost(b) == 6.0
     tree.check_consistency()
 
 
@@ -228,46 +228,50 @@ def test_sample_ellipse_degenerate_cost_stays_on_the_segment():
 # segment collision gate
 
 
-def box(cx, cy, hx=5.0, hy=5.0, z0=0.0, z1=20.0, buffer=0.0, id="o"):
+def box(cx, cy, hx=5.0, hy=5.0, z0=0.0, z1=20.0, id="o"):
     return CuboidObstacle.from_box(
-        (cx, cy, 0.5 * (z0 + z1)), (hx, hy, 0.5 * (z1 - z0)),
-        buffer=buffer, id=id)
+        (cx, cy, 0.5 * (z0 + z1)), (hx, hy, 0.5 * (z1 - z0)), id=id)
+
+
+def cut(obs, buffer=0.0, altitude=10.0):
+    """The planner's cross-section of ``obs`` inflated by ``buffer``."""
+    return CrossSection(obs, altitude, buffer)
 
 
 def test_segment_through_the_box_is_blocked():
-    obs = box(10.0, 0.0)
-    assert not no_collision_2d((0.0, 0.0), (20.0, 0.0), [obs], altitude=10.0)
+    obs = cut(box(10.0, 0.0))
+    assert not no_collision_2d((0.0, 0.0), (20.0, 0.0), [obs])
 
 
 def test_segment_missing_the_box_is_free():
-    obs = box(10.0, 0.0)
-    assert no_collision_2d((0.0, 8.0), (20.0, 8.0), [obs], altitude=10.0)
-    assert no_collision_2d((0.0, 0.0), (20.0, 0.0), [], altitude=10.0)
+    obs = cut(box(10.0, 0.0))
+    assert no_collision_2d((0.0, 8.0), (20.0, 8.0), [obs])
+    assert no_collision_2d((0.0, 0.0), (20.0, 0.0), [])
 
 
 def test_grazing_contact_counts_as_a_hit():
-    obs = box(10.0, 0.0)                      # face at y = 5
-    assert not no_collision_2d((0.0, 5.0), (20.0, 5.0), [obs], altitude=10.0)
-    assert no_collision_2d((0.0, 5.0 + 1e-6), (20.0, 5.0 + 1e-6), [obs],
-                           altitude=10.0)
+    obs = cut(box(10.0, 0.0))                 # face at y = 5
+    assert not no_collision_2d((0.0, 5.0), (20.0, 5.0), [obs])
+    assert no_collision_2d((0.0, 5.0 + 1e-6), (20.0, 5.0 + 1e-6), [obs])
 
 
 def test_altitude_above_the_box_is_free():
     obs = box(10.0, 0.0, z1=8.0)
-    assert not no_collision_2d((0.0, 0.0), (20.0, 0.0), [obs], altitude=7.0)
-    assert no_collision_2d((0.0, 0.0), (20.0, 0.0), [obs], altitude=9.0)
+    assert not no_collision_2d((0.0, 0.0), (20.0, 0.0),
+                               [cut(obs, altitude=7.0)])
+    assert no_collision_2d((0.0, 0.0), (20.0, 0.0), [cut(obs, altitude=9.0)])
 
 
 def test_buffer_inflates_the_cross_section():
-    obs = box(10.0, 0.0, buffer=2.0)          # blocked band now |y| <= 7
-    assert not no_collision_2d((0.0, 6.0), (20.0, 6.0), [obs], altitude=10.0)
-    assert no_collision_2d((0.0, 7.5), (20.0, 7.5), [obs], altitude=10.0)
+    obs = cut(box(10.0, 0.0), buffer=2.0)     # blocked band now |y| <= 7
+    assert not no_collision_2d((0.0, 6.0), (20.0, 6.0), [obs])
+    assert no_collision_2d((0.0, 7.5), (20.0, 7.5), [obs])
 
 
 def test_segment_endpoints_inside_count():
-    obs = box(10.0, 0.0)
-    assert not no_collision_2d((10.0, 0.0), (30.0, 0.0), [obs], altitude=10.0)
-    assert not no_collision_2d((9.0, 0.0), (11.0, 0.0), [obs], altitude=10.0)
+    obs = cut(box(10.0, 0.0))
+    assert not no_collision_2d((10.0, 0.0), (30.0, 0.0), [obs])
+    assert not no_collision_2d((9.0, 0.0), (11.0, 0.0), [obs])
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +282,7 @@ def test_add_node_grows_a_consistent_tree():
     cfg = free_config(goal_bias=0.0)
     tree = PlanTree((5.0, 5.0), (95.0, 95.0), cfg.goal_radius)
     rng = np.random.default_rng(7)
-    obstacles = [box(50.0, 50.0, hx=8.0, hy=8.0, id="mid")]
+    obstacles = [cut(box(50.0, 50.0, hx=8.0, hy=8.0, id="mid"))]
     inserted = 0
     for _ in range(400):
         j = add_node(tree, obstacles, cfg, rng)
@@ -286,7 +290,7 @@ def test_add_node_grows_a_consistent_tree():
             inserted += 1
             # every accepted node lies in free buffered space
             q = tree.coords(j)
-            assert no_collision_2d(q, q, obstacles, cfg.altitude)
+            assert no_collision_2d(q, q, obstacles)
     assert inserted > 200
     tree.check_consistency()
 
@@ -320,8 +324,9 @@ def test_informed_rrt_star_obstacle_free_is_near_straight():
 def test_planner_rejects_blocked_endpoints():
     cfg = free_config()
     rng = np.random.default_rng(0)
-    obs = [box(50.0, 50.0, id="blocker")]
-    with pytest.raises(PlanningError, match="start"):
+    obs = [cut(box(50.0, 50.0, id="blocker"), buffer=0.5)]
+    with pytest.raises(PlanningError, match=r"start lies inside buffered "
+                       r"obstacle 'blocker' \(buffer 0\.500 m\)"):
         informed_rrt_star((50.0, 50.0), (95.0, 95.0), obs, cfg, rng)
     with pytest.raises(PlanningError, match="goal"):
         informed_rrt_star((5.0, 5.0), (50.0, 50.0), obs, cfg, rng)
@@ -349,23 +354,21 @@ def test_cleanup_kills_covered_nodes_and_keeps_the_rest_consistent():
                       N_max=2000)
     tree = corridor_tree()
     before = tree.num_alive()
-    grown = box(50.0, 0.0, hx=6.0, hy=6.0, buffer=2.0, id="grown")
+    grown = cut(box(50.0, 0.0, hx=6.0, hy=6.0, id="grown"), buffer=2.0)
     rng = np.random.default_rng(5)
     cleanup_and_regrow(tree, grown, [grown], cfg, rng)
     tree.check_consistency()
     # nodes inside the buffered region died
     for i in range(tree.size):
         if tree._alive[i]:
-            assert not grown.contains(
-                (*tree.coords(i), cfg.altitude), buffered=True)
+            assert not grown.contains(tree.coords(i))
     # no surviving edge crosses the region
     for i in range(tree.size):
         if not tree._alive[i] or i == tree.root:
             continue
         p = tree.parent(i)
         if p >= 0:
-            assert no_collision_2d(tree.coords(p), tree.coords(i),
-                                   [grown], cfg.altitude)
+            assert no_collision_2d(tree.coords(p), tree.coords(i), [grown])
     assert len(tree.orphan_nodes()) == 0
     assert tree.num_alive() < before + cfg.N_max // 4
 
@@ -373,7 +376,7 @@ def test_cleanup_kills_covered_nodes_and_keeps_the_rest_consistent():
 def test_cleanup_raises_when_the_root_is_covered():
     cfg = free_config()
     tree = corridor_tree()
-    grown = box(5.0, 0.0, hx=3.0, hy=3.0, id="ontop")
+    grown = cut(box(5.0, 0.0, hx=3.0, hy=3.0, id="ontop"))
     with pytest.raises(PlanningError, match="start"):
         cleanup_and_regrow(tree, grown, [grown], cfg,
                            np.random.default_rng(0))
@@ -389,10 +392,9 @@ def test_random_surgery_preserves_the_invariants(seed):
         add_node(tree, [], cfg, rng)
     tree.check_consistency()
     cx, cy = rng.uniform(20, 80, size=2)
-    grown = box(float(cx), float(cy), hx=6.0, hy=6.0,
-                buffer=float(rng.uniform(0, 3)), id="g")
-    if grown.contains((*tree.coords(tree.root), cfg.altitude),
-                      buffered=True):
+    grown = cut(box(float(cx), float(cy), hx=6.0, hy=6.0, id="g"),
+                buffer=float(rng.uniform(0, 3)))
+    if grown.contains(tree.coords(tree.root)):
         return
     cleanup_and_regrow(tree, grown, [grown], cfg, rng)
     tree.check_consistency()
@@ -422,8 +424,9 @@ def test_initial_buffer_closed_form():
     ev = TubeEvaluator(model=model, dt=0.01, beta=0.999, P0=P0)
     expected = math.sqrt(chi2_quantile(0.999, 3)) * 0.3
     assert ev.initial_buffer() == pytest.approx(expected, rel=1e-12)
-    assert TubeEvaluator(model=model, dt=0.01, beta=0.999).initial_buffer() \
-        == 0.0
+    # a zero P0 (the default) gives +0.0, written as 0.0 in buffers.json
+    zero = TubeEvaluator(model=model, dt=0.01, beta=0.999).initial_buffer()
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
 
 def test_tube_evaluator_validation():
@@ -456,7 +459,7 @@ def test_comp_obs_dist_caps_at_the_current_buffer():
                       altitude=10.0, cruise_speed=5.0)
     tree = PlanTree((0.0, 0.0), (100.0, 0.0), cfg.goal_radius)
     tree.insert((100.0, 0.0), tree.root, 100.0)
-    far = box(50.0, 25.0, hx=2.0, hy=2.0, buffer=0.4, id="far")
+    far = cut(box(50.0, 25.0, hx=2.0, hy=2.0, id="far"), buffer=0.4)
     adjustments, tube = comp_obs_dist(tree, [far], ev, cfg)
     # far obstacle: spare clearance huge, adjustment capped at the buffer
     assert adjustments["far"] == pytest.approx(0.4)
@@ -487,15 +490,17 @@ def test_dynamic_planner_is_deterministic_and_shrinks_buffers():
     init = math.sqrt(chi2_quantile(0.999, 3)) * 0.1
     assert res1.buffer_history[0]["wall"] == pytest.approx(init)
     # clearance spare at this scale: subsequent rounds shrink the buffer
+    assert res1.buffer_history[1]["wall"] < init
     assert res1.buffer_history[-1]["wall"] <= init + 1e-12
     assert all(r.verdict == "clear" for r in res1.reports)
 
 
 def test_dynamic_planner_leaves_the_callers_obstacles_unchanged():
-    # the planner sizes buffers of its own; what the caller set stays
+    # the planner sizes buffers of its own; what the caller passed stays
     model = QuadrotorModel()
-    obstacles = [box(45.0, 0.0, hx=4.0, hy=4.0, buffer=0.25, id="wall"),
+    obstacles = [box(45.0, 0.0, hx=4.0, hy=4.0, id="wall"),
                  box(45.0, 20.0, hx=3.0, hy=3.0, id="side")]
+    before = [(obs.A.copy(), obs.b.copy()) for obs in obstacles]
     cfg = free_config(bounds=Bounds((-10.0, -30.0), (110.0, 30.0)),
                       N_max=600, N_conv=100, M=2)
     P0 = np.zeros((9, 9))
@@ -506,7 +511,8 @@ def test_dynamic_planner_leaves_the_callers_obstacles_unchanged():
     assert res.solved
     init = math.sqrt(chi2_quantile(0.999, 3)) * 0.1
     assert res.buffer_history[0] == {"wall": init, "side": init}
-    assert [obs.buffer for obs in obstacles] == [0.25, 0.0]
+    for obs, (A, b) in zip(obstacles, before):
+        assert np.array_equal(obs.A, A) and np.array_equal(obs.b, b)
 
 
 def test_dynamic_planner_with_zero_start_covariance_keeps_zero_buffers():
@@ -523,3 +529,24 @@ def test_dynamic_planner_with_zero_start_covariance_keeps_zero_buffers():
     # buffers never go negative
     for round_buffers in res.buffer_history:
         assert round_buffers["side"] >= -1e-12
+
+
+def test_dynamic_planner_repairs_the_tree_when_a_buffer_grows(plan_scenario):
+    # at planner seed 1001 the last resize grows block-c's buffer from 0;
+    # no edge of the final tree may cross the grown cross-section
+    sc = plan_scenario
+    model, grid, cfg = sc.build_model(), sc.grid(), sc.build_planner_config()
+    obstacles = sc.build_obstacles()
+    ev = TubeEvaluator(model=model, dt=grid.dt, beta=sc.beta,
+                       P0=sc.initial_covariance(model))
+    res = dynamic_informed_rrt_star(*sc.planner_endpoints(), obstacles, cfg,
+                                    ev, np.random.default_rng(1001))
+    before, after = res.buffer_history[-2:]
+    assert after["block-c"] > before["block-c"]
+    final = [cut(obs, after[obs.id], cfg.altitude) for obs in obstacles]
+    tree = res.tree
+    tree.check_consistency()
+    for i in range(tree.size):
+        if tree._alive[i] and not tree._orphan[i] and i != tree.root:
+            assert no_collision_2d(tree.coords(tree.parent(i)),
+                                   tree.coords(i), final)

@@ -13,7 +13,6 @@ from tubeplan.scenario import (
     SCHEMA_VERSION,
     load_scenario,
     parse_scenario,
-    scenario_hash,
 )
 
 
@@ -51,7 +50,6 @@ def test_parse_normalizes_and_round_trips():
     again = parse_scenario(s.to_dict())
     assert again.canonical_json() == s.canonical_json()
     assert again.hash() == s.hash()
-    assert scenario_hash(s) == s.hash()
     assert len(s.hash()) == 64
     assert all(c in "0123456789abcdef" for c in s.hash())
 
