@@ -28,6 +28,7 @@ def main():
         report = run_mc_compare(scenario, out, runs=args.runs)
         t = report.timings_ms
         print(f"{scenario.name}: {args.runs} runs | "
+              f"nominal {t['nominal_ms']:.0f} ms | "
               f"lc {t['lc_ms']:.0f} ms | mc {t['mc_ms']:.0f} ms")
         for label, entry in report.extras["channels"].items():
             if entry["degenerate"]:

@@ -286,9 +286,14 @@ def run_mc_compare(scenario: Scenario, out_dir, *, runs=10000,
     timings = {}
     tic = time.perf_counter()
     nominal = integrate_nominal(model, x0, profile, grid)
+    timings["nominal_ms"] = 1e3 * (time.perf_counter() - tic)
+    tic = time.perf_counter()
     lin = linearize(model, nominal, profile)
+    timings["linearize_ms"] = 1e3 * (time.perf_counter() - tic)
+    tic = time.perf_counter()
     cov = propagate_covariance(lin, P0)
-    timings["lc_ms"] = 1e3 * (time.perf_counter() - tic)
+    timings["covariance_ms"] = 1e3 * (time.perf_counter() - tic)
+    timings["lc_ms"] = timings["linearize_ms"] + timings["covariance_ms"]
     tic = time.perf_counter()
     mc_mean, mc_cov = mc_ensemble(model, x0, profile, grid, runs=runs,
                                   base_seed=sc.seed)

@@ -4,9 +4,17 @@ State covariance follows the Lyapunov differential equation
 
     P_dot = A(t) P + P A(t)^T + B_n(t) B_n(t)^T
 
-integrated with RK4 along the stored Jacobian history, interpolating A
-and B_n linearly at half steps.  A probability tube is the time-ordered
-sequence of position-marginal ellipsoids
+along the stored Jacobian history.  Each grid step becomes a step map,
+the discrete LinCov form P_{k+1} = Phi_k P_k Phi_k^T + Q_k: Phi_k is an
+RK4 step of Phi_dot = A Phi from the identity and Q_k an RK4 step of the
+Lyapunov equation from zero, with A and B_n B_n^T averaged at the half
+step.  The maps of all steps are formed in batched passes over chunks
+of steps, and the recursion runs as a two-level blocked scan.  For
+constant A and B_n the scheme is fourth order in dt; for time-varying
+ones the half-step averages make it second order.
+
+A probability tube is the time-ordered sequence of position-marginal
+ellipsoids
 
     {z : (z - r)^T Sigma^-1 (z - r) <= c^2},
 
@@ -94,12 +102,65 @@ def _check_sym_psd(P, what, tol=1e-10):
         raise ValueError(f"{what} must be positive semidefinite")
 
 
-def propagate_covariance(lin: LinearizationHistory, P0) -> CovarianceHistory:
-    """RK4 integration of the Lyapunov equation along a Jacobian history.
+# steps whose maps are formed together: enough to spread numpy's per-call
+# cost, few enough that the chunk's temporaries stay small beside the
+# full-length Phi and Q
+_CHUNK = 256
 
-    The Jacobians at the half step are the averages of the bracketing
-    grid values; the result is re-symmetrized after every step so
-    round-off cannot accumulate asymmetry.
+
+def _step_maps(lin: LinearizationHistory):
+    """(Phi, Q), each (count - 1, n, n): P_{k+1} = Phi_k P_k Phi_k^T + Q_k.
+
+    Phi_k is the RK4 step of Phi_dot = A Phi from Phi = I, and Q_k the RK4
+    step of the Lyapunov equation from P = 0.  A and B_n B_n^T are averaged
+    at the half step, and B_n B_n^T is formed one chunk of steps at a time.
+    """
+    dt = lin.grid.dt
+    steps = lin.grid.count - 1
+    n = lin.A.shape[1]
+    Phi = np.empty((steps, n, n))
+    Q = np.empty((steps, n, n))
+
+    def rate(A, Qn, P):
+        # P symmetric makes A P + P A^T = S + S^T with S = A P
+        S = A @ P
+        return S + S.transpose(0, 2, 1) + Qn
+
+    for s in range(0, steps, _CHUNK):
+        e = min(s + _CHUNK, steps)
+        A = lin.A[s:e + 1]
+        B = lin.B_n[s:e + 1]
+        BB = B @ B.transpose(0, 2, 1)
+        A0, A1 = A[:-1], A[1:]
+        Q0, Q1 = BB[:-1], BB[1:]
+        Ah = 0.5 * (A0 + A1)
+        Qh = 0.5 * (Q0 + Q1)
+
+        # Phi_dot = A Phi from I: k1 = A0, later stages A (I + c k)
+        k2 = Ah + (0.5 * dt) * (Ah @ A0)
+        k3 = Ah + (0.5 * dt) * (Ah @ k2)
+        k4 = A1 + dt * (A1 @ k3)
+        Phi[s:e] = np.eye(n) + (dt / 6.0) * (A0 + 2.0 * (k2 + k3) + k4)
+
+        # the Lyapunov equation from P = 0: k1 = Q0
+        k2 = rate(Ah, Qh, (0.5 * dt) * Q0)
+        k3 = rate(Ah, Qh, (0.5 * dt) * k2)
+        k4 = rate(A1, Q1, dt * k3)
+        Q[s:e] = (dt / 6.0) * (Q0 + 2.0 * (k2 + k3) + k4)
+    return Phi, Q
+
+
+def propagate_covariance(lin: LinearizationHistory, P0) -> CovarianceHistory:
+    """Covariance at every grid point from the discrete LinCov recursion.
+
+    P_{k+1} = Phi_k P_k Phi_k^T + Q_k, with the step maps of
+    ``_step_maps``, is evaluated as a two-level blocked scan.  The steps
+    are split into blocks of about sqrt(count) steps; the maps of every
+    block are composed at once, in place, so that Phi[s + j] and Q[s + j]
+    carry the block's start covariance P_s to P_{s + j + 1}.  One short
+    sequential pass over the block starts then writes each block's
+    covariances in one batched product, symmetrized so that round-off
+    leaves no asymmetry.
     """
     P0 = np.asarray(P0, dtype=float)
     n = lin.A.shape[1]
@@ -108,29 +169,28 @@ def propagate_covariance(lin: LinearizationHistory, P0) -> CovarianceHistory:
     _check_sym_psd(P0, "P0")
 
     grid = lin.grid
-    dt = grid.dt
+    steps = grid.count - 1
     out = np.empty((grid.count, n, n))
     out[0] = 0.5 * (P0 + P0.T)
+    Phi, Q = _step_maps(lin)
 
-    def rate(A, Q, P):
-        # P symmetric makes A P + P A^T = S + S^T with S = A P
-        S = A @ P
-        return S + S.T + Q
+    size = math.isqrt(max(steps - 1, 0)) + 1
+    for j in range(1, size):
+        # offset j of every block; a short last block may end before j,
+        # so offset j - 1 is cut to the same blocks
+        F = Phi[j::size]
+        m = len(F)
+        C = Q[j - 1::size][:m]
+        Q[j::size] += F @ C @ F.transpose(0, 2, 1)
+        Phi[j::size] = F @ Phi[j - 1::size][:m]
 
-    Qs = np.einsum("kij,klj->kil", lin.B_n, lin.B_n)
-    A_half = 0.5 * (lin.A[:-1] + lin.A[1:])
-    Q_half = 0.5 * (Qs[:-1] + Qs[1:])
     P = out[0]
-    for k in range(grid.count - 1):
-        Ah = A_half[k]
-        Qh = Q_half[k]
-        k1 = rate(lin.A[k], Qs[k], P)
-        k2 = rate(Ah, Qh, P + 0.5 * dt * k1)
-        k3 = rate(Ah, Qh, P + 0.5 * dt * k2)
-        k4 = rate(lin.A[k + 1], Qs[k + 1], P + dt * k3)
-        P = P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        P = 0.5 * (P + P.T)
-        out[k + 1] = P
+    for s in range(0, steps, size):
+        e = min(s + size, steps)
+        F = Phi[s:e]
+        X = F @ P @ F.transpose(0, 2, 1) + Q[s:e]
+        out[s + 1:e + 1] = 0.5 * (X + X.transpose(0, 2, 1))
+        P = out[e]
     return CovarianceHistory(grid=grid, P=out)
 
 

@@ -247,6 +247,26 @@ def test_mc_compare_small_ensemble(tmp_path, capsys):
                                     "eta_x", "eta_y", "eta_z"}
 
 
+def test_timings_keys_mean_the_same_stages_in_validate_and_mc_compare(
+        tmp_path):
+    # lc_ms is the LinCov work after the nominal stage in every mode:
+    # linearize + covariance, plus the tube where one is built
+    scn = write_quad_scenario(tmp_path)
+    main(["validate", "--scenario", str(scn), "--out", str(tmp_path / "v")])
+    main(["mc-compare", "--scenario", str(scn), "--out", str(tmp_path / "m"),
+          "--runs", "100"])
+    val = json.loads((tmp_path / "v" / "timings.json").read_text())
+    mc = json.loads((tmp_path / "m" / "timings.json").read_text())
+    assert set(val) == {"nominal_ms", "linearize_ms", "covariance_ms",
+                        "tube_ms", "lc_ms", "collision_ms"}
+    assert set(mc) == {"nominal_ms", "linearize_ms", "covariance_ms",
+                       "lc_ms", "mc_ms"}
+    assert val["lc_ms"] == pytest.approx(
+        val["linearize_ms"] + val["covariance_ms"] + val["tube_ms"])
+    assert mc["lc_ms"] == pytest.approx(
+        mc["linearize_ms"] + mc["covariance_ms"])
+
+
 def test_mc_compare_rejects_tiny_ensembles(tmp_path, capsys):
     scn = write_quad_scenario(tmp_path)
     code = main(["mc-compare", "--scenario", str(scn),

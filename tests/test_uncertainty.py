@@ -1,8 +1,11 @@
 """Covariance propagation and the chi-squared quantile machinery.
 
-Oracles: mpmath's regularized incomplete gamma for the CDF, and closed
-forms of the Lyapunov ODE for constant coefficient matrices (linear
-growth for A = 0; scalar exponential relaxation for A = -a I).
+Oracles: mpmath's regularized incomplete gamma for the CDF; closed forms
+of the Lyapunov ODE for constant coefficient matrices (linear growth for
+A = 0, scalar exponential relaxation for A = -a I, and the elementwise
+solution in the eigenbasis of a non-diagonal A); an mpmath quadrature of
+the scalar solution for a time-varying A; and a plain step-by-step loop
+of the discrete recursion for its blocked evaluation.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from tubeplan.uncertainty import (
     build_tube,
     chi2_cdf,
     chi2_quantile,
+    _step_maps,
     propagate_covariance,
 )
 
@@ -129,6 +133,91 @@ def test_rk4_step_halving_shrinks_error_by_sixteen():
 
     e1, e2 = max_err(0.04), max_err(0.02)
     assert e1 / e2 == pytest.approx(16.0, rel=0.25)
+
+
+def test_nondiagonal_constant_system_matches_eigenbasis_closed_form():
+    # A = V diag(lam) V^-1 with real, distinct eigenvalues: in the
+    # eigenbasis, P~ = V^-1 P V^-T solves elementwise
+    # P~_ij(t) = e^{s t} P~0_ij + Q~_ij (e^{s t} - 1) / s, s = lam_i + lam_j
+    lam = np.array([-0.5, -1.2, 0.7])
+    V = np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5], [-0.6, 0.1, 1.0]])
+    Vinv = np.linalg.inv(V)
+    A = V @ np.diag(lam) @ Vinv
+    B = np.array([[0.8, 0.0], [0.3, 0.5], [-0.2, 0.7]])
+    P0 = np.array([[0.5, 0.1, -0.2], [0.1, 0.4, 0.05], [-0.2, 0.05, 0.3]])
+    lin = constant_lin(A, B, tf=1.5, dt=0.005)
+    cov = propagate_covariance(lin, P0)
+
+    Pt0 = Vinv @ P0 @ Vinv.T
+    Qt = Vinv @ (B @ B.T) @ Vinv.T
+    s = lam[:, None] + lam[None, :]
+    times = lin.grid.times()
+    for k in (1, 77, 150, 300):
+        grow = np.exp(s * times[k])
+        expect = V @ (grow * Pt0 + Qt * (grow - 1.0) / s) @ V.T
+        assert np.allclose(cov.P[k], expect, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 399, 400, 401, 521])
+def test_blocked_recursion_equals_the_step_by_step_loop(steps):
+    # blocks are ceil(sqrt(steps)) long: 399, 400 and 401 steps end a
+    # 20-step block one short, exactly, and one over; 521 is a prime
+    # larger than one chunk of step maps
+    rng = np.random.default_rng(steps)
+    n, m, dt = 4, 2, 0.01
+    grid = TimeGrid(0.0, steps * dt, dt)
+    assert grid.count == steps + 1
+    base = rng.normal(size=(n, n)) - 2.0 * np.eye(n)
+    A = base + 0.3 * rng.normal(size=(grid.count, n, n))
+    B = rng.normal(size=(grid.count, n, m))
+    G = rng.normal(size=(n, n))
+    P0 = G @ G.T
+    lin = LinearizationHistory(grid=grid, A=A, B_n=B)
+
+    Phi, Q = _step_maps(lin)
+    expect = [P0]
+    for F, Qk in zip(Phi, Q):
+        X = F @ expect[-1] @ F.T + Qk
+        expect.append(0.5 * (X + X.T))
+    expect = np.array(expect)
+
+    P = propagate_covariance(lin, P0).P
+    scale = float(np.max(np.abs(expect)))
+    assert float(np.max(np.abs(P - expect))) <= 1e-13 * scale
+
+
+def test_time_varying_jacobian_converges_at_second_order():
+    # a(t) = -1 - 0.8 cos 3t, b(t) = 1 + 0.5 sin 2t: the half-step A and
+    # B_n B_n^T are averages of the grid values, an O(dt^2) error, so
+    # halving dt divides the error by 4 (not by RK4's 16).  Exact:
+    # P(t) = e^{2 al(t)} v0 + int_0^t e^{2 (al(t) - al(s))} b(s)^2 ds,
+    # al(t) = -t - (0.8/3) sin 3t
+    v0 = 0.3
+    checks = (1.0, 2.0)
+
+    def alpha(t):
+        return -t - mpmath.mpf(0.8) / 3 * mpmath.sin(3 * t)
+
+    def exact(t):
+        t = mpmath.mpf(t)
+        tail = mpmath.quad(lambda s: mpmath.exp(2 * (alpha(t) - alpha(s)))
+                           * (1 + 0.5 * mpmath.sin(2 * s)) ** 2, [0, t])
+        return float(mpmath.exp(2 * alpha(t)) * v0 + tail)
+
+    expect = np.array([exact(t) for t in checks])
+
+    def max_err(dt):
+        grid = TimeGrid(0.0, checks[-1], dt)
+        t = grid.times()
+        lin = LinearizationHistory(
+            grid=grid, A=(-1.0 - 0.8 * np.cos(3.0 * t)).reshape(-1, 1, 1),
+            B_n=(1.0 + 0.5 * np.sin(2.0 * t)).reshape(-1, 1, 1))
+        P = propagate_covariance(lin, [[v0]]).P[:, 0, 0]
+        idx = [int(round(c / dt)) for c in checks]
+        return float(np.max(np.abs(P[idx] - expect)))
+
+    e1, e2 = max_err(0.02), max_err(0.01)
+    assert e1 / e2 == pytest.approx(4.0, rel=0.05)
 
 
 def test_propagation_validates_p0():
