@@ -31,8 +31,8 @@ from .geometry import (
     buffer_touch_distance,
     check_tube_collision,
 )
-from .simcore import TimeGrid, integrate_nominal, linearize
-from .uncertainty import Tube, build_tube, chi2_quantile, propagate_covariance
+from .simcore import TimeGrid
+from .uncertainty import Tube, build_tube, chi2_quantile, lincov
 from .vehicles import FixedWingPolylineProfile, PolylineProfile3D
 
 __all__ = [
@@ -610,12 +610,11 @@ def path_to_trajectory(path_xy, altitude, cruise_speed, vehicle="quadrotor",
 class TubeEvaluator:
     """Covariance pipeline bound to one vehicle and one time step.
 
-    ``tube_for_path`` runs nominal integration, finite-difference
-    linearization, covariance propagation and tube extraction for a
-    candidate planar path.  When no explicit initial state is given, one
-    is synthesized at the first waypoint heading along the first leg at
-    cruise speed (quadrotor: matched position/velocity; fixed-wing:
-    steady-flight trim).  ``P0`` defaults to zero, a deterministic start.
+    ``tube_for_path`` runs the LinCov chain (``lincov``) and tube
+    extraction for a candidate planar path.  When no explicit initial
+    state is given, the model's ``start_state`` on the path's reference
+    at t = 0 is used: the first waypoint, heading along the first leg at
+    cruise speed.  ``P0`` defaults to zero, a deterministic start.
     """
 
     model: object
@@ -642,22 +641,6 @@ class TubeEvaluator:
         # +0.0, never -0.0, for a zero P0: the buffer goes into buffers.json
         return math.sqrt(self.c2) * math.sqrt(lam) if lam > 0.0 else 0.0
 
-    def _initial_state_for(self, path, altitude, cruise_speed):
-        if self.initial_state is not None:
-            return np.asarray(self.initial_state, dtype=float)
-        leg = np.asarray(path[1], dtype=float) - np.asarray(path[0],
-                                                            dtype=float)
-        heading = math.atan2(leg[1], leg[0])
-        if self.model.name == "quadrotor":
-            x0 = np.zeros(self.model.n_states)
-            x0[0:2] = path[0]
-            x0[2] = altitude
-            x0[3] = cruise_speed * math.cos(heading)
-            x0[4] = cruise_speed * math.sin(heading)
-            return x0
-        return self.model.trim_state(path[0], altitude, cruise_speed,
-                                     heading)
-
     def tube_for_path(self, path_xy, altitude, cruise_speed):
         """(tube, nominal trajectory, covariance history) for a path."""
         des = path_to_trajectory(path_xy, altitude, cruise_speed,
@@ -665,11 +648,10 @@ class TubeEvaluator:
         if des.duration < 2.0 * self.dt:
             raise PlanningError("path is too short for the time grid")
         grid = TimeGrid(0.0, des.duration, self.dt)
-        x0 = self._initial_state_for(np.asarray(path_xy, dtype=float),
-                                     altitude, cruise_speed)
-        nominal = integrate_nominal(self.model, x0, des, grid)
-        lin = linearize(self.model, nominal, des)
-        cov = propagate_covariance(lin, self.P0)
+        x0 = (self.model.start_state(des(grid.t0))
+              if self.initial_state is None
+              else np.asarray(self.initial_state, dtype=float))
+        nominal, cov, _ = lincov(self.model, x0, des, grid, self.P0)
         tube = build_tube(nominal, cov, self.beta,
                           position_rows=self.model.position_rows)
         return tube, nominal, cov

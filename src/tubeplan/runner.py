@@ -21,8 +21,8 @@ import numpy as np
 from .geometry import check_tube_collision, overall_verdict
 from .planner import TubeEvaluator, dynamic_informed_rrt_star
 from .scenario import Scenario, parse_scenario
-from .simcore import integrate_nominal, linearize, mc_ensemble
-from .uncertainty import build_tube, propagate_covariance
+from .simcore import mc_ensemble
+from .uncertainty import build_tube, lincov
 
 __all__ = ["RunReport", "run_validate", "run_plan", "run_mc_compare"]
 
@@ -88,6 +88,12 @@ def _write_csv(path, header, columns):
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_variances(path, times, labels, variances):
+    """One ``var_<label>`` column per state, from a (count, n) array."""
+    _write_csv(path, ["t"] + [f"var_{s}" for s in labels],
+               [times] + [variances[:, i] for i in range(len(labels))])
 
 
 def _finite_or_none(x):
@@ -161,16 +167,7 @@ def run_validate(scenario: Scenario, out_dir, *, seed=None,
     model, profile, grid, x0, P0 = _prepare(sc)
     obstacles = sc.build_obstacles()
 
-    timings = {}
-    tic = time.perf_counter()
-    nominal = integrate_nominal(model, x0, profile, grid)
-    timings["nominal_ms"] = 1e3 * (time.perf_counter() - tic)
-    tic = time.perf_counter()
-    lin = linearize(model, nominal, profile)
-    timings["linearize_ms"] = 1e3 * (time.perf_counter() - tic)
-    tic = time.perf_counter()
-    cov = propagate_covariance(lin, P0)
-    timings["covariance_ms"] = 1e3 * (time.perf_counter() - tic)
+    nominal, cov, timings = lincov(model, x0, profile, grid, P0)
     tic = time.perf_counter()
     tube = build_tube(nominal, cov, sc.beta,
                       position_rows=model.position_rows)
@@ -185,9 +182,8 @@ def run_validate(scenario: Scenario, out_dir, *, seed=None,
     labels = list(model.state_labels)
     _write_csv(out / "nominal.csv", ["t"] + labels,
                [times] + [nominal.states[:, i] for i in range(len(labels))])
-    variances = np.diagonal(cov.P, axis1=1, axis2=2)
-    _write_csv(out / "variances.csv", ["t"] + [f"var_{s}" for s in labels],
-               [times] + [variances[:, i] for i in range(len(labels))])
+    _write_variances(out / "variances.csv", times, labels,
+                     np.diagonal(cov.P, axis1=1, axis2=2))
     _write_jsonl(out / "tube.jsonl", _tube_records(tube))
 
     report = RunReport(
@@ -283,16 +279,7 @@ def run_mc_compare(scenario: Scenario, out_dir, *, runs=10000,
     out.mkdir(parents=True, exist_ok=True)
     model, profile, grid, x0, P0 = _prepare(sc)
 
-    timings = {}
-    tic = time.perf_counter()
-    nominal = integrate_nominal(model, x0, profile, grid)
-    timings["nominal_ms"] = 1e3 * (time.perf_counter() - tic)
-    tic = time.perf_counter()
-    lin = linearize(model, nominal, profile)
-    timings["linearize_ms"] = 1e3 * (time.perf_counter() - tic)
-    tic = time.perf_counter()
-    cov = propagate_covariance(lin, P0)
-    timings["covariance_ms"] = 1e3 * (time.perf_counter() - tic)
+    _, cov, timings = lincov(model, x0, profile, grid, P0)
     timings["lc_ms"] = timings["linearize_ms"] + timings["covariance_ms"]
     tic = time.perf_counter()
     mc_mean, mc_cov = mc_ensemble(model, x0, profile, grid, runs=runs,
@@ -317,12 +304,8 @@ def run_mc_compare(scenario: Scenario, out_dir, *, runs=10000,
             pos_max = max(pos_max, dev)
 
     times = grid.times()
-    _write_csv(out / "lc_variances.csv",
-               ["t"] + [f"var_{s}" for s in labels],
-               [times] + [lc_var[:, i] for i in range(len(labels))])
-    _write_csv(out / "mc_variances.csv",
-               ["t"] + [f"var_{s}" for s in labels],
-               [times] + [mc_var[:, i] for i in range(len(labels))])
+    _write_variances(out / "lc_variances.csv", times, labels, lc_var)
+    _write_variances(out / "mc_variances.csv", times, labels, mc_var)
     deviation = {"channels": channels,
                  "position_max_rel_dev": pos_max,
                  "runs": int(runs)}

@@ -148,14 +148,12 @@ class Scenario:
         return TimeGrid(g["t0"], g["tf"], g["dt"])
 
     def build_model(self):
-        overrides = self.data["vehicle"]["params"]
-        if self.vehicle == "quadrotor":
-            return QuadrotorModel(QuadrotorParams(**{
-                k: np.asarray(v, dtype=float) if isinstance(v, list) else v
-                for k, v in overrides.items()}))
-        return FixedWingModel(FixedWingParams(**{
+        model, params = ((QuadrotorModel, QuadrotorParams)
+                         if self.vehicle == "quadrotor"
+                         else (FixedWingModel, FixedWingParams))
+        return model(params(**{
             k: np.asarray(v, dtype=float) if isinstance(v, list) else v
-            for k, v in overrides.items()}))
+            for k, v in self.data["vehicle"]["params"].items()}))
 
     def build_profile(self):
         spec = self.data["desired_trajectory"]
@@ -230,7 +228,8 @@ class Scenario:
         return np.diag(diag)
 
     def initial_state(self, model, profile):
-        """Explicit initial state, or one synthesized from the profile."""
+        """Explicit initial state, or the model's start state on the
+        profile at t0."""
         spec = self.data["initial_state"]
         if spec != "auto":
             x0 = np.asarray(spec, dtype=float)
@@ -238,16 +237,7 @@ class Scenario:
                 _fail("initial_state",
                       f"must have length {model.n_states}")
             return x0
-        t0 = self.data["grid"]["t0"]
-        ref = profile(t0)
-        if model.name == "quadrotor":
-            x0 = np.zeros(model.n_states)
-            x0[0:3] = ref.r
-            x0[3:6] = ref.rdot
-            return x0
-        speed = float(np.linalg.norm(ref.etadot))
-        heading = math.atan2(ref.etadot[1], ref.etadot[0])
-        return model.trim_state(ref.eta, ref.h, speed, heading)
+        return model.start_state(profile(self.data["grid"]["t0"]))
 
     # -- serialization -----------------------------------------------------
 

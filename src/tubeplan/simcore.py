@@ -63,11 +63,10 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """States sampled on a grid, tagged with the model that produced them."""
+    """States sampled on a grid."""
 
     grid: TimeGrid
     states: np.ndarray
-    model: str
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)
@@ -156,8 +155,7 @@ def integrate_nominal(model, x0, des, grid):
     if x0.shape != (model.n_states,):
         raise ValueError(f"x0 must have shape ({model.n_states},)")
     refs = _step_refs(des, grid, rk4=True)
-    return Trajectory(grid=grid, states=list(_steps(model, x0, grid, refs)),
-                      model=model.name)
+    return Trajectory(grid=grid, states=list(_steps(model, x0, grid, refs)))
 
 
 # grid points linearized per batched model call: large enough that numpy
@@ -229,7 +227,7 @@ def mc_run(model, x0, des, grid, seed):
     noise = _noise_stream(seed, model.n_noise, grid.dt)(grid.count - 1)
     refs = _step_refs(des, grid, rk4=False)
     states = _steps(model, np.asarray(x0, dtype=float), grid, refs, noise)
-    return Trajectory(grid=grid, states=list(states), model=model.name)
+    return Trajectory(grid=grid, states=list(states))
 
 
 def _pass_noise(seeds, steps, m, dt):
@@ -308,7 +306,7 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
 
     from .uncertainty import CovarianceHistory  # deferred: avoids an import cycle
 
-    mean_traj = Trajectory(grid=grid, states=mean, model=model.name)
+    mean_traj = Trajectory(grid=grid, states=mean)
     cov_hist = CovarianceHistory(grid=grid, P=cov)
     if recorded is not None:
         return mean_traj, cov_hist, recorded

@@ -25,18 +25,26 @@ requested confidence level.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketError
-from .simcore import TimeGrid, Trajectory, LinearizationHistory
+from .simcore import (
+    LinearizationHistory,
+    TimeGrid,
+    Trajectory,
+    integrate_nominal,
+    linearize,
+)
 
 __all__ = [
     "CovarianceHistory",
     "ConfidenceEllipsoid",
     "Tube",
     "propagate_covariance",
+    "lincov",
     "chi2_cdf",
     "chi2_quantile",
     "build_tube",
@@ -192,6 +200,27 @@ def propagate_covariance(lin: LinearizationHistory, P0) -> CovarianceHistory:
         out[s + 1:e + 1] = 0.5 * (X + X.transpose(0, 2, 1))
         P = out[e]
     return CovarianceHistory(grid=grid, P=out)
+
+
+def lincov(model, x0, des, grid, P0):
+    """The LinCov chain: nominal, linearization, covariance, each timed.
+
+    Returns ``(nominal, cov, timings)``, where ``timings`` holds the wall
+    time of each stage in ms under ``nominal_ms``, ``linearize_ms`` and
+    ``covariance_ms``.  The stages are called through this module's
+    names, so a wrapper installed on them sees every call.
+    """
+    timings = {}
+    tic = time.perf_counter()
+    nominal = integrate_nominal(model, x0, des, grid)
+    timings["nominal_ms"] = 1e3 * (time.perf_counter() - tic)
+    tic = time.perf_counter()
+    lin = linearize(model, nominal, des)
+    timings["linearize_ms"] = 1e3 * (time.perf_counter() - tic)
+    tic = time.perf_counter()
+    cov = propagate_covariance(lin, P0)
+    timings["covariance_ms"] = 1e3 * (time.perf_counter() - tic)
+    return nominal, cov, timings
 
 
 # --- chi-squared CDF and quantile ------------------------------------------

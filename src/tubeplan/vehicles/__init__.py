@@ -1,11 +1,5 @@
 """Vehicle models, gust filters and desired-trajectory providers."""
 
-from .dryden import (
-    FixedWingGustFilters,
-    fixedwing_filters,
-    longitudinal_coeffs,
-    transverse_coeffs,
-)
 from .fixedwing import FixedWingModel, FixedWingParams
 from .quadrotor import QuadrotorModel, QuadrotorParams
 from .reference import (
@@ -18,7 +12,6 @@ from .reference import (
 )
 
 __all__ = [
-    "FixedWingGustFilters",
     "FixedWingModel",
     "FixedWingParams",
     "FixedWingPolylineProfile",
@@ -29,7 +22,4 @@ __all__ = [
     "QuadrotorParams",
     "QuadrotorRef",
     "ascent_cruise_descent",
-    "fixedwing_filters",
-    "longitudinal_coeffs",
-    "transverse_coeffs",
 ]

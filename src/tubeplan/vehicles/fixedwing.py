@@ -31,23 +31,16 @@ white-noise feedthrough of the coloring filters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ModelDomainError
 from .dryden import longitudinal, transverse
-from .elementwise import BatchMath, math_for, split
+from .elementwise import math_for, split
 
-__all__ = [
-    "FixedWingParams",
-    "FixedWingModel",
-    "inner_loop",
-    "outer_longitudinal",
-    "outer_lateral",
-    "wind_to_inertial",
-    "EPS_SING",
-]
+__all__ = ["FixedWingParams", "FixedWingModel", "EPS_SING"]
 
 EPS_SING = 1e-6          # singularity guard on V, cos(gamma), V_des
 _ASIN_CLAMP = 1.0 - 1e-9  # keeps the commanded flight-path angle off +/-90 deg
@@ -93,20 +86,12 @@ class FixedWingParams:
             raise ValueError("gust length scales must be positive")
 
 
-def inner_loop(V, gamma, psi, psi_des, V_des, gamma_des, params):
+def _inner_loop(V, cg, sg, gamma, psi, psi_des, V_des, gamma_des, p):
     """Bank angle, lift coefficient and commanded thrust.
 
     Feedforward terms hold steady flight at the current (V, gamma);
     proportional corrections steer toward the outer-loop commands.
     """
-    V = np.asarray(V, dtype=float)
-    if not np.all(V > EPS_SING):
-        raise ModelDomainError("inner loop needs airspeed > 0")
-    return _inner_loop(V, np.cos(gamma), np.sin(gamma), gamma, psi,
-                       psi_des, V_des, gamma_des, params)
-
-
-def _inner_loop(V, cg, sg, gamma, psi, psi_des, V_des, gamma_des, p):
     qS = p.S * (V * V) * p.rho
     # in these axes a positive bank drives psi_dot negative (the lift
     # term enters psi_dot with a minus sign), so the heading error must
@@ -121,45 +106,24 @@ def _inner_loop(V, cg, sg, gamma, psi, psi_des, V_des, gamma_des, p):
     return mu, C_L, T_des
 
 
-def outer_longitudinal(h, V, h_des, hdot_des, kappa):
+def _outer_longitudinal(xp, h, V, h_des, hdot_des, kappa):
     """Commanded flight-path angle from the altitude error dynamics.
 
-    The arcsine argument is clamped to 1 - 1e-9 in magnitude so that an
+    The arcsine argument is clamped to 1 - 1e-9 in magnitude, so an
     unreachable climb command saturates instead of leaving the domain.
     """
-    V = np.asarray(V, dtype=float)
-    if not np.all(V > EPS_SING):
-        raise ModelDomainError("longitudinal outer loop needs airspeed > 0")
-    return _outer_longitudinal(BatchMath, h, V, h_des, hdot_des, kappa)
-
-
-def _outer_longitudinal(xp, h, V, h_des, hdot_des, kappa):
     arg = (hdot_des - kappa * (h - h_des)) / V
     return xp.asin(xp.clip(arg, -_ASIN_CLAMP, _ASIN_CLAMP))
 
 
-def outer_lateral(x, y, V, psi, gamma, V_des, psi_des,
-                  eta_des, etadot_des, etaddot_des, params):
-    """Rates of the desired-speed and desired-heading states.
-
-    Solves A [Vdot_des, psidot_des]^T = etaddot_des - kappa edot - Lam_f S
-    where e is the lateral track error and S = edot + kappa e.  A becomes
-    singular at |cos(gamma)| = 0 or V_des = 0, which is rejected.
-    """
-    cg = np.cos(gamma)
-    V_des = np.asarray(V_des, dtype=float)
-    if not np.all(np.abs(cg) > EPS_SING):
-        raise ModelDomainError("lateral outer loop singular near vertical flight")
-    if not np.all(V_des > EPS_SING):
-        raise ModelDomainError("lateral outer loop needs desired speed > 0")
-    return _outer_lateral(
-        BatchMath, x, y, V, cg, np.cos(psi), np.sin(psi), V_des,
-        np.cos(psi_des), np.sin(psi_des),
-        split(eta_des), split(etadot_des), split(etaddot_des), params)
-
-
 def _outer_lateral(xp, x, y, V, cg, cpsi, spsi, V_des, cpd, spd,
                    eta_des, etadot_des, etaddot_des, p):
+    """Rates of the desired-speed and desired-heading states.
+
+    Solves A [Vdot_des, psidot_des]^T = etaddot_des - kappa edot - Lam_f S,
+    where e is the lateral track error and S = edot + kappa e.  A is
+    singular at cos(gamma) = 0 or V_des = 0, which ``deriv`` rejects.
+    """
     # eta_des, etadot_des, etaddot_des are (x, y) component pairs
     e1 = x - eta_des[0]
     e2 = y - eta_des[1]
@@ -181,18 +145,12 @@ def _outer_lateral(xp, x, y, V, cg, cpsi, spsi, V_des, cpd, spd,
     return vdot_des, psidot_des
 
 
-def wind_to_inertial(w_u, w_w, w_v, psi, gamma, mu):
+def _wind_to_inertial(w_u, w_w, w_v, cpsi, spsi, cg, sg, cmu, smu):
     """Rotate a wind-axes vector (u, w, v components) to inertial axes.
 
-    Equal to the composition Rz(psi) @ Ry(gamma) @ Rx(-mu) applied to
-    (w_u, w_w, w_v); norm preserving.
+    Equal to Rz(psi) @ Ry(gamma) @ Rx(-mu) applied to (w_u, w_w, w_v),
+    given the cosines and sines of the three angles; norm preserving.
     """
-    return _wind_to_inertial(w_u, w_w, w_v, np.cos(psi), np.sin(psi),
-                             np.cos(gamma), np.sin(gamma),
-                             np.cos(mu), np.sin(mu))
-
-
-def _wind_to_inertial(w_u, w_w, w_v, cpsi, spsi, cg, sg, cmu, smu):
     w_x = w_u * cg * cpsi - w_w * (cmu * spsi + cpsi * sg * smu) \
         - w_v * (smu * spsi - cmu * cpsi * sg)
     w_y = w_v * (cpsi * smu + cmu * sg * spsi) \
@@ -316,3 +274,10 @@ class FixedWingModel:
         x0[7] = speed
         x0[8] = heading
         return x0
+
+    def start_state(self, ref):
+        """Steady flight on the reference sample ``ref``: trimmed on its
+        track point and altitude, at its ground speed and course."""
+        speed = float(np.linalg.norm(ref.etadot))
+        heading = math.atan2(ref.etadot[1], ref.etadot[0])
+        return self.trim_state(ref.eta, ref.h, speed, heading)

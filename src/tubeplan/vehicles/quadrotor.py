@@ -141,3 +141,11 @@ class QuadrotorModel:
             a_y * eta_y + n_y,
             a_z * eta_z + n_z,
         ], x)
+
+    def start_state(self, ref):
+        """State on the reference sample ``ref``: its position and
+        velocity, with calm gust filters."""
+        x0 = np.zeros(self.n_states)
+        x0[0:3] = ref.r
+        x0[3:6] = ref.rdot
+        return x0

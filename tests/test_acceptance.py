@@ -43,7 +43,8 @@ from tubeplan.uncertainty import (
     propagate_covariance,
 )
 from tubeplan.vehicles import QuadrotorModel, QuadrotorParams
-from tubeplan.vehicles.dryden import longitudinal_coeffs
+from tubeplan.vehicles.dryden import longitudinal
+from tubeplan.vehicles.elementwise import BatchMath
 
 
 def _criterion(n, ok, detail):
@@ -582,7 +583,7 @@ class _GustChannel:
     n_noise = 1
 
     def __init__(self, V, sigma, length):
-        self.a, self.c = longitudinal_coeffs(V, sigma, length)
+        self.a, self.c = longitudinal(BatchMath, V, sigma, length)
 
     def deriv(self, x, ref, noise):
         return self.a * np.asarray(x, dtype=float) \

@@ -4,7 +4,9 @@ The filters are meant to deliver a stationary output variance of exactly
 sigma^2 per channel when driven by unit-intensity white noise.  The
 oracle solves the stationary Lyapunov equation A P + P A^T + B B^T = 0
 independently (vectorized via the Kronecker identity) and checks
-C P C^T against sigma^2.
+C P C^T against sigma^2.  The kernels are called as ``deriv`` calls them
+on a batch, in the numpy namespace; the airspeed domain is checked by
+each model's ``deriv`` (see the models' domain-error tests).
 """
 
 from __future__ import annotations
@@ -13,13 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tubeplan.errors import ModelDomainError
-from tubeplan.vehicles import (
-    FixedWingParams,
-    fixedwing_filters,
-    longitudinal_coeffs,
-    transverse_coeffs,
-)
+from tubeplan.vehicles.dryden import longitudinal, transverse
+from tubeplan.vehicles.elementwise import BatchMath
 
 
 def stationary_lyapunov(A, B):
@@ -38,7 +35,7 @@ positive = st.floats(min_value=0.5, max_value=60.0)
 @given(V=positive, sigma=st.floats(min_value=0.0, max_value=5.0),
        L=positive)
 def test_longitudinal_coeffs_formulas(V, sigma, L):
-    a, c = longitudinal_coeffs(V, sigma, L)
+    a, c = longitudinal(BatchMath, V, sigma, L)
     assert a == pytest.approx(-V / L)
     assert c == pytest.approx(sigma * np.sqrt(2.0 * V / L))
 
@@ -46,7 +43,7 @@ def test_longitudinal_coeffs_formulas(V, sigma, L):
 @given(V=positive, sigma=st.floats(min_value=0.01, max_value=5.0),
        L=positive)
 def test_longitudinal_stationary_variance_is_sigma_squared(V, sigma, L):
-    a, c = longitudinal_coeffs(V, sigma, L)
+    a, c = longitudinal(BatchMath, V, sigma, L)
     P = stationary_lyapunov([[a]], [[1.0]])
     var_w = c * P[0, 0] * c
     assert var_w == pytest.approx(sigma**2, rel=1e-12)
@@ -55,7 +52,7 @@ def test_longitudinal_stationary_variance_is_sigma_squared(V, sigma, L):
 @given(V=positive, sigma=st.floats(min_value=0.01, max_value=5.0),
        L=positive)
 def test_transverse_stationary_variance_is_sigma_squared(V, sigma, L):
-    a1, a2, c1, c2 = transverse_coeffs(V, sigma, L)
+    a1, a2, c1, c2 = transverse(BatchMath, V, sigma, L)
     A = np.array([[a1, a2], [1.0, 0.0]])
     C = np.array([c1, c2])
     P = stationary_lyapunov(A, [[1.0], [0.0]])
@@ -69,41 +66,14 @@ def test_transverse_stationary_variance_is_sigma_squared(V, sigma, L):
        L=positive)
 def test_stationary_variance_is_airspeed_independent(V, sigma, L):
     """The calibration must hold at every airspeed, not just one."""
-    a, c = longitudinal_coeffs(V, sigma, L)
+    a, c = longitudinal(BatchMath, V, sigma, L)
     assert c**2 / (2.0 * abs(a)) == pytest.approx(sigma**2, rel=1e-12)
 
 
 def test_coeffs_broadcast_over_airspeed():
     V = np.array([5.0, 10.0, 20.0])
-    a, c = longitudinal_coeffs(V, 1.2, 50.0)
+    a, c = longitudinal(BatchMath, V, 1.2, 50.0)
     assert a.shape == c.shape == (3,)
     for k, v in enumerate(V):
-        ak, ck = longitudinal_coeffs(float(v), 1.2, 50.0)
+        ak, ck = longitudinal(BatchMath, float(v), 1.2, 50.0)
         assert a[k] == ak and c[k] == ck
-
-
-def test_nonpositive_airspeed_rejected():
-    with pytest.raises(ModelDomainError):
-        longitudinal_coeffs(0.0, 1.0, 50.0)
-    with pytest.raises(ModelDomainError):
-        transverse_coeffs(np.array([5.0, -1.0]), 1.0, 50.0)
-
-
-def test_fixedwing_filters_match_per_channel_coeffs():
-    params = FixedWingParams(sigma_u=0.7, sigma_w=1.3, sigma_v=0.4,
-                             L_u=30.0, L_w=45.0, L_v=60.0)
-    V = 18.0
-    f = fixedwing_filters(V, params)
-    a_u, c_u = longitudinal_coeffs(V, params.sigma_u, params.L_u)
-    assert f.A_u == pytest.approx(a_u)
-    assert f.C_u == pytest.approx(c_u)
-    assert f.B_u == 1.0
-    for (A, B, C, sigma, L) in (
-            (f.A_w, f.B_w, f.C_w, params.sigma_w, params.L_w),
-            (f.A_v, f.B_v, f.C_v, params.sigma_v, params.L_v)):
-        a1, a2, c1, c2 = transverse_coeffs(V, sigma, L)
-        assert np.allclose(A, [[a1, a2], [1.0, 0.0]])
-        assert np.allclose(B, [1.0, 0.0])
-        assert np.allclose(C, [c1, c2])
-        var_w = C @ stationary_lyapunov(A, B.reshape(2, 1)) @ C
-        assert var_w == pytest.approx(sigma**2, rel=1e-10)

@@ -20,12 +20,13 @@ from tubeplan.vehicles import (
     FixedWingRef,
     LateralSinusoidProfile,
 )
+from tubeplan.vehicles.elementwise import BatchMath, split
 from tubeplan.vehicles.fixedwing import (
     EPS_SING,
-    inner_loop,
-    outer_lateral,
-    outer_longitudinal,
-    wind_to_inertial,
+    _inner_loop,
+    _outer_lateral,
+    _outer_longitudinal,
+    _wind_to_inertial,
 )
 
 
@@ -71,23 +72,23 @@ def test_trim_rejects_zero_speed():
 
 
 # --------------------------------------------------------------------------
-# controller pieces
+# controller pieces: the unchecked kernels that deriv runs, called on
+# angles as deriv calls them (its domain checks are tested below)
 
 
 def test_outer_longitudinal_clamps_unreachable_climbs():
     # a climb command faster than the airspeed saturates at +-90 degrees
-    g = outer_longitudinal(100.0, 10.0, 200.0, 50.0, kappa=0.5)
+    g = _outer_longitudinal(BatchMath, 100.0, 10.0, 200.0, 50.0, kappa=0.5)
     assert g == pytest.approx(np.arcsin(1.0 - 1e-9))
-    g2 = outer_longitudinal(100.0, 10.0, 90.0, 0.0, kappa=0.5)
+    g2 = _outer_longitudinal(BatchMath, 100.0, 10.0, 90.0, 0.0, kappa=0.5)
     assert g2 == pytest.approx(np.arcsin(-0.5))
-    with pytest.raises(ModelDomainError):
-        outer_longitudinal(100.0, 0.0, 100.0, 0.0, kappa=0.5)
 
 
 def test_inner_loop_feedforward_holds_steady_flight():
     p = FixedWingParams()
     V, gamma = 20.0, 0.0
-    mu, C_L, T_des = inner_loop(V, gamma, 0.3, 0.3, V, gamma, p)
+    mu, C_L, T_des = _inner_loop(V, np.cos(gamma), np.sin(gamma), gamma,
+                                 0.3, 0.3, V, gamma, p)
     assert mu == 0.0
     qS = p.rho * p.S * V**2
     assert C_L == pytest.approx(2.0 * p.m * p.g / qS)
@@ -102,7 +103,9 @@ def test_inner_loop_bank_opposes_heading_error():
     psi < psi_des needs mu < 0 for psi_dot > 0.
     """
     p = FixedWingParams()
-    mu, _, _ = inner_loop(20.0, 0.0, 0.0, 0.2, 20.0, 0.0, p)
+    gamma = 0.0
+    mu, _, _ = _inner_loop(20.0, np.cos(gamma), np.sin(gamma), gamma,
+                           0.0, 0.2, 20.0, 0.0, p)
     assert mu < 0.0
     model = FixedWingModel(p)
     x0 = model.trim_state((0.0, 0.0), 100.0, 20.0, 0.0)
@@ -115,23 +118,21 @@ def test_inner_loop_bank_opposes_heading_error():
 def test_outer_lateral_is_zero_on_a_matched_track():
     p = FixedWingParams()
     V = 18.0
-    vdot, psidot = outer_lateral(
-        0.0, 0.0, V, 0.0, 0.0, V, 0.0,
-        np.array([0.0, 0.0]), np.array([V, 0.0]), np.zeros(2), p)
+    psi = gamma = psi_des = 0.0
+    vdot, psidot = _outer_lateral(
+        BatchMath, 0.0, 0.0, V, np.cos(gamma), np.cos(psi), np.sin(psi), V,
+        np.cos(psi_des), np.sin(psi_des),
+        split(np.array([0.0, 0.0])), split(np.array([V, 0.0])),
+        split(np.zeros(2)), p)
     assert vdot == pytest.approx(0.0, abs=1e-12)
     assert psidot == pytest.approx(0.0, abs=1e-12)
 
 
-def test_outer_lateral_rejects_singular_configurations():
-    p = FixedWingParams()
-    eta = np.zeros(2)
-    etadot = np.array([10.0, 0.0])
-    with pytest.raises(ModelDomainError):
-        outer_lateral(0, 0, 10.0, 0.0, np.pi / 2, 10.0, 0.0,
-                      eta, etadot, np.zeros(2), p)
-    with pytest.raises(ModelDomainError):
-        outer_lateral(0, 0, 10.0, 0.0, 0.0, 0.0, 0.0,
-                      eta, etadot, np.zeros(2), p)
+def wind_to_inertial(w_u, w_w, w_v, psi, gamma, mu):
+    """The rotation kernel on angles, as deriv calls it on their cos/sin."""
+    return _wind_to_inertial(w_u, w_w, w_v, np.cos(psi), np.sin(psi),
+                             np.cos(gamma), np.sin(gamma),
+                             np.cos(mu), np.sin(mu))
 
 
 def test_wind_rotation_preserves_norm_and_reduces_at_identity():
@@ -376,7 +377,7 @@ def test_finite_difference_jacobians_match_symbolic(offset):
 
     grid = TimeGrid(0.0, 0.01, 0.01)
     states = np.vstack([x0, x0])
-    nominal = Trajectory(grid=grid, states=states, model=model.name)
+    nominal = Trajectory(grid=grid, states=states)
     lin = linearize(model, nominal, lambda t: ref)
 
     f, x, nsym = _symbolic_closed_loop(p, ref_vals)

@@ -1,0 +1,62 @@
+"""Source hygiene: every import in src/, tests/ and scripts/ is used.
+
+A name counts as used when the module reads it anywhere (as a name or as
+the base of an attribute chain) or lists it in its ``__all__``.  The
+check reads each file's syntax tree with the standard library ``ast``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+CHECKED = ("src", "tests", "scripts")
+
+
+def _imported(tree):
+    """(bound name, line) of every import outside ``__future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    return [(name, line) for name, line in _imported(tree)
+            if name not in used]
+
+
+def test_the_checker_flags_an_unused_import(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import math\nimport os.path\nfrom json import dumps, loads"
+                    "\nfrom re import sub as substitute\n"
+                    "__all__ = ['loads']\nprint(os.path.sep)\n")
+    assert unused_imports(path) == [("math", 1), ("dumps", 3),
+                                    ("substitute", 4)]
+
+
+@pytest.mark.parametrize("top", CHECKED)
+def test_no_unused_imports(top):
+    found = [f"{path.relative_to(REPO)}:{line}: {name}"
+             for path in sorted((REPO / top).rglob("*.py"))
+             for name, line in unused_imports(path)]
+    assert not found, "unused imports:\n" + "\n".join(found)

@@ -27,6 +27,7 @@ from tubeplan.planner import (
     path_to_trajectory,
     sample_ellipse,
 )
+from tubeplan.scenario import SCHEMA_VERSION, parse_scenario
 from tubeplan.uncertainty import chi2_quantile
 from tubeplan.vehicles import QuadrotorModel
 
@@ -450,6 +451,32 @@ def test_tube_for_path_synthesizes_a_matched_start():
     assert len(tube) == nominal.grid.count
     # gusts pump variance into the tube
     assert np.trace(tube.sigmas[-1]) > np.trace(tube.sigmas[0])
+
+
+@pytest.mark.parametrize("vehicle, speed", [("quadrotor", 5.0),
+                                            ("fixedwing", 18.0)])
+def test_planner_start_equals_the_scenario_start_on_the_same_waypoints(
+        vehicle, speed):
+    # a first leg on which heading-and-speed and the profile's own first
+    # velocity differ in the last bit: one rule must give both starts
+    path = [(0.0, 0.0), (30.0, 40.0), (60.0, 40.0)]
+    altitude, dt = 10.0, 0.02
+    if vehicle == "quadrotor":
+        trajectory = {"points": [[x, y, altitude] for x, y in path]}
+    else:
+        trajectory = {"points": [list(p) for p in path], "altitude": altitude}
+    sc = parse_scenario({
+        "schema_version": SCHEMA_VERSION,
+        "vehicle": {"type": vehicle, "params": {}},
+        "grid": {"t0": 0.0, "tf": 1.0, "dt": dt},
+        "desired_trajectory": {"profile": "waypoints", "speed": speed,
+                               **trajectory},
+    })
+    model = sc.build_model()
+    expected = sc.initial_state(model, sc.build_profile())
+    ev = TubeEvaluator(model=model, dt=dt, beta=0.999)
+    _, nominal, _ = ev.tube_for_path(path, altitude, speed)
+    assert nominal.states[0].tolist() == expected.tolist()
 
 
 def test_comp_obs_dist_caps_at_the_current_buffer():

@@ -13,7 +13,8 @@ from tubeplan.vehicles import (
     QuadrotorParams,
     QuadrotorRef,
 )
-from tubeplan.vehicles.dryden import longitudinal_coeffs
+from tubeplan.vehicles.dryden import longitudinal
+from tubeplan.vehicles.elementwise import BatchMath
 
 
 def make_ref(r, rdot, rddot=(0.0, 0.0, 0.0), t=0.0):
@@ -159,7 +160,7 @@ def test_gust_state_shifts_drag_through_relative_velocity():
     x_gust = x.copy()
     x_gust[6] = 1.0                       # along-track gust state
     gusty = model.deriv(x_gust, ref, np.zeros(3))
-    _, c = longitudinal_coeffs(2.0, params.sigma[0], params.L[0])
+    _, c = longitudinal(BatchMath, 2.0, params.sigma[0], params.L[0])
     vq = 2.0 - c * 1.0                    # relative airspeed along x
     k_drag = 0.5 * params.rho * params.S * params.C_D / params.m
     expect_ax = base[3] + k_drag * (2.0 * abs(2.0) * 2.0

@@ -109,7 +109,7 @@ def test_time_grid_validation():
 def test_trajectory_checks_grid_length():
     grid = TimeGrid(0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        Trajectory(grid=grid, states=np.zeros((2, 3)), model="toy")
+        Trajectory(grid=grid, states=np.zeros((2, 3)))
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_linearize_recovers_exact_jacobians_of_a_linear_system():
     model = LinearModel(A, B)
     grid = TimeGrid(0.0, 0.5, 0.1)
     states = np.linspace(-1.0, 1.0, grid.count * 3).reshape(grid.count, 3)
-    nominal = Trajectory(grid=grid, states=states, model=model.name)
+    nominal = Trajectory(grid=grid, states=states)
     lin = linearize(model, nominal, toy_des)
     assert lin.A.shape == (grid.count, 3, 3)
     assert lin.B_n.shape == (grid.count, 3, 2)
@@ -208,7 +208,7 @@ def test_linearize_covers_more_grid_points_than_one_block():
     model = LinearModel(A, B)
     grid = TimeGrid(0.0, 6.0, 0.01)
     states = np.ones((grid.count, 1))
-    nominal = Trajectory(grid=grid, states=states, model=model.name)
+    nominal = Trajectory(grid=grid, states=states)
     lin = linearize(model, nominal, toy_des)
     assert np.allclose(lin.A[:, 0, 0], -0.3, atol=1e-9)
     assert np.allclose(lin.B_n[:, 0, 0], 1.0, atol=1e-9)
@@ -218,7 +218,7 @@ def test_linearize_domain_error_names_the_failing_time():
     model = GuardedModel([[0.0]], [[1.0]], limit=2.0)
     grid = TimeGrid(0.0, 1.0, 0.1)
     states = np.linspace(0.0, 3.0, grid.count)[:, None]
-    nominal = Trajectory(grid=grid, states=states, model=model.name)
+    nominal = Trajectory(grid=grid, states=states)
     with pytest.raises(ModelDomainError, match="t="):
         linearize(model, nominal, toy_des)
 

@@ -10,14 +10,11 @@ of the discrete recursion for its blocked evaluation.
 
 from __future__ import annotations
 
-import math
-
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tubeplan.errors import BracketError
 from tubeplan.simcore import LinearizationHistory, TimeGrid, Trajectory
 from tubeplan.uncertainty import (
     CovarianceHistory,
@@ -258,7 +255,7 @@ def test_build_tube_extracts_position_marginal():
     P = np.zeros((grid.count, 4, 4))
     for k in range(grid.count):
         P[k] = np.diag([1.0, 2.0, 3.0, 4.0]) * (k + 1)
-    nominal = Trajectory(grid=grid, states=states, model="quadrotor")
+    nominal = Trajectory(grid=grid, states=states)
     cov = CovarianceHistory(grid=grid, P=P)
     tube = build_tube(nominal, cov, 0.999, position_rows=(0, 1, 2))
     assert len(tube) == grid.count
@@ -275,7 +272,7 @@ def test_build_tube_validates_inputs():
     grid = TimeGrid(0.0, 0.1, 0.05)
     other = TimeGrid(0.0, 0.2, 0.05)
     states = np.zeros((grid.count, 4))
-    nominal = Trajectory(grid=grid, states=states, model="quadrotor")
+    nominal = Trajectory(grid=grid, states=states)
     cov_other = CovarianceHistory(
         grid=other, P=np.zeros((other.count, 4, 4)))
     with pytest.raises(ValueError):
