@@ -1,11 +1,18 @@
 #!/usr/bin/env python
-"""Run the dynamic planner demo and print buffer/cost evolution."""
+"""Run the dynamic planner demo and print buffer/cost evolution.
+
+Exits with the code ``tubeplan plan`` would give: 0 clear, 2 on a
+collision or on buffers still growing at the round cap, 1 when no path
+is found.
+"""
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from tubeplan import load_scenario, run_plan
+from tubeplan.cli import exit_code
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO = REPO / "scenarios" / "quadrotor_three_obstacles.json"
@@ -21,25 +28,29 @@ def main():
 
     scenario = load_scenario(SCENARIO)
     report = run_plan(scenario, args.out, seed=args.seed)
+    extras = report.extras
     print(f"{report.scenario_name}: verdict={report.verdict} "
-          f"({report.timings_ms['plan_ms']:.0f} ms)")
+          f"({report.timings_ms['plan_ms']:.0f} ms, "
+          f"{extras['outer_iterations']} rounds, "
+          f"converged={extras['converged']})")
     buffers = json.loads((Path(args.out) / "buffers.json").read_text())
     for k, snap in enumerate(buffers):
         row = ", ".join(f"{oid}={val:.3f}" for oid, val in sorted(snap.items()))
         print(f"  round {k}: buffers {row}")
-    costs = report.extras["cost_history"]
+    costs = extras["cost_history"]
     print("  best cost per round: "
           + ", ".join("inf" if c is None else f"{c:.2f}" for c in costs))
     if report.verdict != "error":
-        print(f"  path length {report.extras['path_length']:.2f} m over "
-              f"{report.extras['waypoints']} waypoints")
+        print(f"  path length {extras['path_length']:.2f} m over "
+              f"{extras['waypoints']} waypoints")
     for entry in report.clearance:
         c2 = entry["min_cstar2"]
         shown = "inf" if c2 is None else f"{c2:.3f}"
         print(f"  {entry['obstacle_id']}: min c*^2 = {shown} "
               f"(threshold {entry['c2']:.3f}) -> {entry['verdict']}")
     print(f"  artifacts: {args.out}")
+    return exit_code(report)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

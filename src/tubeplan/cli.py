@@ -8,8 +8,9 @@ plan        grow a chance-constrained path with the dynamic informed
             RRT* and post-check it against the true obstacles
 mc-compare  compare propagated variances against a Monte Carlo ensemble
 
-Exit codes: 0 = clear / success, 2 = collision detected, 1 = any error
-(bad scenario, infeasible planning problem, numerical failure).
+Exit codes: 0 = clear / success, 2 = collision detected or, in plan
+mode, buffers still growing when the planner hit its round cap, 1 = any
+error (bad scenario, infeasible planning problem, numerical failure).
 
 Randomness: run ``i`` of a Monte Carlo ensemble draws from its own
 Philox(base_seed + i) stream and reductions use a fixed chunk order, so
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "exit codes:\n"
             "  0  clear / success\n"
-            "  2  collision detected\n"
+            "  2  collision detected, or plan buffers did not settle\n"
             "  1  error (bad scenario, planning failure, numerics)\n\n"
             "randomness: Monte Carlo run i uses its own "
             "Philox(seed + i) stream with a fixed reduction order; the\n"
@@ -76,6 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--runs", type=int, default=10000,
                       help="ensemble size, at least 100 (default 10000)")
     return parser
+
+
+def exit_code(report) -> int:
+    """0 clear / success, 2 collide or unsettled plan buffers, 1 error."""
+    if report.verdict == "error":
+        return 1
+    if report.verdict == "collide" or not report.extras.get("converged",
+                                                             True):
+        return 2
+    return 0
 
 
 def main(argv=None) -> int:
@@ -110,8 +121,10 @@ def main(argv=None) -> int:
     if report.verdict == "error":
         print(f"error: {report.extras.get('message', 'planning failed')}",
               file=sys.stderr)
-        return 1
-    return 2 if report.verdict == "collide" else 0
+    elif not report.extras.get("converged", True):
+        print(f"buffers still grew after "
+              f"{report.extras['outer_iterations']} rounds", file=sys.stderr)
+    return exit_code(report)
 
 
 if __name__ == "__main__":

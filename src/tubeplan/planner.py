@@ -15,7 +15,8 @@ true obstacle (``buffer_touch_distance``), and shifts that obstacle's
 buffer by exactly that amount, so buffers contract toward the size at
 which the tube is tangent to the true obstacle.  A buffer that grows
 invalidates part of the tree; those nodes are removed and the stranded
-subtrees are either reconnected through fresh samples or pruned.
+subtrees are either reconnected through fresh samples or pruned.  The
+loop stops once no buffer grows and the buffers have settled.
 """
 
 from __future__ import annotations
@@ -760,57 +761,62 @@ class PlanResult:
     cost_history: list[float]
     outer_iterations: int
     solved: bool
+    converged: bool
     message: str = ""
     tree: PlanTree | None = None
 
 
 def dynamic_informed_rrt_star(start, goal, obstacles, cfg: PlannerConfig,
                               evaluator: TubeEvaluator, rng):
-    """M rounds of plan / propagate / resize buffers / repair tree.
+    """Rounds of plan / propagate / resize buffers / repair tree.
 
     The planner keeps one buffer per obstacle, as a ``CrossSection``
     rebuilt once per resize.  Buffers start at
     c * sqrt(lambda_max) of the initial position covariance (zero for a
-    deterministic start).  Every non-final round applies
-    b_j <- b_j - d_j from comp_obs_dist; any buffer that grew triggers
-    tree surgery.  The final tube and per-obstacle clearances are
-    evaluated against the caller's true obstacles, which are never
-    changed.
+    deterministic start).  Every round grows the tree and runs
+    comp_obs_dist on its best path.  The run stops after a round in
+    which no buffer grew (no d_j < 0) if every |d_j| <= tol * b_j, read
+    relatively as ``informed_rrt_star`` reads tol for cost, or once M
+    rounds have run.  Otherwise it applies b_j <- b_j - d_j, repairs the
+    tree around every grown buffer and runs one more round, up to 2M
+    rounds; ``converged`` is False only when the run stopped there with
+    a buffer still growing.  ``buffer_history`` holds the buffers each
+    round planned against.  The reported tube is the one comp_obs_dist
+    built for the final path, and its clearances are checked against
+    the caller's true obstacles, which are never changed.
     """
     start = np.asarray(start, dtype=float).reshape(2)
     goal = np.asarray(goal, dtype=float).reshape(2)
     init = evaluator.initial_buffer()
     sections = [CrossSection(obs, cfg.altitude, init) for obs in obstacles]
-    buffer_history = [{s.id: s.buffer for s in sections}]
+    buffer_history = []
     cost_history = []
     tree = None
-    for outer in range(cfg.M):
+    for rounds in range(1, 2 * cfg.M + 1):
+        buffer_history.append({s.id: s.buffer for s in sections})
         tree = informed_rrt_star(start, goal, sections, cfg, rng, tree=tree)
         cost_history.append(tree.c_best())
         if not math.isfinite(tree.c_best()):
             return PlanResult(
                 path=None, tube=None, reports=[],
                 buffer_history=buffer_history, cost_history=cost_history,
-                outer_iterations=outer + 1, solved=False,
+                outer_iterations=rounds, solved=False, converged=True,
                 message="no path to the goal was found", tree=tree)
-        if outer == cfg.M - 1:
+        adjustments, tube = comp_obs_dist(tree, sections, evaluator, cfg)
+        d = [adjustments[s.id] for s in sections]
+        grew = any(d_j < -1e-12 for d_j in d)
+        settled = all(abs(d_j) <= cfg.tol * s.buffer
+                      for d_j, s in zip(d, sections))
+        if (not grew and (settled or rounds >= cfg.M)) \
+                or rounds == 2 * cfg.M:
             break
-        adjustments, _ = comp_obs_dist(tree, sections, evaluator, cfg)
-        grown = []
-        for j, s in enumerate(sections):
-            d_j = adjustments[s.id]
-            sections[j] = CrossSection(s.obstacle, cfg.altitude,
-                                       s.buffer - d_j)
+        sections = [CrossSection(s.obstacle, cfg.altitude, s.buffer - d_j)
+                    for d_j, s in zip(d, sections)]
+        for d_j, s in zip(d, sections):
             if d_j < -1e-12:
-                grown.append(sections[j])
-        buffer_history.append({s.id: s.buffer for s in sections})
-        for s in grown:
-            cleanup_and_regrow(tree, s, sections, cfg, rng)
-    path = tree.best_path()
-    tube, _, _ = evaluator.tube_for_path(path, cfg.altitude,
-                                         cfg.cruise_speed)
-    reports = check_tube_collision(tube, obstacles)
+                cleanup_and_regrow(tree, s, sections, cfg, rng)
     return PlanResult(
-        path=path, tube=tube, reports=reports,
+        path=tree.best_path(), tube=tube,
+        reports=check_tube_collision(tube, obstacles),
         buffer_history=buffer_history, cost_history=cost_history,
-        outer_iterations=cfg.M, solved=True, tree=tree)
+        outer_iterations=rounds, solved=True, converged=not grew, tree=tree)

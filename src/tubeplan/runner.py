@@ -75,18 +75,18 @@ def _write_json(path, obj):
 
 
 def _write_jsonl(path, records):
-    lines = [json.dumps(rec, sort_keys=True, separators=(",", ":"),
-                        default=_json_default) for rec in records]
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              default=_json_default).encode
+    lines = [encode(rec) for rec in records]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
                           encoding="utf-8")
 
 
 def _write_csv(path, header, columns):
     """Column-major CSV writer using repr() floats for exact round trips."""
-    rows = np.column_stack(columns)
+    rows = np.asarray(np.column_stack(columns), dtype=float).tolist()
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -119,15 +119,11 @@ def _clearance_dicts(reports):
 
 
 def _tube_records(tube):
-    recs = []
-    for k in range(len(tube)):
-        recs.append({
-            "t": float(tube.times[k]),
-            "center": [float(v) for v in tube.centers[k]],
-            "sigma": [float(v) for v in tube.sigmas[k].reshape(-1)],
-            "c2": float(tube.c2),
-        })
-    return recs
+    c2 = float(tube.c2)
+    return [{"t": t, "center": center, "sigma": sigma, "c2": c2}
+            for t, center, sigma in zip(
+                tube.times.tolist(), tube.centers.tolist(),
+                tube.sigmas.reshape(-1, 9).tolist())]
 
 
 def _with_overrides(scenario: Scenario, seed=None, beta=None) -> Scenario:
@@ -202,11 +198,15 @@ def run_plan(scenario: Scenario, out_dir, *, seed=None, beta=None) -> RunReport:
     """Plan a chance-constrained path and post-check it against obstacles.
 
     Writes path.csv, tube.jsonl, buffers.json, tree.jsonl, report.json
-    and timings.json.  When no path is found the report's verdict is
-    "error" and path.csv and tube.jsonl are not written; the rest still
-    are, for diagnosis.  Raises PlanningError, before writing any
-    artifact, when the start or the goal lies inside a buffered obstacle
-    (or a grown buffer later covers the start).
+    and timings.json.  The report's extras give the rounds run
+    (``outer_iterations``) and ``converged``, false only when the planner
+    stopped at its round cap with a buffer still growing.  When no path
+    is found the report's verdict is "error" and path.csv and tube.jsonl
+    are not written; the rest still are, for diagnosis.  Raises, before
+    writing any artifact, ScenarioError when an explicit initial state
+    has the wrong length, and PlanningError when the start or the goal
+    lies inside a buffered obstacle (or a grown buffer later covers the
+    start).
     """
     sc = _with_overrides(scenario, seed=seed, beta=beta)
     out = Path(out_dir)
@@ -217,11 +217,8 @@ def run_plan(scenario: Scenario, out_dir, *, seed=None, beta=None) -> RunReport:
     obstacles = sc.build_obstacles()
     cfg = sc.build_planner_config()
     start, goal = sc.planner_endpoints()
-    explicit_x0 = None
-    if sc.data["initial_state"] != "auto":
-        explicit_x0 = np.asarray(sc.data["initial_state"], dtype=float)
     evaluator = TubeEvaluator(model=model, dt=grid.dt, beta=sc.beta, P0=P0,
-                              initial_state=explicit_x0)
+                              initial_state=sc.explicit_initial_state(model))
     rng = np.random.default_rng(sc.seed)
 
     timings = {}
@@ -237,6 +234,7 @@ def run_plan(scenario: Scenario, out_dir, *, seed=None, beta=None) -> RunReport:
         "cost_history": [_finite_or_none(c) for c in result.cost_history],
         "outer_iterations": result.outer_iterations,
         "solved": result.solved,
+        "converged": result.converged,
         "c2": float(evaluator.c2),
     }
     if result.solved:

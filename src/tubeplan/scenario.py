@@ -227,17 +227,24 @@ class Scenario:
                   f"diagonal must have length {model.n_states}")
         return np.diag(diag)
 
+    def explicit_initial_state(self, model):
+        """The explicit initial state checked against ``model``, or None
+        for "auto"."""
+        spec = self.data["initial_state"]
+        if spec == "auto":
+            return None
+        x0 = np.asarray(spec, dtype=float)
+        if x0.shape != (model.n_states,):
+            _fail("initial_state", f"must have length {model.n_states}")
+        return x0
+
     def initial_state(self, model, profile):
         """Explicit initial state, or the model's start state on the
         profile at t0."""
-        spec = self.data["initial_state"]
-        if spec != "auto":
-            x0 = np.asarray(spec, dtype=float)
-            if x0.shape != (model.n_states,):
-                _fail("initial_state",
-                      f"must have length {model.n_states}")
-            return x0
-        return model.start_state(profile(self.data["grid"]["t0"]))
+        x0 = self.explicit_initial_state(model)
+        if x0 is None:
+            return model.start_state(profile(self.data["grid"]["t0"]))
+        return x0
 
     # -- serialization -----------------------------------------------------
 
@@ -487,9 +494,7 @@ def parse_scenario(raw, source="<dict>") -> Scenario:
     # construction-level validation (dimensions, geometry, feasibility)
     model = scenario.build_model()
     scenario.initial_covariance(model)
-    if data["initial_state"] != "auto":
-        _require(len(data["initial_state"]) == model.n_states,
-                 "initial_state", f"must have length {model.n_states}")
+    scenario.explicit_initial_state(model)
     scenario.build_obstacles()
     if data["planner"] is not None:
         scenario.build_planner_config()

@@ -34,13 +34,13 @@ from tubeplan.planner import (
 )
 from tubeplan.runner import run_plan
 from tubeplan.scenario import parse_scenario
-from tubeplan.simcore import TimeGrid, integrate_nominal, linearize, mc_ensemble
+from tubeplan.simcore import TimeGrid, mc_ensemble
 from tubeplan.uncertainty import (
     ConfidenceEllipsoid,
     build_tube,
     chi2_cdf,
     chi2_quantile,
-    propagate_covariance,
+    lincov,
 )
 from tubeplan.vehicles import QuadrotorModel, QuadrotorParams
 from tubeplan.vehicles.dryden import longitudinal
@@ -87,14 +87,12 @@ def random_spd(rng):
 def test_criterion_01_quadrotor_variances_within_20pct_of_10k_mc(
         quad_scenario):
     model, profile, grid, x0, P0 = _pipeline(quad_scenario)
-    nominal = integrate_nominal(model, x0, profile, grid)
-
+    nominal, cov, timings = lincov(model, x0, profile, grid, P0)
     tic = time.perf_counter()
-    lin = linearize(model, nominal, profile)
-    cov = propagate_covariance(lin, P0)
     build_tube(nominal, cov, quad_scenario.beta,
                position_rows=model.position_rows)
-    lc_s = time.perf_counter() - tic
+    lc_s = (time.perf_counter() - tic
+            + 1e-3 * (timings["linearize_ms"] + timings["covariance_ms"]))
 
     tic = time.perf_counter()
     _, mc_cov = mc_ensemble(model, x0, profile, grid, runs=10000,
@@ -118,14 +116,12 @@ def test_criterion_01_quadrotor_variances_within_20pct_of_10k_mc(
 def test_criterion_02_fixedwing_variances_within_20pct_of_10k_mc(
         fw_scenario):
     model, profile, grid, x0, P0 = _pipeline(fw_scenario)
-    nominal = integrate_nominal(model, x0, profile, grid)
-
+    nominal, cov, timings = lincov(model, x0, profile, grid, P0)
     tic = time.perf_counter()
-    lin = linearize(model, nominal, profile)
-    cov = propagate_covariance(lin, P0)
     build_tube(nominal, cov, fw_scenario.beta,
                position_rows=model.position_rows)
-    lc_s = time.perf_counter() - tic
+    lc_s = (time.perf_counter() - tic
+            + 1e-3 * (timings["linearize_ms"] + timings["covariance_ms"]))
 
     tic = time.perf_counter()
     _, mc_cov = mc_ensemble(model, x0, profile, grid, runs=10000,
@@ -362,9 +358,7 @@ def test_criterion_08a_covariance_histories_symmetric_and_psd(
     worst_ratio = 0.0
     for scenario in (quad_scenario, fw_scenario):
         model, profile, grid, x0, P0 = _pipeline(scenario)
-        nominal = integrate_nominal(model, x0, profile, grid)
-        lin = linearize(model, nominal, profile)
-        cov = propagate_covariance(lin, P0)
+        _, cov, _ = lincov(model, x0, profile, grid, P0)
         asym = np.max(np.abs(cov.P - np.transpose(cov.P, (0, 2, 1))))
         worst_asym = max(worst_asym, float(asym))
         eigs = np.linalg.eigvalsh(cov.P)

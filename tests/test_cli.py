@@ -12,12 +12,13 @@ import sys
 import numpy as np
 import pytest
 
+from tubeplan import planner
 from tubeplan.cli import main
-from tubeplan.errors import PlanningError
+from tubeplan.errors import PlanningError, ScenarioError
 from tubeplan.geometry import solve_qp, sphere_prefilter
-from tubeplan.runner import run_plan
+from tubeplan.runner import _tube_records, _write_csv, _write_jsonl, run_plan
 from tubeplan.scenario import load_scenario
-from tubeplan.uncertainty import ConfidenceEllipsoid
+from tubeplan.uncertainty import ConfidenceEllipsoid, Tube
 
 
 def write_quad_scenario(tmp_path, name="small.json", obstacle_y=12.0,
@@ -365,3 +366,76 @@ def test_run_plan_raises_before_writing_when_the_start_is_blocked(tmp_path):
                        "obstacle 'ontop'"):
         run_plan(load_scenario(scn), out)
     assert list(out.iterdir()) == []
+
+
+def test_plan_exits_two_when_buffers_still_grow_at_the_round_cap(
+        tmp_path, capsys, monkeypatch):
+    real = planner.comp_obs_dist
+
+    def always_grow(tree, sections, evaluator, cfg):
+        adjustments, tube = real(tree, sections, evaluator, cfg)
+        adjustments["mid"] = -0.01
+        return adjustments, tube
+
+    monkeypatch.setattr(planner, "comp_obs_dist", always_grow)
+    out = tmp_path / "out"
+    code = main(["plan", "--scenario", str(write_plan_scenario(tmp_path)),
+                 "--out", str(out)])
+    assert code == 2
+    assert "verdict: clear" in capsys.readouterr().out
+    extras = json.loads((out / "report.json").read_text())["extras"]
+    assert extras["converged"] is False
+    assert extras["outer_iterations"] == 4  # 2M, with M = 2
+
+
+def test_plan_reports_converged_when_buffers_settle(tmp_path):
+    report = run_plan(load_scenario(write_plan_scenario(tmp_path)),
+                      tmp_path / "out")
+    assert report.extras["converged"] is True
+    assert report.extras["outer_iterations"] == len(
+        report.extras["cost_history"])
+
+
+def test_run_plan_checks_the_length_of_an_explicit_initial_state(tmp_path):
+    # the planner reads the start state through the scenario's one reader
+    scenario = load_scenario(write_plan_scenario(tmp_path))
+    scenario.data["initial_state"] = [0.0] * 5
+    out = tmp_path / "out"
+    with pytest.raises(ScenarioError, match="initial_state: must have "
+                       "length 9"):
+        run_plan(scenario, out)
+    assert list(out.iterdir()) == []
+
+
+# --------------------------------------------------------------------------
+# deterministic writers
+
+AWKWARD = [-0.0, 5e-324, 0.1 + 0.2, 1e16, -1.5e-300, 2.0**53 + 2.0, 1.0 / 3.0]
+
+
+def test_csv_bytes_match_the_per_element_formulation(tmp_path):
+    columns = [np.array(AWKWARD), np.array(AWKWARD[::-1]),
+               np.arange(len(AWKWARD), dtype=float)]
+    _write_csv(tmp_path / "a.csv", ["p", "q", "r"], columns)
+    lines = ["p,q,r"] + [",".join(repr(float(c[k])) for c in columns)
+                         for k in range(len(AWKWARD))]
+    assert (tmp_path / "a.csv").read_bytes() == \
+        ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_tube_jsonl_bytes_match_the_per_element_formulation(tmp_path):
+    n = len(AWKWARD)
+    vals = np.array(AWKWARD)
+    tube = Tube(times=vals, centers=np.column_stack([vals] * 3),
+                sigmas=np.broadcast_to(vals[:, None, None], (n, 3, 3)),
+                beta=0.999, c2=0.1 + 0.2)
+    _write_jsonl(tmp_path / "tube.jsonl", _tube_records(tube))
+    lines = [json.dumps({"t": float(tube.times[k]),
+                         "center": [float(v) for v in tube.centers[k]],
+                         "sigma": [float(v) for v in
+                                   tube.sigmas[k].reshape(-1)],
+                         "c2": float(tube.c2)},
+                        sort_keys=True, separators=(",", ":"))
+             for k in range(n)]
+    assert (tmp_path / "tube.jsonl").read_bytes() == \
+        ("\n".join(lines) + "\n").encode("utf-8")

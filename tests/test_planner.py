@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tubeplan import planner
 from tubeplan.errors import PlanningError
-from tubeplan.geometry import CuboidObstacle
+from tubeplan.geometry import CuboidObstacle, check_tube_collision
 from tubeplan.planner import (
     Bounds,
     CrossSection,
@@ -558,16 +559,22 @@ def test_dynamic_planner_with_zero_start_covariance_keeps_zero_buffers():
         assert round_buffers["side"] >= -1e-12
 
 
+def plan_three_obstacles(sc, seed, evaluator_cls=TubeEvaluator):
+    model, grid = sc.build_model(), sc.grid()
+    ev = evaluator_cls(model=model, dt=grid.dt, beta=sc.beta,
+                       P0=sc.initial_covariance(model))
+    return dynamic_informed_rrt_star(
+        *sc.planner_endpoints(), sc.build_obstacles(),
+        sc.build_planner_config(), ev, np.random.default_rng(seed)), ev
+
+
 def test_dynamic_planner_repairs_the_tree_when_a_buffer_grows(plan_scenario):
     # at planner seed 1001 the last resize grows block-c's buffer from 0;
     # no edge of the final tree may cross the grown cross-section
     sc = plan_scenario
-    model, grid, cfg = sc.build_model(), sc.grid(), sc.build_planner_config()
+    cfg = sc.build_planner_config()
     obstacles = sc.build_obstacles()
-    ev = TubeEvaluator(model=model, dt=grid.dt, beta=sc.beta,
-                       P0=sc.initial_covariance(model))
-    res = dynamic_informed_rrt_star(*sc.planner_endpoints(), obstacles, cfg,
-                                    ev, np.random.default_rng(1001))
+    res, _ = plan_three_obstacles(sc, 1001)
     before, after = res.buffer_history[-2:]
     assert after["block-c"] > before["block-c"]
     final = [cut(obs, after[obs.id], cfg.altitude) for obs in obstacles]
@@ -577,3 +584,59 @@ def test_dynamic_planner_repairs_the_tree_when_a_buffer_grows(plan_scenario):
         if tree._alive[i] and not tree._orphan[i] and i != tree.root:
             assert no_collision_2d(tree.coords(tree.parent(i)),
                                    tree.coords(i), final)
+
+
+def test_dynamic_planner_resizes_the_last_path_it_reports(plan_scenario):
+    # at planner seed 1025 the fourth round's path was reported without a
+    # resize and its tube cut into an obstacle
+    res, _ = plan_three_obstacles(plan_scenario, 1025)
+    assert res.solved
+    assert [r.verdict for r in res.reports] == ["clear"] * 3
+
+
+def test_shipped_plan_stops_once_buffers_settle_and_reports_the_checked_tube(
+        plan_scenario):
+    calls = []
+
+    class CountingEvaluator(TubeEvaluator):
+        def tube_for_path(self, path_xy, altitude, cruise_speed):
+            calls.append(np.array(path_xy))
+            return super().tube_for_path(path_xy, altitude, cruise_speed)
+
+    sc, cfg = plan_scenario, plan_scenario.build_planner_config()
+    res, ev = plan_three_obstacles(sc, sc.seed, CountingEvaluator)
+    assert res.solved and res.converged
+    assert res.outer_iterations == 2 < cfg.M
+    assert len(calls) == 2
+    assert len(res.buffer_history) == len(res.cost_history) == 2
+    assert np.array_equal(calls[-1], res.path)
+    fresh, _, _ = TubeEvaluator.tube_for_path(ev, res.path, cfg.altitude,
+                                              cfg.cruise_speed)
+    for name in ("times", "centers", "sigmas"):
+        assert getattr(res.tube, name).tobytes() == \
+            getattr(fresh, name).tobytes()
+    assert res.tube.c2 == fresh.c2
+    recheck = check_tube_collision(fresh, sc.build_obstacles())
+    assert [(r.obstacle_id, r.min_cstar2, r.argmin_t) for r in res.reports] \
+        == [(r.obstacle_id, r.min_cstar2, r.argmin_t) for r in recheck]
+
+
+def test_buffers_that_keep_growing_stop_the_planner_at_twice_m(monkeypatch):
+    real = planner.comp_obs_dist
+
+    def always_grow(tree, sections, evaluator, cfg):
+        adjustments, tube = real(tree, sections, evaluator, cfg)
+        adjustments["wall"] = -0.01
+        return adjustments, tube
+
+    monkeypatch.setattr(planner, "comp_obs_dist", always_grow)
+    obstacles = [box(45.0, 0.0, hx=4.0, hy=4.0, id="wall")]
+    cfg = free_config(bounds=Bounds((-10.0, -30.0), (110.0, 30.0)),
+                      N_max=600, N_conv=100, M=2)
+    ev = TubeEvaluator(model=QuadrotorModel(), dt=0.02, beta=0.999)
+    res = dynamic_informed_rrt_star((0.0, 0.0), (100.0, 0.0), obstacles,
+                                    cfg, ev, np.random.default_rng(3))
+    assert res.solved and not res.converged
+    assert res.outer_iterations == 4
+    assert [b["wall"] for b in res.buffer_history] == pytest.approx(
+        [0.0, 0.01, 0.02, 0.03])
