@@ -11,11 +11,17 @@ own row of those samples.  Randomness comes from numpy's Philox counter
 generator (run i of an ensemble seeds Philox with base_seed + i), with
 normal variates produced by numpy's ziggurat sampler; given the same
 (model, x0, reference, grid, seed) every output bit is reproducible.
+When two cores are usable, an ensemble pass has a forked child draw its
+noise one time chunk ahead of the model steps; the samples, and so the
+outputs, are the same bits as when they are drawn in-process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +42,9 @@ __all__ = [
 # numpy's per-call dispatch over many rows, capped so that a pass's state
 # columns and model temporaries stay cache-sized at any run count
 _PASS = 2048
-# each pass draws its runs' noise ahead in time chunks of at most this
-# many bytes, instead of holding a (runs, count - 1, m) array
+# each pass draws its runs' noise ahead in time chunks that together
+# take at most this many bytes (one chunk in-process, two when a forked
+# child draws ahead), instead of holding a (runs, count - 1, m) array
 _NOISE_BYTES = 12_000_000
 
 
@@ -230,36 +237,151 @@ def mc_run(model, x0, des, grid, seed):
     return Trajectory(grid=grid, states=list(states))
 
 
+def _fill(buf, draws, size):
+    """Write each run's next ``size`` noise samples into buf[:size, :, r]."""
+    for r, draw in enumerate(draws):
+        buf[:size, :, r] = draw(size)
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_context():
+    """The "fork" context when a second core can draw noise, else None.
+
+    Besides the core count, the main process must be the only Python
+    thread (a forked child would inherit locks other threads hold) and
+    must not be a daemonic worker, which may not start children.
+    """
+    if _usable_cpus() < 2:
+        return None
+    import multiprocessing
+    import threading
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _local_chunks(seeds, sizes, shape, m, dt):
+    """Fill one buffer in-process, chunk after chunk, and yield it."""
+    buf = np.empty(shape)
+    draws = [_noise_stream(seed, m, dt) for seed in seeds]
+    for size in sizes:
+        _fill(buf, draws, size)
+        yield buf
+
+
+def _fill_ahead(conn, bufs, seeds, sizes, m, dt):
+    """Child side of _forked_chunks: fill chunk j into bufs[j % 2]."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
+    draws = [_noise_stream(seed, m, dt) for seed in seeds]
+    for j, size in enumerate(sizes):
+        if j >= 2:
+            conn.recv()  # the parent has stepped through chunk j - 2
+        _fill(bufs[j % 2], draws, size)
+        conn.send(j)
+
+
+def _await_chunk(conn, proc):
+    """Wait for the child's next "chunk ready"; raise if it died first."""
+    from multiprocessing.connection import wait
+
+    if conn in wait([conn, proc.sentinel]):
+        try:
+            conn.recv()
+            return
+        except (EOFError, ConnectionResetError):  # the child has exited
+            pass
+    proc.join()
+    raise RuntimeError(f"noise process exited with code {proc.exitcode}")
+
+
+def _forked_chunks(ctx, seeds, sizes, shape, m, dt):
+    """Yield chunks that a forked child fills one chunk ahead.
+
+    The two chunk buffers live in a shared anonymous mapping.  The child
+    reports each filled chunk over a pipe and waits for buffer j % 2 to
+    be released before it fills chunk j; the parent releases a buffer
+    when it asks for the next chunk.  The parent waits on the pipe and
+    the child's sentinel together, so a child that dies raises
+    RuntimeError instead of hanging.  The child is killed if the
+    consumer stops early and is always joined before this returns.
+    """
+    import mmap
+
+    bufs = np.frombuffer(mmap.mmap(-1, 2 * 8 * math.prod(shape)))
+    bufs = bufs.reshape((2,) + shape)
+    conn, child_conn = ctx.Pipe()
+    proc = ctx.Process(target=_fill_ahead, daemon=True,
+                       args=(child_conn, bufs, seeds, sizes, m, dt))
+    proc.start()
+    child_conn.close()
+    try:
+        for j in range(len(sizes)):
+            _await_chunk(conn, proc)
+            yield bufs[j % 2]
+            if j + 2 < len(sizes):
+                with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+                    conn.send(j)  # a child that died shows at the next wait
+    except BaseException:
+        proc.kill()
+        raise
+    finally:
+        proc.join()
+        conn.close()
+
+
 def _pass_noise(seeds, steps, m, dt):
     """Per-step (runs, m) noise of the runs ``seeds``, drawn in time chunks.
 
-    A chunk spans as many steps as fit in _NOISE_BYTES.  Each yielded
-    sample is a Fortran-ordered view, so every component's column is
-    contiguous; it is overwritten by the next chunk's draw.
+    With a second usable core, a forked child draws chunk j + 1 while
+    the caller steps through chunk j; two chunk buffers split
+    _NOISE_BYTES.  Otherwise one chunk buffer of up to _NOISE_BYTES is
+    filled in-process.  Both paths fill with _fill from the runs' own
+    streams, so the samples, and every result, do not depend on the
+    path.  Each yielded sample is a Fortran-ordered view, so every
+    component's column is contiguous; it is overwritten by a later
+    chunk.  Close the generator to stop early: that also ends the child.
     """
-    draws = [_noise_stream(seed, m, dt) for seed in seeds]
-    chunk = min(steps, max(1, _NOISE_BYTES // (8 * m * len(draws))))
-    buf = np.empty((chunk, m, len(draws)))
-    for lo in range(0, steps, chunk):
-        size = min(chunk, steps - lo)
-        for r, draw in enumerate(draws):
-            buf[:size, :, r] = draw(size)
-        for k in range(size):
-            yield buf[k].T
+    ctx = _fork_context()
+    nbuf = 1 if ctx is None else 2
+    chunk = min(steps, max(1, _NOISE_BYTES // (nbuf * 8 * m * len(seeds))))
+    sizes = [min(chunk, steps - lo) for lo in range(0, steps, chunk)]
+    shape = (chunk, m, len(seeds))
+    chunks = (_local_chunks(seeds, sizes, shape, m, dt) if ctx is None
+              else _forked_chunks(ctx, seeds, sizes, shape, m, dt))
+    with contextlib.closing(chunks):
+        for buf, size in zip(chunks, sizes, strict=True):
+            for k in range(size):
+                yield buf[k].T
 
 
 def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     """Seeded Monte Carlo ensemble: mean trajectory and sample covariance.
 
     Run i draws its noise exactly as ``mc_run(..., seed=base_seed + i)``
-    would, in time chunks of about 12 MB across a pass.  Runs are
-    integrated in passes of up to 2048, each holding its state
-    column-major so the model works on contiguous state columns; a run's
-    states do not depend on the pass it falls in.  Each step of a pass
-    adds its deviations to the sums in one reduction, pass after pass in
-    run order, so results are reproducible bit for bit.  The sample
-    covariance is the unbiased estimator, accumulated about a
-    deterministic reference path to keep the reduction well conditioned.
+    would, in time chunks of about 12 MB across a pass.  With two usable
+    cores a forked child draws the next chunk while this process steps
+    through the current one (see _pass_noise); the child is joined
+    before its pass ends, also when a step raises, and a child that dies
+    raises RuntimeError.  The noise bits do not depend on which path
+    draws them.  Runs are integrated in passes of up to 2048, each
+    holding its state column-major so the model works on contiguous
+    state columns; a run's states do not depend on the pass it falls
+    in.  Each step of a pass adds its deviations to the sums in one
+    reduction, pass after pass in run order, so results are reproducible
+    bit for bit.  The sample covariance is the unbiased estimator,
+    accumulated about a deterministic reference path to keep the
+    reduction well conditioned.
 
     When ``record_indices`` (distinct grid indices) is given, per-run
     states at those indices are returned as an extra
@@ -293,12 +415,13 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
         x = np.full((hi - lo, n), x0, order="F")
         noise = _pass_noise(range(base_seed + lo, base_seed + hi),
                             count - 1, m, dt)
-        for k, X in enumerate(_steps(model, x, grid, refs, noise)):
-            d = X - ref_path[k]
-            sum_d[k] += d.sum(axis=0)
-            sum_o[k] += d.T @ d
-            if recorded is not None and k in record_pos:
-                recorded[lo:hi, record_pos[k]] = X
+        with contextlib.closing(noise):
+            for k, X in enumerate(_steps(model, x, grid, refs, noise)):
+                d = X - ref_path[k]
+                sum_d[k] += d.sum(axis=0)
+                sum_o[k] += d.T @ d
+                if recorded is not None and k in record_pos:
+                    recorded[lo:hi, record_pos[k]] = X
 
     mean = ref_path + sum_d / runs
     cov = (sum_o - np.einsum("ki,kj->kij", sum_d, sum_d) / runs) / (runs - 1)

@@ -1,4 +1,5 @@
-"""Source hygiene: every import in src/, tests/ and scripts/ is used.
+"""Source hygiene: every import in src/, tests/ and scripts/ is used,
+and importing the package stays cheap.
 
 A name counts as used when the module reads it anywhere (as a name or as
 the base of an attribute chain) or lists it in its ``__all__``.  The
@@ -8,6 +9,9 @@ check reads each file's syntax tree with the standard library ``ast``.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,15 @@ def test_no_unused_imports(top):
              for path in sorted((REPO / top).rglob("*.py"))
              for name, line in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_importing_the_package_loads_no_process_machinery():
+    # mc_ensemble imports multiprocessing and mmap only when it forks its
+    # noise process, so ``import tubeplan`` does not pay for them
+    code = ("import sys, tubeplan; print(sorted({'multiprocessing', 'mmap'}"
+            " & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

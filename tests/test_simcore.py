@@ -8,7 +8,12 @@ solution for order-of-accuracy checks.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
+import multiprocessing
+import re
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,6 +329,104 @@ def test_ensemble_runs_do_not_depend_on_pass_or_noise_chunk(
             # a row steps in Python floats, whose math.sin/cos may differ
             # from numpy's by an ulp, so the fixed-wing agrees to rounding
             assert np.allclose(rec[i], path, rtol=1e-12, atol=1e-12)
+
+
+_needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the noise process is forked")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Take the forked noise path; the list gets one entry per child."""
+    started = []
+    fork = simcore._forked_chunks
+
+    def counting(*args):
+        started.append(args)
+        return fork(*args)
+
+    monkeypatch.setattr(simcore, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simcore, "_forked_chunks", counting)
+    return started
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@_needs_fork
+@pytest.mark.parametrize("which", ["quad_scenario", "fw_scenario"])
+def test_forked_and_in_process_noise_give_the_same_bits(
+        which, request, monkeypatch, forked):
+    model, profile, x0 = _scenario_setup(request.getfixturevalue(which))
+    grid = TimeGrid(0.0, 0.3, 0.01)
+    idx = list(range(grid.count))
+    # passes of 3, 3 and 2 runs; in-process noise chunks of 7, 7 and 10
+    # steps, forked chunks of 3, 3 and 5 steps in each of two buffers
+    monkeypatch.setattr(simcore, "_PASS", 3)
+    monkeypatch.setattr(simcore, "_NOISE_BYTES", 8 * model.n_noise * 3 * 7)
+    bits = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(simcore, "_usable_cpus", lambda c=cpus: c)
+        mean, cov, rec = mc_ensemble(model, x0, profile, grid, runs=8,
+                                     base_seed=40, record_indices=idx)
+        bits[cpus] = (mean.states.tobytes(), cov.P.tobytes(), rec.tobytes())
+    assert len(forked) == 3  # one child per pass, on the two-core path only
+    assert bits[2] == bits[1]
+
+
+@_needs_fork
+def test_domain_error_mid_ensemble_names_its_time_and_ends_the_child(
+        monkeypatch, forked):
+    # the noise-free reference stays at 0; noisy runs cross 0.5 early in
+    # a 5 s grid, while the child still has chunks of 5 steps to draw
+    model = GuardedModel([[-1.0]], [[1.0]], limit=0.5)
+    grid = TimeGrid(0.0, 5.0, 0.01)
+    monkeypatch.setattr(simcore, "_NOISE_BYTES", 8 * 4 * 10)
+    with _time_limit(60), pytest.raises(ModelDomainError) as err:
+        mc_ensemble(model, np.zeros(1), toy_des, grid, runs=4, base_seed=0)
+    t = float(re.search(r"at t=(\S+):", str(err.value)).group(1))
+    assert 0.0 < t < 4.0
+    assert len(forked) == 1
+    assert multiprocessing.active_children() == []
+
+
+@_needs_fork
+@pytest.mark.parametrize("draws_before_death", [0, 2])
+def test_a_noise_process_that_dies_makes_the_ensemble_raise(
+        draws_before_death, monkeypatch, forked):
+    stream = simcore._noise_stream
+
+    def dying_stream(seed, m, dt):
+        draw, calls = stream(seed, m, dt), itertools.count()
+
+        def dying(steps):
+            if next(calls) == draws_before_death:
+                raise RuntimeError("noise draw failed")
+            return draw(steps)
+        return dying
+
+    monkeypatch.setattr(simcore, "_noise_stream", dying_stream)
+    monkeypatch.setattr(simcore, "_NOISE_BYTES", 8 * 4 * 10)
+    model = LinearModel([[-1.0]], [[1.0]])
+    with _time_limit(60), pytest.raises(RuntimeError,
+                                        match="noise process exited"):
+        mc_ensemble(model, np.zeros(1), toy_des, TimeGrid(0.0, 1.0, 0.01),
+                    runs=4, base_seed=0)
+    assert len(forked) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_chunked_noise_draws_equal_one_draw():
