@@ -26,8 +26,8 @@ def main():
                         help="override the scenario seed")
     args = parser.parse_args()
 
-    scenario = load_scenario(SCENARIO)
-    report = run_plan(scenario, args.out, seed=args.seed)
+    scenario = load_scenario(SCENARIO).with_overrides(seed=args.seed)
+    report = run_plan(scenario, args.out)
     extras = report.extras
     print(f"{report.scenario_name}: verdict={report.verdict} "
           f"({report.timings_ms['plan_ms']:.0f} ms, "

@@ -92,16 +92,14 @@ def exit_code(report) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
+        scenario = load_scenario(args.scenario).with_overrides(
+            seed=args.seed, beta=getattr(args, "beta", None))
         if args.command == "validate":
-            report = run_validate(scenario, args.out, seed=args.seed,
-                                  beta=args.beta)
+            report = run_validate(scenario, args.out)
         elif args.command == "plan":
-            report = run_plan(scenario, args.out, seed=args.seed,
-                              beta=args.beta)
+            report = run_plan(scenario, args.out)
         else:
-            report = run_mc_compare(scenario, args.out, runs=args.runs,
-                                    seed=args.seed)
+            report = run_mc_compare(scenario, args.out, runs=args.runs)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,12 +4,13 @@ Every mode writes a deterministic artifact set into an output directory
 — identical scenario + seed produce byte-identical files — plus a
 ``timings.json`` that carries the wall-clock stage times and is the one
 deliberately non-reproducible artifact.  Reports embed the scenario
-hash and effective seed so any artifact can be traced to its inputs.
+hash and seed so any artifact can be traced to its inputs.  Runners
+read the run objects a ``Scenario`` holds; ``Scenario.with_overrides``
+gives one with another seed or confidence level.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import time
@@ -18,9 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ScenarioError
 from .geometry import check_tube_collision, overall_verdict
 from .planner import TubeEvaluator, dynamic_informed_rrt_star
-from .scenario import Scenario, parse_scenario
+from .scenario import Scenario
 from .simcore import mc_ensemble
 from .uncertainty import build_tube, lincov
 
@@ -41,8 +43,8 @@ class RunReport:
     extras: dict = field(default_factory=dict)
     timings_ms: dict = field(default_factory=dict)
 
-    def to_dict(self, include_timings=False):
-        out = {
+    def to_dict(self):
+        return {
             "mode": self.mode,
             "scenario_name": self.scenario_name,
             "scenario_hash": self.scenario_hash,
@@ -52,9 +54,6 @@ class RunReport:
             "clearance": self.clearance,
             "extras": self.extras,
         }
-        if include_timings:
-            out["timings_ms"] = self.timings_ms
-        return out
 
 
 # --------------------------------------------------------------------------
@@ -126,44 +125,24 @@ def _tube_records(tube):
                 tube.sigmas.reshape(-1, 9).tolist())]
 
 
-def _with_overrides(scenario: Scenario, seed=None, beta=None) -> Scenario:
-    if seed is None and beta is None:
-        return scenario
-    data = copy.deepcopy(scenario.data)
-    if seed is not None:
-        data["seed"] = int(seed)
-    if beta is not None:
-        data["beta"] = float(beta)
-    return parse_scenario(data, source=scenario.source)
-
-
-def _prepare(scenario: Scenario):
-    model = scenario.build_model()
-    profile = scenario.build_profile()
-    grid = scenario.grid()
-    x0 = scenario.initial_state(model, profile)
-    P0 = scenario.initial_covariance(model)
-    return model, profile, grid, x0, P0
-
-
 # --------------------------------------------------------------------------
 # modes
 
 
-def run_validate(scenario: Scenario, out_dir, *, seed=None,
-                 beta=None) -> RunReport:
+def run_validate(sc: Scenario, out_dir) -> RunReport:
     """Propagate the tube along the scenario trajectory and check obstacles.
 
     Writes nominal.csv, variances.csv, tube.jsonl, report.json and
     timings.json into ``out_dir``.
     """
-    sc = _with_overrides(scenario, seed=seed, beta=beta)
+    if sc.profile is None:
+        raise ScenarioError("desired_trajectory: required for this mode")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model, profile, grid, x0, P0 = _prepare(sc)
-    obstacles = sc.build_obstacles()
+    model, grid = sc.model, sc.grid
 
-    nominal, cov, timings = lincov(model, x0, profile, grid, P0)
+    nominal, cov, timings = lincov(model, sc.initial_state(), sc.profile,
+                                   grid, sc.P0)
     tic = time.perf_counter()
     tube = build_tube(nominal, cov, sc.beta,
                       position_rows=model.position_rows)
@@ -171,7 +150,7 @@ def run_validate(scenario: Scenario, out_dir, *, seed=None,
     timings["lc_ms"] = (timings["linearize_ms"] + timings["covariance_ms"]
                         + timings["tube_ms"])
     tic = time.perf_counter()
-    reports = check_tube_collision(tube, obstacles)
+    reports = check_tube_collision(tube, sc.obstacles)
     timings["collision_ms"] = 1e3 * (time.perf_counter() - tic)
 
     times = grid.times()
@@ -194,7 +173,7 @@ def run_validate(scenario: Scenario, out_dir, *, seed=None,
     return report
 
 
-def run_plan(scenario: Scenario, out_dir, *, seed=None, beta=None) -> RunReport:
+def run_plan(sc: Scenario, out_dir) -> RunReport:
     """Plan a chance-constrained path and post-check it against obstacles.
 
     Writes path.csv, tube.jsonl, buffers.json, tree.jsonl, report.json
@@ -203,28 +182,22 @@ def run_plan(scenario: Scenario, out_dir, *, seed=None, beta=None) -> RunReport:
     stopped at its round cap with a buffer still growing.  When no path
     is found the report's verdict is "error" and path.csv and tube.jsonl
     are not written; the rest still are, for diagnosis.  Raises, before
-    writing any artifact, ScenarioError when an explicit initial state
-    has the wrong length, and PlanningError when the start or the goal
-    lies inside a buffered obstacle (or a grown buffer later covers the
-    start).
+    writing any artifact, ScenarioError when the scenario has no planner
+    block, and PlanningError when the start or the goal lies inside a
+    buffered obstacle (or a grown buffer later covers the start).
     """
-    sc = _with_overrides(scenario, seed=seed, beta=beta)
+    if sc.planner is None:
+        raise ScenarioError("planner: required for plan mode")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = sc.build_model()
-    grid = sc.grid()
-    P0 = sc.initial_covariance(model)
-    obstacles = sc.build_obstacles()
-    cfg = sc.build_planner_config()
-    start, goal = sc.planner_endpoints()
-    evaluator = TubeEvaluator(model=model, dt=grid.dt, beta=sc.beta, P0=P0,
-                              initial_state=sc.explicit_initial_state(model))
+    evaluator = TubeEvaluator(model=sc.model, dt=sc.grid.dt, beta=sc.beta,
+                              P0=sc.P0, initial_state=sc.x0)
     rng = np.random.default_rng(sc.seed)
 
     timings = {}
     tic = time.perf_counter()
-    result = dynamic_informed_rrt_star(start, goal, obstacles, cfg,
-                                       evaluator, rng)
+    result = dynamic_informed_rrt_star(sc.start, sc.goal, sc.obstacles,
+                                       sc.planner, evaluator, rng)
     timings["plan_ms"] = 1e3 * (time.perf_counter() - tic)
 
     _write_json(out / "buffers.json", result.buffer_history)
@@ -260,8 +233,7 @@ def run_plan(scenario: Scenario, out_dir, *, seed=None, beta=None) -> RunReport:
     return report
 
 
-def run_mc_compare(scenario: Scenario, out_dir, *, runs=10000,
-                   seed=None) -> RunReport:
+def run_mc_compare(sc: Scenario, out_dir, *, runs=10000) -> RunReport:
     """Compare propagated variances against a Monte Carlo ensemble.
 
     Writes lc_variances.csv, mc_variances.csv, deviation.json,
@@ -272,12 +244,14 @@ def run_mc_compare(scenario: Scenario, out_dir, *, runs=10000,
     """
     if runs < 100:
         raise ValueError("mc-compare needs runs >= 100")
-    sc = _with_overrides(scenario, seed=seed)
+    if sc.profile is None:
+        raise ScenarioError("desired_trajectory: required for this mode")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model, profile, grid, x0, P0 = _prepare(sc)
+    model, profile, grid = sc.model, sc.profile, sc.grid
+    x0 = sc.initial_state()
 
-    _, cov, timings = lincov(model, x0, profile, grid, P0)
+    _, cov, timings = lincov(model, x0, profile, grid, sc.P0)
     timings["lc_ms"] = timings["linearize_ms"] + timings["covariance_ms"]
     tic = time.perf_counter()
     mc_mean, mc_cov = mc_ensemble(model, x0, profile, grid, runs=runs,

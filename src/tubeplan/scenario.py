@@ -8,6 +8,8 @@ unknown keys and malformed fields raise ScenarioError with the offending
 field path — and normalization is canonical, so the round trip
 parse -> serialize -> parse is the identity and the scenario hash is
 stable across platforms.
+A parsed ``Scenario`` holds the run objects built from it, once, at
+parse; a constructor's range error is reported under its section.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,10 +49,10 @@ _PLANNER_KEYS = {"bounds", "start", "goal", "altitude", "cruise_speed",
                  "N_max", "N_conv", "M", "tol", "step", "r_w",
                  "goal_radius", "goal_bias"}
 
-_QUAD_PARAM_KEYS = {"m", "rho", "S", "C_D", "K", "Lam", "sigma", "L"}
-_FW_PARAM_KEYS = {"m", "g", "rho", "S", "C_D0", "K_d", "kappa_mu",
-                  "kappa_CL", "kappa_T1", "kappa_T2", "kappa", "Lam_f",
-                  "sigma_u", "sigma_w", "sigma_v", "L_u", "L_w", "L_v"}
+_MODELS = {
+    "quadrotor": (QuadrotorModel, QuadrotorParams),
+    "fixedwing": (FixedWingModel, FixedWingParams),
+}
 
 _PROFILES = {
     "quadrotor": {"ascent-cruise-descent", "waypoints"},
@@ -86,6 +88,13 @@ def _number(obj, path, *, positive=False, nonnegative=False):
     return v
 
 
+def _count(obj, path):
+    """A positive integer; an integral float such as 3000.0 is accepted."""
+    v = _number(obj, path, positive=True)
+    _require(v == int(v), path, "must be an integer")
+    return int(v)
+
+
 def _vector(obj, path, length=None):
     _require(isinstance(obj, list), path, "must be a list of numbers")
     out = [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
@@ -118,12 +127,25 @@ def _per_axis(obj, path, *, positive=False, nonnegative=False):
     return vec
 
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
-    """Normalized scenario; ``data`` is the canonical dict form."""
+    """Normalized scenario: ``data`` is the canonical dict form, and
+    every field after ``source`` a run object built from it once.  ``x0``
+    is None for an "auto" initial state; ``profile``, ``planner``,
+    ``start`` and ``goal`` are None when their block is absent.  Runs
+    share these objects and never change them."""
 
     data: dict
-    source: str = "<dict>"
+    source: str
+    model: QuadrotorModel | FixedWingModel
+    grid: TimeGrid
+    P0: np.ndarray
+    x0: np.ndarray | None
+    profile: object
+    obstacles: list[CuboidObstacle]
+    planner: PlannerConfig | None
+    start: np.ndarray | None
+    goal: np.ndarray | None
 
     # -- accessors ---------------------------------------------------------
 
@@ -143,108 +165,21 @@ class Scenario:
     def vehicle(self):
         return self.data["vehicle"]["type"]
 
-    def grid(self):
-        g = self.data["grid"]
-        return TimeGrid(g["t0"], g["tf"], g["dt"])
-
-    def build_model(self):
-        model, params = ((QuadrotorModel, QuadrotorParams)
-                         if self.vehicle == "quadrotor"
-                         else (FixedWingModel, FixedWingParams))
-        return model(params(**{
-            k: np.asarray(v, dtype=float) if isinstance(v, list) else v
-            for k, v in self.data["vehicle"]["params"].items()}))
-
-    def build_profile(self):
-        spec = self.data["desired_trajectory"]
-        if spec is None:
-            _fail("desired_trajectory", "required for this mode")
-        kind = spec["profile"]
-        dt = self.data["grid"]["dt"]
-        if kind == "ascent-cruise-descent":
-            return ascent_cruise_descent(
-                spec["start_xy"], spec["heading_deg"],
-                start_altitude=spec["start_altitude"],
-                cruise_altitude=spec["cruise_altitude"],
-                cruise_distance=spec["cruise_distance"],
-                final_altitude=spec["final_altitude"],
-                climb_rate=spec["climb_rate"],
-                cruise_speed=spec["cruise_speed"],
-                descent_rate=spec["descent_rate"])
-        if kind == "lateral-sinusoid":
-            return LateralSinusoidProfile(
-                cruise_speed=spec["cruise_speed"],
-                amplitude=spec["amplitude"], period=spec["period"],
-                altitude=spec["altitude"], fd_step=dt,
-                origin=spec["origin"])
-        if self.vehicle == "quadrotor":
-            return PolylineProfile3D(spec["points"], spec["speed"])
-        return FixedWingPolylineProfile(spec["points"], spec["altitude"],
-                                        spec["speed"], fd_step=dt)
-
-    def build_obstacles(self):
-        out = []
-        for entry in self.data["obstacles"]:
-            if "box" in entry:
-                box = entry["box"]
-                out.append(CuboidObstacle.from_box(
-                    box["center"], box["half_extents"], yaw=box["yaw"],
-                    id=entry["id"]))
-            else:
-                hs = entry["halfspaces"]
-                out.append(CuboidObstacle(
-                    A=np.asarray(hs["A"], dtype=float),
-                    b=np.asarray(hs["b"], dtype=float), id=entry["id"]))
-        return out
-
-    def build_planner_config(self):
-        p = self.data["planner"]
-        if p is None:
-            _fail("planner", "required for plan mode")
-        bounds = Bounds(lo=tuple(p["bounds"]["lo"]),
-                        hi=tuple(p["bounds"]["hi"]))
-        return PlannerConfig(
-            bounds=bounds, altitude=p["altitude"],
-            cruise_speed=p["cruise_speed"], N_max=p["N_max"],
-            N_conv=p["N_conv"], M=p["M"], tol=p["tol"], step=p["step"],
-            r_w=p["r_w"], goal_radius=p["goal_radius"],
-            goal_bias=p["goal_bias"])
-
-    def planner_endpoints(self):
-        p = self.data["planner"]
-        if p is None:
-            _fail("planner", "required for plan mode")
-        return (np.asarray(p["start"], dtype=float),
-                np.asarray(p["goal"], dtype=float))
-
-    def initial_covariance(self, model):
-        spec = self.data["initial_covariance"]
-        if spec == "zero":
-            return np.zeros((model.n_states, model.n_states))
-        diag = np.asarray(spec, dtype=float)
-        if diag.shape != (model.n_states,):
-            _fail("initial_covariance",
-                  f"diagonal must have length {model.n_states}")
-        return np.diag(diag)
-
-    def explicit_initial_state(self, model):
-        """The explicit initial state checked against ``model``, or None
-        for "auto"."""
-        spec = self.data["initial_state"]
-        if spec == "auto":
-            return None
-        x0 = np.asarray(spec, dtype=float)
-        if x0.shape != (model.n_states,):
-            _fail("initial_state", f"must have length {model.n_states}")
-        return x0
-
-    def initial_state(self, model, profile):
+    def initial_state(self):
         """Explicit initial state, or the model's start state on the
         profile at t0."""
-        x0 = self.explicit_initial_state(model)
-        if x0 is None:
-            return model.start_state(profile(self.data["grid"]["t0"]))
-        return x0
+        if self.x0 is None:
+            return self.model.start_state(self.profile(self.grid.t0))
+        return self.x0
+
+    def with_overrides(self, seed=None, beta=None):
+        """This scenario parsed again with the seed and/or confidence
+        level that are not None; itself when both are None."""
+        edits = {k: v for k, v in (("seed", seed), ("beta", beta))
+                 if v is not None}
+        if not edits:
+            return self
+        return parse_scenario({**self.data, **edits}, self.source)
 
     # -- serialization -----------------------------------------------------
 
@@ -270,7 +205,7 @@ def _parse_vehicle(obj):
     _require(vtype in ("quadrotor", "fixedwing"), "vehicle.type",
              "must be 'quadrotor' or 'fixedwing'")
     raw = obj.get("params", {})
-    allowed = _QUAD_PARAM_KEYS if vtype == "quadrotor" else _FW_PARAM_KEYS
+    allowed = {f.name for f in fields(_MODELS[vtype][1])}
     _check_keys(raw, allowed, "vehicle.params")
     params = {}
     for key, val in raw.items():
@@ -425,11 +360,9 @@ def _parse_planner(obj):
                             positive=True),
         "cruise_speed": _number(obj["cruise_speed"], "planner.cruise_speed",
                                 positive=True),
-        "N_max": int(_number(obj.get("N_max", 3000), "planner.N_max",
-                             positive=True)),
-        "N_conv": int(_number(obj.get("N_conv", 200), "planner.N_conv",
-                              positive=True)),
-        "M": int(_number(obj.get("M", 4), "planner.M", positive=True)),
+        "N_max": _count(obj.get("N_max", 3000), "planner.N_max"),
+        "N_conv": _count(obj.get("N_conv", 200), "planner.N_conv"),
+        "M": _count(obj.get("M", 4), "planner.M"),
         "tol": _number(obj.get("tol", 0.01), "planner.tol", positive=True),
         "step": (None if obj.get("step") is None
                  else _number(obj["step"], "planner.step", positive=True)),
@@ -445,8 +378,65 @@ def _parse_planner(obj):
     return dict(sorted(out.items()))
 
 
+# --------------------------------------------------------------------------
+# building the run objects
+
+
+def _built(path, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError re-raised under ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _profile(spec, vehicle, dt):
+    kind = spec["profile"]
+    if kind == "ascent-cruise-descent":
+        return ascent_cruise_descent(
+            spec["start_xy"], spec["heading_deg"],
+            start_altitude=spec["start_altitude"],
+            cruise_altitude=spec["cruise_altitude"],
+            cruise_distance=spec["cruise_distance"],
+            final_altitude=spec["final_altitude"],
+            climb_rate=spec["climb_rate"],
+            cruise_speed=spec["cruise_speed"],
+            descent_rate=spec["descent_rate"])
+    if kind == "lateral-sinusoid":
+        return LateralSinusoidProfile(
+            cruise_speed=spec["cruise_speed"],
+            amplitude=spec["amplitude"], period=spec["period"],
+            altitude=spec["altitude"], fd_step=dt,
+            origin=spec["origin"])
+    if vehicle == "quadrotor":
+        return PolylineProfile3D(spec["points"], spec["speed"])
+    return FixedWingPolylineProfile(spec["points"], spec["altitude"],
+                                    spec["speed"], fd_step=dt)
+
+
+def _obstacle(entry):
+    if "box" in entry:
+        box = entry["box"]
+        return CuboidObstacle.from_box(box["center"], box["half_extents"],
+                                       yaw=box["yaw"], id=entry["id"])
+    hs = entry["halfspaces"]
+    return CuboidObstacle(A=np.asarray(hs["A"], dtype=float),
+                          b=np.asarray(hs["b"], dtype=float), id=entry["id"])
+
+
+def _planner_config(p):
+    return PlannerConfig(
+        bounds=Bounds(lo=tuple(p["bounds"]["lo"]),
+                      hi=tuple(p["bounds"]["hi"])),
+        altitude=p["altitude"], cruise_speed=p["cruise_speed"],
+        N_max=p["N_max"], N_conv=p["N_conv"], M=p["M"], tol=p["tol"],
+        step=p["step"], r_w=p["r_w"], goal_radius=p["goal_radius"],
+        goal_bias=p["goal_bias"])
+
+
 def parse_scenario(raw, source="<dict>") -> Scenario:
-    """Validate a raw dict against the schema and normalize it."""
+    """Validate a raw dict against the schema, normalize it and build
+    its run objects once."""
     _check_keys(raw, _TOP_KEYS, "scenario")
     version = raw.get("schema_version")
     _require(version == SCHEMA_VERSION, "schema_version",
@@ -478,29 +468,42 @@ def parse_scenario(raw, source="<dict>") -> Scenario:
         "obstacles": _parse_obstacles(raw.get("obstacles", [])),
         "planner": _parse_planner(raw.get("planner")),
     }
+    model_cls, params_cls = _MODELS[vehicle["type"]]
+    model = model_cls(_built("vehicle.params", params_cls, **{
+        k: np.asarray(v, dtype=float) if isinstance(v, list) else v
+        for k, v in vehicle["params"].items()}))
+    n = model.n_states
     ist = data["initial_state"]
+    x0 = None
     if ist != "auto":
         _require(isinstance(ist, list), "initial_state",
                  "must be 'auto' or a list of numbers")
-        data["initial_state"] = _vector(ist, "initial_state")
+        data["initial_state"] = _vector(ist, "initial_state", n)
+        x0 = np.asarray(data["initial_state"])
     icov = data["initial_covariance"]
+    P0 = np.zeros((n, n))
     if icov != "zero":
         _require(isinstance(icov, list), "initial_covariance",
                  "must be 'zero' or a diagonal list")
         data["initial_covariance"] = [
             _number(v, f"initial_covariance[{i}]", nonnegative=True)
             for i, v in enumerate(icov)]
-    scenario = Scenario(data=data, source=source)
-    # construction-level validation (dimensions, geometry, feasibility)
-    model = scenario.build_model()
-    scenario.initial_covariance(model)
-    scenario.explicit_initial_state(model)
-    scenario.build_obstacles()
-    if data["planner"] is not None:
-        scenario.build_planner_config()
-    if data["desired_trajectory"] is not None:
-        scenario.build_profile()
-    return scenario
+        _require(len(icov) == n, "initial_covariance",
+                 f"diagonal must have length {n}")
+        P0 = np.diag(data["initial_covariance"])
+    g, spec, p = data["grid"], data["desired_trajectory"], data["planner"]
+    planner = start = goal = None
+    if p is not None:
+        planner = _built("planner", _planner_config, p)
+        start, goal = np.asarray(p["start"]), np.asarray(p["goal"])
+    return Scenario(
+        data=data, source=source, model=model,
+        grid=TimeGrid(g["t0"], g["tf"], g["dt"]), P0=P0, x0=x0,
+        profile=(None if spec is None else _built(
+            "desired_trajectory", _profile, spec, vehicle["type"], g["dt"])),
+        obstacles=[_built(f"obstacles[{k}]", _obstacle, entry)
+                   for k, entry in enumerate(data["obstacles"])],
+        planner=planner, start=start, goal=goal)
 
 
 def load_scenario(path) -> Scenario:

@@ -33,7 +33,6 @@ __all__ = [
 class QuadrotorRef:
     """Quadrotor reference: position, velocity, acceleration at time(s) t."""
 
-    t: float | np.ndarray
     r: np.ndarray
     rdot: np.ndarray
     rddot: np.ndarray
@@ -47,7 +46,6 @@ class FixedWingRef:
     estimate of the track acceleration.
     """
 
-    t: float | np.ndarray
     h: float | np.ndarray
     hdot: float | np.ndarray
     eta: np.ndarray
@@ -125,7 +123,7 @@ class PolylineProfile3D:
     def __call__(self, t):
         t = _times(t)
         r, rdot = self._line.position_velocity(t)
-        return QuadrotorRef(t=t, r=r, rdot=rdot, rddot=np.zeros_like(r))
+        return QuadrotorRef(r=r, rdot=rdot, rddot=np.zeros_like(r))
 
 
 class FixedWingPolylineProfile:
@@ -143,7 +141,7 @@ class FixedWingPolylineProfile:
         t = _times(t)
         eta, etadot = self._line.position_velocity(t)
         return FixedWingRef(
-            t=t, h=_constant(t, self.altitude), hdot=_constant(t, 0.0),
+            h=_constant(t, self.altitude), hdot=_constant(t, 0.0),
             eta=eta, etadot=etadot,
             etaddot=_central_difference(
                 lambda s: self._line.position_velocity(s)[1], t, self.fd_step),
@@ -183,7 +181,7 @@ class LateralSinusoidProfile:
             self.amplitude * np.sin(self.omega * t),
         ], axis=-1)
         return FixedWingRef(
-            t=t, h=_constant(t, self.altitude), hdot=_constant(t, 0.0),
+            h=_constant(t, self.altitude), hdot=_constant(t, 0.0),
             eta=eta, etadot=self._etadot(t),
             etaddot=_central_difference(self._etadot, t, self.fd_step),
         )

@@ -53,12 +53,8 @@ def _criterion(n, ok, detail):
 
 
 def _pipeline(scenario):
-    model = scenario.build_model()
-    profile = scenario.build_profile()
-    grid = scenario.grid()
-    x0 = scenario.initial_state(model, profile)
-    P0 = scenario.initial_covariance(model)
-    return model, profile, grid, x0, P0
+    return (scenario.model, scenario.profile, scenario.grid,
+            scenario.initial_state(), scenario.P0)
 
 
 def _masked_channel_devs(lc_P, mc_P, rows):
@@ -506,9 +502,9 @@ def test_criterion_08d_zero_noise_degeneracies():
             "speed": 5.0},
     }
     scenario = parse_scenario(raw)
-    profile = scenario.build_profile()
-    grid = scenario.grid()
-    x0 = scenario.initial_state(model, profile)
+    profile = scenario.profile
+    grid = scenario.grid
+    x0 = scenario.initial_state()
 
     mean, cov = mc_ensemble(model, x0, profile, grid, runs=64, base_seed=3)
     # the gust filter states still integrate their unit-gain noise; with

@@ -4,6 +4,7 @@ and an independent re-check of the reported verdicts.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import subprocess
@@ -15,10 +16,13 @@ import pytest
 from tubeplan import planner
 from tubeplan.cli import main
 from tubeplan.errors import PlanningError, ScenarioError
-from tubeplan.geometry import solve_qp, sphere_prefilter
-from tubeplan.runner import _tube_records, _write_csv, _write_jsonl, run_plan
+from tubeplan.geometry import CuboidObstacle, solve_qp, sphere_prefilter
+from tubeplan.planner import PlannerConfig
+from tubeplan.runner import (_tube_records, _write_csv, _write_jsonl,
+                             run_plan, run_validate)
 from tubeplan.scenario import load_scenario
 from tubeplan.uncertainty import ConfidenceEllipsoid, Tube
+from tubeplan.vehicles import QuadrotorModel
 
 
 def write_quad_scenario(tmp_path, name="small.json", obstacle_y=12.0,
@@ -186,6 +190,30 @@ def test_schema_violation_exits_one(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edits, section", [
+    ({"vehicle": {"type": "fixedwing", "params": {"m": -1.0}},
+      "desired_trajectory": {"profile": "lateral-sinusoid",
+                             "cruise_speed": 15.0, "amplitude": 10.0,
+                             "period": 12.0, "altitude": 50.0}},
+     "vehicle.params"),
+    ({"vehicle": {"type": "quadrotor", "params": {"K": [1.0, -1.0, 1.0]}}},
+     "vehicle.params"),
+    ({"desired_trajectory": {"profile": "waypoints",
+                             "points": [[0.0, 0.0, 10.0], [0.0, 0.0, 10.0],
+                                        [30.0, 0.0, 10.0]],
+                             "speed": 5.0}},
+     "desired_trajectory"),
+], ids=["fixedwing-mass", "quadrotor-gain", "repeated-waypoint"])
+def test_range_errors_exit_one_naming_the_file_and_the_section(
+        tmp_path, capsys, edits, section):
+    scn = write_quad_scenario(tmp_path, name="out-of-range.json", **edits)
+    out = tmp_path / "out"
+    code = main(["validate", "--scenario", str(scn), "--out", str(out)])
+    assert code == 1
+    assert f"out-of-range.json: {section}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_runs_as_a_module():
     proc = subprocess.run([sys.executable, "-m", "tubeplan.cli", "--help"],
                           capture_output=True, text=True)
@@ -203,7 +231,7 @@ def test_reported_clearance_matches_a_direct_recomputation(tmp_path):
     out = tmp_path / "out"
     main(["validate", "--scenario", str(scn), "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
-    obstacles = load_scenario(scn).build_obstacles()
+    obstacles = load_scenario(scn).obstacles
     records = [json.loads(line)
                for line in (out / "tube.jsonl").read_text().splitlines()]
     assert len(records) == report["extras"]["grid_points"]
@@ -396,15 +424,48 @@ def test_plan_reports_converged_when_buffers_settle(tmp_path):
         report.extras["cost_history"])
 
 
-def test_run_plan_checks_the_length_of_an_explicit_initial_state(tmp_path):
-    # the planner reads the start state through the scenario's one reader
-    scenario = load_scenario(write_plan_scenario(tmp_path))
-    scenario.data["initial_state"] = [0.0] * 5
-    out = tmp_path / "out"
+def test_plan_scenario_checks_the_length_of_an_explicit_initial_state(
+        tmp_path, capsys):
+    # the planner's start state is checked once, at parse, so a plan run
+    # writes nothing
+    scn = write_plan_scenario(tmp_path, initial_state=[0.0] * 5)
     with pytest.raises(ScenarioError, match="initial_state: must have "
                        "length 9"):
-        run_plan(scenario, out)
-    assert list(out.iterdir()) == []
+        load_scenario(scn)
+    out = tmp_path / "out"
+    assert main(["plan", "--scenario", str(scn), "--out", str(out)]) == 1
+    assert "initial_state: must have length 9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_plan_run_builds_each_scenario_object_once(
+        plan_scenario_path, tmp_path, monkeypatch):
+    built = collections.Counter()
+    for cls in (QuadrotorModel, CuboidObstacle, PlannerConfig):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__,
+                     **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    run_plan(load_scenario(plan_scenario_path), tmp_path / "out")
+    assert built == {"QuadrotorModel": 1, "CuboidObstacle": 3,
+                     "PlannerConfig": 1}
+
+
+@pytest.mark.parametrize("mode", ["validate", "plan"])
+def test_a_scenario_runs_twice_with_the_same_bits(
+        mode, quad_scenario, plan_scenario, tmp_path):
+    # the run objects are built once and shared by every run, here
+    # through the session-scoped fixtures as well
+    run, scenario, names = {
+        "validate": (run_validate, quad_scenario, VALIDATE_ARTIFACTS),
+        "plan": (run_plan, plan_scenario, PLAN_ARTIFACTS),
+    }[mode]
+    run(scenario, tmp_path / "a")
+    run(scenario, tmp_path / "b")
+    stable = names - {"timings.json"}
+    assert read_bytes(tmp_path / "a", stable) == \
+        read_bytes(tmp_path / "b", stable)
 
 
 # --------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from tubeplan.vehicles.fixedwing import (
 )
 
 
-def make_ref(eta, etadot, etaddot=(0.0, 0.0), h=100.0, hdot=0.0, t=0.0):
-    return FixedWingRef(t=t, h=float(h), hdot=float(hdot),
+def make_ref(eta, etadot, etaddot=(0.0, 0.0), h=100.0, hdot=0.0):
+    return FixedWingRef(h=float(h), hdot=float(hdot),
                         eta=np.asarray(eta, dtype=float),
                         etadot=np.asarray(etadot, dtype=float),
                         etaddot=np.asarray(etaddot, dtype=float))

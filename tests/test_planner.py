@@ -473,8 +473,8 @@ def test_planner_start_equals_the_scenario_start_on_the_same_waypoints(
         "desired_trajectory": {"profile": "waypoints", "speed": speed,
                                **trajectory},
     })
-    model = sc.build_model()
-    expected = sc.initial_state(model, sc.build_profile())
+    model = sc.model
+    expected = sc.initial_state()
     ev = TubeEvaluator(model=model, dt=dt, beta=0.999)
     _, nominal, _ = ev.tube_for_path(path, altitude, speed)
     assert nominal.states[0].tolist() == expected.tolist()
@@ -560,20 +560,19 @@ def test_dynamic_planner_with_zero_start_covariance_keeps_zero_buffers():
 
 
 def plan_three_obstacles(sc, seed, evaluator_cls=TubeEvaluator):
-    model, grid = sc.build_model(), sc.grid()
-    ev = evaluator_cls(model=model, dt=grid.dt, beta=sc.beta,
-                       P0=sc.initial_covariance(model))
+    ev = evaluator_cls(model=sc.model, dt=sc.grid.dt, beta=sc.beta,
+                       P0=sc.P0)
     return dynamic_informed_rrt_star(
-        *sc.planner_endpoints(), sc.build_obstacles(),
-        sc.build_planner_config(), ev, np.random.default_rng(seed)), ev
+        sc.start, sc.goal, sc.obstacles,
+        sc.planner, ev, np.random.default_rng(seed)), ev
 
 
 def test_dynamic_planner_repairs_the_tree_when_a_buffer_grows(plan_scenario):
     # at planner seed 1001 the last resize grows block-c's buffer from 0;
     # no edge of the final tree may cross the grown cross-section
     sc = plan_scenario
-    cfg = sc.build_planner_config()
-    obstacles = sc.build_obstacles()
+    cfg = sc.planner
+    obstacles = sc.obstacles
     res, _ = plan_three_obstacles(sc, 1001)
     before, after = res.buffer_history[-2:]
     assert after["block-c"] > before["block-c"]
@@ -603,7 +602,7 @@ def test_shipped_plan_stops_once_buffers_settle_and_reports_the_checked_tube(
             calls.append(np.array(path_xy))
             return super().tube_for_path(path_xy, altitude, cruise_speed)
 
-    sc, cfg = plan_scenario, plan_scenario.build_planner_config()
+    sc, cfg = plan_scenario, plan_scenario.planner
     res, ev = plan_three_obstacles(sc, sc.seed, CountingEvaluator)
     assert res.solved and res.converged
     assert res.outer_iterations == 2 < cfg.M
@@ -616,7 +615,7 @@ def test_shipped_plan_stops_once_buffers_settle_and_reports_the_checked_tube(
         assert getattr(res.tube, name).tobytes() == \
             getattr(fresh, name).tobytes()
     assert res.tube.c2 == fresh.c2
-    recheck = check_tube_collision(fresh, sc.build_obstacles())
+    recheck = check_tube_collision(fresh, sc.obstacles)
     assert [(r.obstacle_id, r.min_cstar2, r.argmin_t) for r in res.reports] \
         == [(r.obstacle_id, r.min_cstar2, r.argmin_t) for r in recheck]
 

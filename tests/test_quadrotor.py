@@ -17,8 +17,8 @@ from tubeplan.vehicles.dryden import longitudinal
 from tubeplan.vehicles.elementwise import BatchMath
 
 
-def make_ref(r, rdot, rddot=(0.0, 0.0, 0.0), t=0.0):
-    return QuadrotorRef(t=t, r=np.asarray(r, dtype=float),
+def make_ref(r, rdot, rddot=(0.0, 0.0, 0.0)):
+    return QuadrotorRef(r=np.asarray(r, dtype=float),
                         rdot=np.asarray(rdot, dtype=float),
                         rddot=np.asarray(rddot, dtype=float))
 

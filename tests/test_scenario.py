@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from tubeplan.scenario import (
     load_scenario,
     parse_scenario,
 )
+from tubeplan.vehicles import FixedWingParams, QuadrotorParams
 
 
 def quad_raw():
@@ -36,6 +38,18 @@ def variant(**edits):
     raw = quad_raw()
     raw.update(copy.deepcopy(edits))
     return raw
+
+
+def fw_raw(**params):
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "vehicle": {"type": "fixedwing", "params": params},
+        "grid": {"tf": 20.0, "dt": 0.01},
+        "desired_trajectory": {
+            "profile": "lateral-sinusoid", "cruise_speed": 15.0,
+            "amplitude": 10.0, "period": 12.0, "altitude": 50.0,
+        },
+    }
 
 
 # --------------------------------------------------------------------------
@@ -78,7 +92,7 @@ def test_hash_tracks_content_not_formatting():
 def test_bundled_scenarios_parse_and_round_trip(quad_scenario, fw_scenario,
                                                 plan_scenario):
     for s in (quad_scenario, fw_scenario, plan_scenario):
-        model = s.build_model()
+        model = s.model
         assert model.n_states in (9, 14)
         again = parse_scenario(s.to_dict())
         assert again.hash() == s.hash()
@@ -95,7 +109,7 @@ def test_gust_intensity_scalar_broadcasts_to_three_axes():
     s = parse_scenario(variant(
         vehicle={"type": "quadrotor", "params": {"sigma": 2.0}}))
     assert s.data["vehicle"]["params"]["sigma"] == [2.0, 2.0, 2.0]
-    model = s.build_model()
+    model = s.model
     assert np.allclose(model.params.sigma, [2.0, 2.0, 2.0])
 
 
@@ -103,7 +117,7 @@ def test_gain_scalar_becomes_a_scaled_identity():
     s = parse_scenario(variant(
         vehicle={"type": "quadrotor", "params": {"K": 3.0}}))
     assert s.data["vehicle"]["params"]["K"] == (3.0 * np.eye(3)).tolist()
-    assert np.allclose(s.build_model().params.K, 3.0 * np.eye(3))
+    assert np.allclose(s.model.params.K, 3.0 * np.eye(3))
 
 
 def test_gain_list_becomes_a_diagonal():
@@ -121,22 +135,11 @@ def test_gain_matrix_passes_through():
 
 
 def test_fixedwing_params_accept_their_own_keys():
-    raw = {
-        "schema_version": SCHEMA_VERSION,
-        "vehicle": {"type": "fixedwing",
-                    "params": {"kappa_mu": 6.0, "Lam_f": 0.5,
-                               "sigma_u": 1.2}},
-        "grid": {"tf": 20.0, "dt": 0.01},
-        "desired_trajectory": {
-            "profile": "lateral-sinusoid", "cruise_speed": 15.0,
-            "amplitude": 10.0, "period": 12.0, "altitude": 50.0,
-        },
-    }
-    s = parse_scenario(raw)
+    s = parse_scenario(fw_raw(kappa_mu=6.0, Lam_f=0.5, sigma_u=1.2))
     params = s.data["vehicle"]["params"]
     assert params["Lam_f"] == (0.5 * np.eye(2)).tolist()
     assert params["kappa_mu"] == 6.0
-    model = s.build_model()
+    model = s.model
     assert model.params.kappa_mu == 6.0
 
 
@@ -146,6 +149,21 @@ def test_quadrotor_rejects_fixedwing_keys_and_vice_versa():
             vehicle={"type": "quadrotor", "params": {"kappa_mu": 6.0}}))
     with pytest.raises(ScenarioError, match="vehicle.type"):
         parse_scenario(variant(vehicle={"type": "hexacopter", "params": {}}))
+
+
+@pytest.mark.parametrize("raw_for, params_cls", [
+    (lambda params: variant(vehicle={"type": "quadrotor", "params": params}),
+     QuadrotorParams),
+    (lambda params: fw_raw(**params), FixedWingParams),
+], ids=["quadrotor", "fixedwing"])
+def test_every_model_parameter_is_a_scenario_key(raw_for, params_cls):
+    defaults = params_cls()
+    params = {f.name: np.asarray(getattr(defaults, f.name)).tolist()
+              for f in dataclasses.fields(params_cls)}
+    built = parse_scenario(raw_for(params)).model.params
+    for f in dataclasses.fields(params_cls):
+        assert np.array_equal(getattr(built, f.name),
+                              getattr(defaults, f.name)), f.name
 
 
 def test_negative_gust_scale_is_rejected():
@@ -214,11 +232,10 @@ def test_initial_state_forms():
 
 def test_initial_covariance_forms():
     s = parse_scenario(variant(initial_covariance="zero"))
-    model = s.build_model()
-    assert np.array_equal(s.initial_covariance(model), np.zeros((9, 9)))
+    assert np.array_equal(s.P0, np.zeros((9, 9)))
     diag = [0.1] * 9
     s = parse_scenario(variant(initial_covariance=diag))
-    assert np.array_equal(s.initial_covariance(model), 0.1 * np.eye(9))
+    assert np.array_equal(s.P0, 0.1 * np.eye(9))
     with pytest.raises(ScenarioError, match=r"initial_covariance\[2\]"):
         parse_scenario(variant(initial_covariance=[0.1, 0.1, -0.1]))
     with pytest.raises(ScenarioError, match="initial_covariance"):
@@ -278,7 +295,7 @@ def obstacle_box(oid="tower", center=(10.0, 0.0, 5.0),
 
 def test_obstacles_parse_and_build():
     s = parse_scenario(variant(obstacles=[obstacle_box()]))
-    (obs,) = s.build_obstacles()
+    (obs,) = s.obstacles
     assert obs.id == "tower"
     assert np.allclose(obs.centroid, (10.0, 0.0, 5.0))
 
@@ -327,6 +344,54 @@ def test_halfspace_shapes_are_checked():
         parse_scenario(variant(obstacles=[entry]))
 
 
+def test_empty_halfspace_region_is_rejected_under_its_entry():
+    entry = {"id": "void", "halfspaces": {
+        "A": [[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0],
+              [0, 0, 1.0], [0, 0, -1.0]],
+        "b": [-1.0, -1.0, 1.0, 1.0, 1.0, 1.0]}}
+    with pytest.raises(ScenarioError, match=r"^obstacles\[1\]: .*empty"):
+        parse_scenario(variant(obstacles=[obstacle_box(), entry]))
+
+
+# --------------------------------------------------------------------------
+# range checks of the built objects
+
+
+CONSTRUCTOR_RANGE_ERRORS = {
+    "fixedwing-negative-mass": (
+        fw_raw(m=-1.0), "vehicle.params", "must be positive"),
+    "fixedwing-lam-f-not-hurwitz": (
+        fw_raw(Lam_f=[[1.0, 0.0], [0.0, -0.5]]), "vehicle.params",
+        "positive real part"),
+    "quadrotor-gain-not-positive-definite": (
+        variant(vehicle={"type": "quadrotor",
+                         "params": {"K": [1.0, -1.0, 1.0]}}),
+        "vehicle.params", "positive definite"),
+    "repeated-waypoint": (
+        variant(desired_trajectory={
+            "profile": "waypoints",
+            "points": [[0.0, 0.0, 5.0], [0.0, 0.0, 5.0], [40.0, 0.0, 5.0]],
+            "speed": 4.0}),
+        "desired_trajectory", "zero-length segment"),
+}
+
+
+@pytest.mark.parametrize("raw, section, detail",
+                         CONSTRUCTOR_RANGE_ERRORS.values(),
+                         ids=CONSTRUCTOR_RANGE_ERRORS.keys())
+def test_constructor_range_errors_name_their_section(raw, section, detail,
+                                                     tmp_path):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(raw)
+    assert str(err.value).startswith(f"{section}: ")
+    assert detail in str(err.value)
+    f = tmp_path / "range.json"
+    f.write_text(json.dumps(raw))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(f)
+    assert str(err.value).startswith(f"{f}: {section}: ")
+
+
 # --------------------------------------------------------------------------
 # planner block
 
@@ -341,11 +406,11 @@ def planner_block(**over):
 
 def test_planner_parses_with_defaults():
     s = parse_scenario(variant(planner=planner_block()))
-    cfg = s.build_planner_config()
+    cfg = s.planner
     assert cfg.N_max == 3000
     assert cfg.goal_bias == 0.05
     assert cfg.step == pytest.approx(cfg.bounds.diagonal() / 50.0)
-    start, goal = s.planner_endpoints()
+    start, goal = s.start, s.goal
     assert np.allclose(start, (0.0, 0.0))
     assert np.allclose(goal, (95.0, 0.0))
 
@@ -355,6 +420,24 @@ def test_planner_endpoints_must_lie_inside_the_bounds():
         parse_scenario(variant(planner=planner_block(goal=[120.0, 0.0])))
     with pytest.raises(ScenarioError, match="planner.start"):
         parse_scenario(variant(planner=planner_block(start=[0.0, -30.0])))
+
+
+@pytest.mark.parametrize("key", ["N_max", "N_conv", "M"])
+@pytest.mark.parametrize("value", [2.7, 1.5, 0.5])
+def test_planner_counts_must_be_integers(key, value):
+    with pytest.raises(ScenarioError,
+                       match=f"^planner.{key}: must be an integer$"):
+        parse_scenario(variant(planner=planner_block(**{key: value})))
+
+
+def test_integral_float_planner_counts_normalize_to_integers():
+    floats = parse_scenario(variant(planner=planner_block(
+        N_max=3000.0, N_conv=200.0, M=4.0)))
+    ints = parse_scenario(variant(planner=planner_block(
+        N_max=3000, N_conv=200, M=4)))
+    assert floats.hash() == ints.hash()
+    assert floats.planner.N_max == 3000
+    assert type(floats.data["planner"]["M"]) is int
 
 
 def test_planner_goal_bias_cap():

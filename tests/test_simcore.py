@@ -298,9 +298,7 @@ def test_ensemble_is_bit_reproducible_across_chunk_boundaries():
 
 
 def _scenario_setup(scenario):
-    model = scenario.build_model()
-    profile = scenario.build_profile()
-    return model, profile, scenario.initial_state(model, profile)
+    return scenario.model, scenario.profile, scenario.initial_state()
 
 
 @pytest.mark.parametrize("which", ["quad_scenario", "fw_scenario"])
