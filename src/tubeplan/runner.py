@@ -6,7 +6,14 @@ Every mode writes a deterministic artifact set into an output directory
 deliberately non-reproducible artifact.  Reports embed the scenario
 hash and seed so any artifact can be traced to its inputs.  Runners
 read the run objects a ``Scenario`` holds; ``Scenario.with_overrides``
-gives one with another seed or confidence level.
+gives one with another seed or confidence level.  A scenario that lacks
+a block its mode needs raises ScenarioError naming the file.
+
+With a second usable core, LinCov runs one block behind the nominal in
+a forked child (``uncertainty.lincov``), and validate writes its two
+CSV files in another forked child while it checks the tube against the
+obstacles; on one core the same writers run in-process.  The artifacts
+are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .errors import ScenarioError
 from .geometry import check_tube_collision, overall_verdict
 from .planner import TubeEvaluator, dynamic_informed_rrt_star
 from .scenario import Scenario
-from .simcore import mc_ensemble
+from .simcore import _beside, mc_ensemble
 from .uncertainty import build_tube, lincov
 
 __all__ = ["RunReport", "run_validate", "run_plan", "run_mc_compare"]
@@ -95,6 +102,14 @@ def _write_variances(path, times, labels, variances):
                [times] + [variances[:, i] for i in range(len(labels))])
 
 
+def _write_state_csvs(out, times, labels, states, P):
+    """nominal.csv and variances.csv of a validate run."""
+    _write_csv(out / "nominal.csv", ["t"] + labels,
+               [times] + [states[:, i] for i in range(len(labels))])
+    _write_variances(out / "variances.csv", times, labels,
+                     np.diagonal(P, axis1=1, axis2=2))
+
+
 def _finite_or_none(x):
     if x is None:
         return None
@@ -129,37 +144,40 @@ def _tube_records(tube):
 # modes
 
 
+def _scenario_error(sc, message):
+    """A ScenarioError that names the scenario's file, as parse errors do."""
+    return ScenarioError(f"{sc.source}: {message}")
+
+
 def run_validate(sc: Scenario, out_dir) -> RunReport:
     """Propagate the tube along the scenario trajectory and check obstacles.
 
     Writes nominal.csv, variances.csv, tube.jsonl, report.json and
-    timings.json into ``out_dir``.
+    timings.json into ``out_dir``.  With a second usable core, a forked
+    child writes the two CSV files while this process builds the tube,
+    checks the obstacles and writes tube.jsonl.
     """
     if sc.profile is None:
-        raise ScenarioError("desired_trajectory: required for this mode")
+        raise _scenario_error(sc,
+                              "desired_trajectory: required for this mode")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model, grid = sc.model, sc.grid
 
     nominal, cov, timings = lincov(model, sc.initial_state(), sc.profile,
                                    grid, sc.P0)
-    tic = time.perf_counter()
-    tube = build_tube(nominal, cov, sc.beta,
-                      position_rows=model.position_rows)
-    timings["tube_ms"] = 1e3 * (time.perf_counter() - tic)
-    timings["lc_ms"] = (timings["linearize_ms"] + timings["covariance_ms"]
-                        + timings["tube_ms"])
-    tic = time.perf_counter()
-    reports = check_tube_collision(tube, sc.obstacles)
-    timings["collision_ms"] = 1e3 * (time.perf_counter() - tic)
-
-    times = grid.times()
-    labels = list(model.state_labels)
-    _write_csv(out / "nominal.csv", ["t"] + labels,
-               [times] + [nominal.states[:, i] for i in range(len(labels))])
-    _write_variances(out / "variances.csv", times, labels,
-                     np.diagonal(cov.P, axis1=1, axis2=2))
-    _write_jsonl(out / "tube.jsonl", _tube_records(tube))
+    with _beside("CSV writer", _write_state_csvs, out, grid.times(),
+                 list(model.state_labels), nominal.states, cov.P):
+        tic = time.perf_counter()
+        tube = build_tube(nominal, cov, sc.beta,
+                          position_rows=model.position_rows)
+        timings["tube_ms"] = 1e3 * (time.perf_counter() - tic)
+        timings["lc_ms"] = (timings["linearize_ms"]
+                            + timings["covariance_ms"] + timings["tube_ms"])
+        tic = time.perf_counter()
+        reports = check_tube_collision(tube, sc.obstacles)
+        timings["collision_ms"] = 1e3 * (time.perf_counter() - tic)
+        _write_jsonl(out / "tube.jsonl", _tube_records(tube))
 
     report = RunReport(
         mode="validate", scenario_name=sc.name, scenario_hash=sc.hash(),
@@ -187,7 +205,7 @@ def run_plan(sc: Scenario, out_dir) -> RunReport:
     buffered obstacle (or a grown buffer later covers the start).
     """
     if sc.planner is None:
-        raise ScenarioError("planner: required for plan mode")
+        raise _scenario_error(sc, "planner: required for plan mode")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     evaluator = TubeEvaluator(model=sc.model, dt=sc.grid.dt, beta=sc.beta,
@@ -245,7 +263,8 @@ def run_mc_compare(sc: Scenario, out_dir, *, runs=10000) -> RunReport:
     if runs < 100:
         raise ValueError("mc-compare needs runs >= 100")
     if sc.profile is None:
-        raise ScenarioError("desired_trajectory: required for this mode")
+        raise _scenario_error(sc,
+                              "desired_trajectory: required for this mode")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model, profile, grid = sc.model, sc.profile, sc.grid

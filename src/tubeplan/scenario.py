@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -129,13 +131,14 @@ def _per_axis(obj, path, *, positive=False, nonnegative=False):
 
 @dataclass(eq=False)
 class Scenario:
-    """Normalized scenario: ``data`` is the canonical dict form, and
-    every field after ``source`` a run object built from it once.  ``x0``
-    is None for an "auto" initial state; ``profile``, ``planner``,
-    ``start`` and ``goal`` are None when their block is absent.  Runs
-    share these objects and never change them."""
+    """Normalized scenario: ``data`` is a read-only view of the canonical
+    dict form, and every field after ``source`` a run object built from
+    it once.  ``x0`` is None for an "auto" initial state; ``profile``,
+    ``planner``, ``start`` and ``goal`` are None when their block is
+    absent.  Runs share these objects; the arrays ``P0``, ``x0``,
+    ``start`` and ``goal`` are read-only."""
 
-    data: dict
+    data: Mapping
     source: str
     model: QuadrotorModel | FixedWingModel
     grid: TimeGrid
@@ -174,12 +177,13 @@ class Scenario:
 
     def with_overrides(self, seed=None, beta=None):
         """This scenario parsed again with the seed and/or confidence
-        level that are not None; itself when both are None."""
+        level that are not None; itself when both are None.  Errors name
+        the source, as those of ``load_scenario`` do."""
         edits = {k: v for k, v in (("seed", seed), ("beta", beta))
                  if v is not None}
         if not edits:
             return self
-        return parse_scenario({**self.data, **edits}, self.source)
+        return _parse_from({**self.data, **edits}, self.source)
 
     # -- serialization -----------------------------------------------------
 
@@ -187,10 +191,10 @@ class Scenario:
         return json.loads(self.canonical_json())
 
     def canonical_json(self):
-        return json.dumps(self.data, sort_keys=True, indent=2)
+        return json.dumps(dict(self.data), sort_keys=True, indent=2)
 
     def hash(self):
-        payload = json.dumps(self.data, sort_keys=True,
+        payload = json.dumps(dict(self.data), sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -496,8 +500,11 @@ def parse_scenario(raw, source="<dict>") -> Scenario:
     if p is not None:
         planner = _built("planner", _planner_config, p)
         start, goal = np.asarray(p["start"]), np.asarray(p["goal"])
+    for array in (P0, x0, start, goal):
+        if array is not None:
+            array.setflags(write=False)
     return Scenario(
-        data=data, source=source, model=model,
+        data=types.MappingProxyType(data), source=source, model=model,
         grid=TimeGrid(g["t0"], g["tf"], g["dt"]), P0=P0, x0=x0,
         profile=(None if spec is None else _built(
             "desired_trajectory", _profile, spec, vehicle["type"], g["dt"])),
@@ -517,7 +524,12 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno}, column "
             f"{exc.colno}: {exc.msg}") from exc
+    return _parse_from(raw, str(path))
+
+
+def _parse_from(raw, source):
+    """parse_scenario(raw, source), its errors prefixed with the source."""
     try:
-        return parse_scenario(raw, source=str(path))
+        return parse_scenario(raw, source=source)
     except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise ScenarioError(f"{source}: {exc}") from exc

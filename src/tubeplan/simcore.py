@@ -13,7 +13,10 @@ normal variates produced by numpy's ziggurat sampler; given the same
 (model, x0, reference, grid, seed) every output bit is reproducible.
 When two cores are usable, an ensemble pass has a forked child draw its
 noise one time chunk ahead of the model steps; the samples, and so the
-outputs, are the same bits as when they are drawn in-process.
+outputs, are the same bits as when they are drawn in-process.  All
+forked work in the package goes through ``_forked``, which re-raises a
+child's exception in the parent, kills the child when the parent's side
+raises, and always joins it.
 """
 
 from __future__ import annotations
@@ -156,18 +159,31 @@ def _steps(model, x, grid, refs, noise=None):
         yield x
 
 
-def integrate_nominal(model, x0, des, grid):
-    """Classic fixed-step RK4 of the closed-loop dynamics with zero noise."""
+# grid points linearized per batched model call: large enough that numpy
+# dispatch overhead vanishes, small enough to keep temporaries in cache
+_LIN_BLOCK = 256
+
+
+def integrate_nominal(model, x0, des, grid, on_rows=None):
+    """Classic fixed-step RK4 of the closed-loop dynamics with zero noise.
+
+    With ``on_rows``, ``on_rows(lo, rows)`` is handed each block of
+    _LIN_BLOCK new states (the last block may be shorter) as soon as it
+    is integrated, so a consumer can linearize it while the rest is
+    integrated.
+    """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n_states,):
         raise ValueError(f"x0 must have shape ({model.n_states},)")
     refs = _step_refs(des, grid, rk4=True)
-    return Trajectory(grid=grid, states=list(_steps(model, x0, grid, refs)))
-
-
-# grid points linearized per batched model call: large enough that numpy
-# dispatch overhead vanishes, small enough to keep temporaries in cache
-_LIN_BLOCK = 256
+    states = np.empty((grid.count, model.n_states))
+    for k, x in enumerate(_steps(model, x0, grid, refs)):
+        states[k] = x
+        if on_rows is not None and (
+                (k + 1) % _LIN_BLOCK == 0 or k + 1 == grid.count):
+            lo = k - k % _LIN_BLOCK
+            on_rows(lo, states[lo:k + 1])
+    return Trajectory(grid=grid, states=states)
 
 
 def linearize(model, nominal, des):
@@ -176,25 +192,36 @@ def linearize(model, nominal, des):
     Evaluated at every grid point of the nominal trajectory with zero
     noise; per-column step max(1e-6, 1e-6 |x_i|).  All 2(n + m)
     perturbed evaluations of a grid point run inside one batched model
-    call, with grid points blocked together for speed.  Each block
-    samples des once, at a (block, 1) column of its times, so every grid
-    point broadcasts against its own reference.
+    call, with grid points blocked together for speed (see
+    _linearize_rows).
+    """
+    grid = nominal.grid
+    A = np.empty((grid.count, model.n_states, model.n_states))
+    B = np.empty((grid.count, model.n_states, model.n_noise))
+    _linearize_rows(model, des, grid.times(), nominal.states, A, B,
+                    0, grid.count)
+    return LinearizationHistory(grid=grid, A=A, B_n=B)
+
+
+def _linearize_rows(model, des, times, states, A, B, start, stop):
+    """Fill A[start:stop] and B[start:stop] at those grid points.
+
+    start is a multiple of _LIN_BLOCK, and each block of _LIN_BLOCK
+    points from start is one batched model call, so the Jacobians do not
+    depend on how the rows are split between calls of this function.
+    Each block samples des once, at a (block, 1) column of its times, so
+    every grid point broadcasts against its own reference.
     """
     n = model.n_states
     m = model.n_noise
-    grid = nominal.grid
-    A = np.empty((grid.count, n, n))
-    B = np.empty((grid.count, n, m))
     rows = 2 * (n + m)
-    times = grid.times()
     idx = np.arange(n)
     jdx = np.arange(m)
-    for lo in range(0, grid.count, _LIN_BLOCK):
-        hi = min(lo + _LIN_BLOCK, grid.count)
-        states = nominal.states[lo:hi]
+    for lo in range(start, stop, _LIN_BLOCK):
+        hi = min(lo + _LIN_BLOCK, stop)
         block = hi - lo
-        hx = np.maximum(1e-6, 1e-6 * np.abs(states))        # (block, n)
-        X = np.repeat(states[:, None, :], rows, axis=1)
+        hx = np.maximum(1e-6, 1e-6 * np.abs(states[lo:hi]))  # (block, n)
+        X = np.repeat(states[lo:hi, None, :], rows, axis=1)
         X[:, 2 * idx, idx] += hx
         X[:, 2 * idx + 1, idx] -= hx
         N = np.zeros((block, rows, m))
@@ -214,7 +241,6 @@ def linearize(model, nominal, des):
         A[lo:hi] = np.transpose(dx / (2.0 * hx[:, :, None]), (0, 2, 1))
         dn = D[:, 2 * n::2] - D[:, 2 * n + 1::2]             # (block, m, n)
         B[lo:hi] = np.transpose(dn / (2.0 * 1e-6), (0, 2, 1))
-    return LinearizationHistory(grid=grid, A=A, B_n=B)
 
 
 def _noise_stream(seed, m, dt):
@@ -252,7 +278,7 @@ def _usable_cpus():
 
 
 def _fork_context():
-    """The "fork" context when a second core can draw noise, else None.
+    """The "fork" context when a second core can take forked work, else None.
 
     Besides the core count, the main process must be the only Python
     thread (a forked child would inherit locks other threads hold) and
@@ -269,6 +295,104 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
+def _shared(shape):
+    """A zeroed float array in an anonymous shared mapping, so that what
+    a forked child writes into it is seen by the parent."""
+    import mmap
+
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+
+
+def _child_main(conn, target, args):
+    """Body of a child of _forked: target(conn, *args), sending back an
+    exception it raises (no message of a target is an exception)."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
+    try:
+        target(conn, *args)
+    except Exception as err:
+        conn.send(err)
+
+
+class _Child:
+    """The parent's end of a child started by _forked."""
+
+    def __init__(self, conn, proc, what):
+        self.conn, self.proc, self.what = conn, proc, what
+
+    def send(self, obj):
+        """Send obj to the child; a child that has died shows at recv."""
+        with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+            self.conn.send(obj)
+
+    def recv(self):
+        """The child's next message.
+
+        Waits on the pipe and the child's sentinel together.  Re-raises
+        an exception the child raised, and raises RuntimeError with the
+        exit code when the child exits without a message.
+        """
+        from multiprocessing.connection import wait
+
+        if self.conn in wait([self.conn, self.proc.sentinel]):
+            try:
+                msg = self.conn.recv()
+            except (EOFError, ConnectionResetError):  # the child has exited
+                pass
+            else:
+                if isinstance(msg, Exception):
+                    raise msg
+                return msg
+        self.proc.join()
+        raise RuntimeError(
+            f"{self.what} exited with code {self.proc.exitcode}")
+
+
+@contextlib.contextmanager
+def _forked(ctx, what, target, *args):
+    """Run ``target(conn, *args)`` in a child forked from ``ctx``.
+
+    Yields the parent's _Child end; ``what`` names the child in errors.
+    The child is killed if the block raises, and is always joined
+    before this returns.
+    """
+    conn, child_conn = ctx.Pipe()
+    proc = ctx.Process(target=_child_main, daemon=True,
+                       args=(child_conn, target, args))
+    proc.start()
+    child_conn.close()
+    try:
+        yield _Child(conn, proc, what)
+    except BaseException:
+        proc.kill()
+        raise
+    finally:
+        proc.join()
+        conn.close()
+
+
+def _call(conn, fn, *args):
+    """Child side of _beside: fn(*args), then report that it is done."""
+    fn(*args)
+    conn.send(None)
+
+
+@contextlib.contextmanager
+def _beside(what, fn, *args):
+    """Run fn(*args) while the block runs, in a forked child when a
+    second core is usable, else in-process after the block; leaving
+    waits for it and raises what it raised."""
+    ctx = _fork_context()
+    if ctx is None:
+        yield
+        fn(*args)
+        return
+    with _forked(ctx, what, _call, fn, *args) as child:
+        yield
+        child.recv()
+
+
 def _local_chunks(seeds, sizes, shape, m, dt):
     """Fill one buffer in-process, chunk after chunk, and yield it."""
     buf = np.empty(shape)
@@ -280,9 +404,6 @@ def _local_chunks(seeds, sizes, shape, m, dt):
 
 def _fill_ahead(conn, bufs, seeds, sizes, m, dt):
     """Child side of _forked_chunks: fill chunk j into bufs[j % 2]."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
     draws = [_noise_stream(seed, m, dt) for seed in seeds]
     for j, size in enumerate(sizes):
         if j >= 2:
@@ -291,78 +412,60 @@ def _fill_ahead(conn, bufs, seeds, sizes, m, dt):
         conn.send(j)
 
 
-def _await_chunk(conn, proc):
-    """Wait for the child's next "chunk ready"; raise if it died first."""
-    from multiprocessing.connection import wait
-
-    if conn in wait([conn, proc.sentinel]):
-        try:
-            conn.recv()
-            return
-        except (EOFError, ConnectionResetError):  # the child has exited
-            pass
-    proc.join()
-    raise RuntimeError(f"noise process exited with code {proc.exitcode}")
-
-
+@contextlib.contextmanager
 def _forked_chunks(ctx, seeds, sizes, shape, m, dt):
-    """Yield chunks that a forked child fills one chunk ahead.
+    """Chunks that a forked child fills one chunk ahead.
 
-    The two chunk buffers live in a shared anonymous mapping.  The child
-    reports each filled chunk over a pipe and waits for buffer j % 2 to
-    be released before it fills chunk j; the parent releases a buffer
-    when it asks for the next chunk.  The parent waits on the pipe and
-    the child's sentinel together, so a child that dies raises
-    RuntimeError instead of hanging.  The child is killed if the
-    consumer stops early and is always joined before this returns.
+    Entering starts the child and yields an iterator over the chunks.
+    The two chunk buffers live in a shared mapping.  The child reports
+    each filled chunk over a pipe and waits for buffer j % 2 to be
+    released before it fills chunk j; the iterator releases a buffer
+    when it is asked for the next chunk.  A child that dies raises
+    RuntimeError instead of hanging; see _forked.
     """
-    import mmap
+    bufs = _shared((2,) + shape)
+    with _forked(ctx, "noise process", _fill_ahead,
+                 bufs, seeds, sizes, m, dt) as child:
+        def chunks():
+            for j in range(len(sizes)):
+                child.recv()
+                yield bufs[j % 2]
+                if j + 2 < len(sizes):
+                    child.send(j)
 
-    bufs = np.frombuffer(mmap.mmap(-1, 2 * 8 * math.prod(shape)))
-    bufs = bufs.reshape((2,) + shape)
-    conn, child_conn = ctx.Pipe()
-    proc = ctx.Process(target=_fill_ahead, daemon=True,
-                       args=(child_conn, bufs, seeds, sizes, m, dt))
-    proc.start()
-    child_conn.close()
-    try:
-        for j in range(len(sizes)):
-            _await_chunk(conn, proc)
-            yield bufs[j % 2]
-            if j + 2 < len(sizes):
-                with contextlib.suppress(BrokenPipeError, ConnectionResetError):
-                    conn.send(j)  # a child that died shows at the next wait
-    except BaseException:
-        proc.kill()
-        raise
-    finally:
-        proc.join()
-        conn.close()
+        yield chunks()
 
 
+@contextlib.contextmanager
 def _pass_noise(seeds, steps, m, dt):
     """Per-step (runs, m) noise of the runs ``seeds``, drawn in time chunks.
 
-    With a second usable core, a forked child draws chunk j + 1 while
-    the caller steps through chunk j; two chunk buffers split
+    Entering yields an iterator over the steps' samples.  With a second
+    usable core, entering starts a forked child that draws chunk j + 1
+    while the caller steps through chunk j, so it can start drawing
+    while the caller still prepares; two chunk buffers split
     _NOISE_BYTES.  Otherwise one chunk buffer of up to _NOISE_BYTES is
     filled in-process.  Both paths fill with _fill from the runs' own
     streams, so the samples, and every result, do not depend on the
     path.  Each yielded sample is a Fortran-ordered view, so every
     component's column is contiguous; it is overwritten by a later
-    chunk.  Close the generator to stop early: that also ends the child.
+    chunk.  Leaving ends the child.
     """
     ctx = _fork_context()
     nbuf = 1 if ctx is None else 2
     chunk = min(steps, max(1, _NOISE_BYTES // (nbuf * 8 * m * len(seeds))))
     sizes = [min(chunk, steps - lo) for lo in range(0, steps, chunk)]
     shape = (chunk, m, len(seeds))
-    chunks = (_local_chunks(seeds, sizes, shape, m, dt) if ctx is None
-              else _forked_chunks(ctx, seeds, sizes, shape, m, dt))
-    with contextlib.closing(chunks):
-        for buf, size in zip(chunks, sizes, strict=True):
-            for k in range(size):
-                yield buf[k].T
+    chunks = (
+        contextlib.nullcontext(_local_chunks(seeds, sizes, shape, m, dt))
+        if ctx is None else _forked_chunks(ctx, seeds, sizes, shape, m, dt))
+    with chunks as filled:
+        samples = (buf[k].T for buf, size in zip(filled, sizes, strict=True)
+                   for k in range(size))
+        # closed on leaving, so that the caller's name for it holds no
+        # chunk buffer once the pass is over
+        with contextlib.closing(samples):
+            yield samples
 
 
 def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
@@ -371,10 +474,11 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     Run i draws its noise exactly as ``mc_run(..., seed=base_seed + i)``
     would, in time chunks of about 12 MB across a pass.  With two usable
     cores a forked child draws the next chunk while this process steps
-    through the current one (see _pass_noise); the child is joined
-    before its pass ends, also when a step raises, and a child that dies
-    raises RuntimeError.  The noise bits do not depend on which path
-    draws them.  Runs are integrated in passes of up to 2048, each
+    through the current one (see _pass_noise); the first pass's child
+    starts before the shared reference path is integrated.  Each child
+    is joined before its pass ends, also when a step raises, and a child
+    that dies raises RuntimeError.  The noise bits do not depend on which
+    path draws them.  Runs are integrated in passes of up to 2048, each
     holding its state column-major so the model works on contiguous
     state columns; a run's states do not depend on the pass it falls
     in.  Each step of a pass adds its deviations to the sums in one
@@ -394,13 +498,6 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     m = model.n_noise
     dt = grid.dt
     count = grid.count
-    # the reference path and every pass share one sample of des
-    refs = _step_refs(des, grid, rk4=False)
-    ref_path = np.array(list(_steps(model, x0, grid, refs,
-                                    np.zeros((count - 1, m)))))
-
-    sum_d = np.zeros((count, n))
-    sum_o = np.zeros((count, n, n))
     recorded = None
     if record_indices is not None:
         record_indices = [int(i) for i in record_indices]
@@ -409,19 +506,31 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
             raise ValueError("record_indices must be distinct grid indices")
         recorded = np.empty((runs, len(record_indices), n))
         record_pos = {k: j for j, k in enumerate(record_indices)}
+    sum_d = np.zeros((count, n))
+    sum_o = np.zeros((count, n, n))
+    seeds = range(base_seed, base_seed + runs)
 
-    for lo in range(0, runs, _PASS):
+    def run_pass(lo, noise):
         hi = min(lo + _PASS, runs)
         x = np.full((hi - lo, n), x0, order="F")
-        noise = _pass_noise(range(base_seed + lo, base_seed + hi),
-                            count - 1, m, dt)
-        with contextlib.closing(noise):
-            for k, X in enumerate(_steps(model, x, grid, refs, noise)):
-                d = X - ref_path[k]
-                sum_d[k] += d.sum(axis=0)
-                sum_o[k] += d.T @ d
-                if recorded is not None and k in record_pos:
-                    recorded[lo:hi, record_pos[k]] = X
+        for k, X in enumerate(_steps(model, x, grid, refs, noise)):
+            d = X - ref_path[k]
+            sum_d[k] += d.sum(axis=0)
+            sum_o[k] += d.T @ d
+            if recorded is not None and k in record_pos:
+                recorded[lo:hi, record_pos[k]] = X
+
+    # the first pass's noise child starts drawing beside the reference
+    # path, which that pass and every later one share with one sample of
+    # des
+    with _pass_noise(seeds[:_PASS], count - 1, m, dt) as noise:
+        refs = _step_refs(des, grid, rk4=False)
+        ref_path = np.array(list(_steps(model, x0, grid, refs,
+                                        np.zeros((count - 1, m)))))
+        run_pass(0, noise)
+    for lo in range(_PASS, runs, _PASS):
+        with _pass_noise(seeds[lo:lo + _PASS], count - 1, m, dt) as noise:
+            run_pass(lo, noise)
 
     mean = ref_path + sum_d / runs
     cov = (sum_o - np.einsum("ki,kj->kij", sum_d, sum_d) / runs) / (runs - 1)

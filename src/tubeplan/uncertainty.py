@@ -13,6 +13,14 @@ of steps, and the recursion runs as a two-level blocked scan.  For
 constant A and B_n the scheme is fourth order in dt; for time-varying
 ones the half-step averages make it second order.
 
+``lincov`` chains the nominal, the linearization and the covariance.
+With a second usable core a forked child linearizes and maps the steps
+of each block of nominal rows while the parent integrates the next
+block, then scans; the linearization, the step maps and the scan are
+the same block functions as those of ``linearize`` and
+``propagate_covariance``, on the same block boundaries, so the
+covariance is the same bits on any core count.
+
 A probability tube is the time-ordered sequence of position-marginal
 ellipsoids
 
@@ -35,6 +43,10 @@ from .simcore import (
     LinearizationHistory,
     TimeGrid,
     Trajectory,
+    _fork_context,
+    _forked,
+    _linearize_rows,
+    _shared,
     integrate_nominal,
     linearize,
 )
@@ -119,69 +131,77 @@ _CHUNK = 256
 def _step_maps(lin: LinearizationHistory):
     """(Phi, Q), each (count - 1, n, n): P_{k+1} = Phi_k P_k Phi_k^T + Q_k.
 
-    Phi_k is the RK4 step of Phi_dot = A Phi from Phi = I, and Q_k the RK4
-    step of the Lyapunov equation from P = 0.  A and B_n B_n^T are averaged
-    at the half step, and B_n B_n^T is formed one chunk of steps at a time.
+    See _map_chunk for one chunk of steps.
     """
-    dt = lin.grid.dt
     steps = lin.grid.count - 1
     n = lin.A.shape[1]
     Phi = np.empty((steps, n, n))
     Q = np.empty((steps, n, n))
+    for s in range(0, steps, _CHUNK):
+        _map_chunk(lin, Phi, Q, s)
+    return Phi, Q
+
+
+def _map_chunk(lin, Phi, Q, s):
+    """Fill Phi and Q for the _CHUNK steps from s (fewer at the end).
+
+    Phi_k is the RK4 step of Phi_dot = A Phi from Phi = I, and Q_k the
+    RK4 step of the Lyapunov equation from P = 0.  A and B_n B_n^T are
+    averaged at the half step, and B_n B_n^T is formed for the chunk
+    only.  The chunk reads A and B_n at grid points s .. e, one past its
+    last step e - 1.
+    """
+    dt = lin.grid.dt
+    e = min(s + _CHUNK, len(Phi))
+    n = Phi.shape[1]
 
     def rate(A, Qn, P):
         # P symmetric makes A P + P A^T = S + S^T with S = A P
         S = A @ P
         return S + S.transpose(0, 2, 1) + Qn
 
-    for s in range(0, steps, _CHUNK):
-        e = min(s + _CHUNK, steps)
-        A = lin.A[s:e + 1]
-        B = lin.B_n[s:e + 1]
-        BB = B @ B.transpose(0, 2, 1)
-        A0, A1 = A[:-1], A[1:]
-        Q0, Q1 = BB[:-1], BB[1:]
-        Ah = 0.5 * (A0 + A1)
-        Qh = 0.5 * (Q0 + Q1)
+    A = lin.A[s:e + 1]
+    B = lin.B_n[s:e + 1]
+    BB = B @ B.transpose(0, 2, 1)
+    A0, A1 = A[:-1], A[1:]
+    Q0, Q1 = BB[:-1], BB[1:]
+    Ah = 0.5 * (A0 + A1)
+    Qh = 0.5 * (Q0 + Q1)
 
-        # Phi_dot = A Phi from I: k1 = A0, later stages A (I + c k)
-        k2 = Ah + (0.5 * dt) * (Ah @ A0)
-        k3 = Ah + (0.5 * dt) * (Ah @ k2)
-        k4 = A1 + dt * (A1 @ k3)
-        Phi[s:e] = np.eye(n) + (dt / 6.0) * (A0 + 2.0 * (k2 + k3) + k4)
+    # Phi_dot = A Phi from I: k1 = A0, later stages A (I + c k)
+    k2 = Ah + (0.5 * dt) * (Ah @ A0)
+    k3 = Ah + (0.5 * dt) * (Ah @ k2)
+    k4 = A1 + dt * (A1 @ k3)
+    Phi[s:e] = np.eye(n) + (dt / 6.0) * (A0 + 2.0 * (k2 + k3) + k4)
 
-        # the Lyapunov equation from P = 0: k1 = Q0
-        k2 = rate(Ah, Qh, (0.5 * dt) * Q0)
-        k3 = rate(Ah, Qh, (0.5 * dt) * k2)
-        k4 = rate(A1, Q1, dt * k3)
-        Q[s:e] = (dt / 6.0) * (Q0 + 2.0 * (k2 + k3) + k4)
-    return Phi, Q
+    # the Lyapunov equation from P = 0: k1 = Q0
+    k2 = rate(Ah, Qh, (0.5 * dt) * Q0)
+    k3 = rate(Ah, Qh, (0.5 * dt) * k2)
+    k4 = rate(A1, Q1, dt * k3)
+    Q[s:e] = (dt / 6.0) * (Q0 + 2.0 * (k2 + k3) + k4)
 
 
-def propagate_covariance(lin: LinearizationHistory, P0) -> CovarianceHistory:
-    """Covariance at every grid point from the discrete LinCov recursion.
-
-    P_{k+1} = Phi_k P_k Phi_k^T + Q_k, with the step maps of
-    ``_step_maps``, is evaluated as a two-level blocked scan.  The steps
-    are split into blocks of about sqrt(count) steps; the maps of every
-    block are composed at once, in place, so that Phi[s + j] and Q[s + j]
-    carry the block's start covariance P_s to P_{s + j + 1}.  One short
-    sequential pass over the block starts then writes each block's
-    covariances in one batched product, symmetrized so that round-off
-    leaves no asymmetry.
-    """
+def _checked_P0(P0, n):
+    """P0 as a float array, checked to be (n, n), symmetric and PSD."""
     P0 = np.asarray(P0, dtype=float)
-    n = lin.A.shape[1]
     if P0.shape != (n, n):
         raise ValueError(f"P0 must have shape ({n}, {n})")
     _check_sym_psd(P0, "P0")
+    return P0
 
-    grid = lin.grid
-    steps = grid.count - 1
-    out = np.empty((grid.count, n, n))
+
+def _scan(Phi, Q, P0, out):
+    """Write P_0 .. P_count of the recursion into out; Phi, Q are reused.
+
+    The steps are split into blocks of about sqrt(count) steps; the maps
+    of every block are composed at once, in place, so that Phi[s + j]
+    and Q[s + j] carry the block's start covariance P_s to P_{s + j + 1}.
+    One short sequential pass over the block starts then writes each
+    block's covariances in one batched product, symmetrized so that
+    round-off leaves no asymmetry.
+    """
+    steps = len(Phi)
     out[0] = 0.5 * (P0 + P0.T)
-    Phi, Q = _step_maps(lin)
-
     size = math.isqrt(max(steps - 1, 0)) + 1
     for j in range(1, size):
         # offset j of every block; a short last block may end before j,
@@ -199,28 +219,101 @@ def propagate_covariance(lin: LinearizationHistory, P0) -> CovarianceHistory:
         X = F @ P @ F.transpose(0, 2, 1) + Q[s:e]
         out[s + 1:e + 1] = 0.5 * (X + X.transpose(0, 2, 1))
         P = out[e]
-    return CovarianceHistory(grid=grid, P=out)
+
+
+def propagate_covariance(lin: LinearizationHistory, P0) -> CovarianceHistory:
+    """Covariance at every grid point from the discrete LinCov recursion.
+
+    P_{k+1} = Phi_k P_k Phi_k^T + Q_k, with the step maps of
+    ``_step_maps``, is evaluated as a two-level blocked scan (_scan).
+    """
+    P0 = _checked_P0(P0, lin.A.shape[1])
+    out = np.empty((lin.grid.count,) + P0.shape)
+    _scan(*_step_maps(lin), P0, out)
+    return CovarianceHistory(grid=lin.grid, P=out)
+
+
+def _covariance_behind(conn, model, des, grid, states, P0, out):
+    """LinCov's child: covariance from nominal rows as they arrive.
+
+    Each message is the number of rows of ``states`` that now exist.
+    Their Jacobians are formed at once, and so is every chunk of step
+    maps whose last grid point they reach.  After the last row the scan
+    writes the covariance history into ``out``.  The child then sends
+    its busy time in ms, split into linearization and covariance.
+    """
+    n, count = model.n_states, grid.count
+    times = grid.times()
+    lin = LinearizationHistory(grid=grid, A=np.empty((count, n, n)),
+                               B_n=np.empty((count, n, model.n_noise)))
+    Phi = np.empty((count - 1, n, n))
+    Q = np.empty((count - 1, n, n))
+    lin_s = cov_s = 0.0
+    done = mapped = 0
+    while done < count:
+        hi = conn.recv()
+        tic = time.perf_counter()
+        _linearize_rows(model, des, times, states, lin.A, lin.B_n, done, hi)
+        done = hi
+        tac = time.perf_counter()
+        # a chunk's last step e - 1 reads grid point e
+        while mapped < count - 1 and min(mapped + _CHUNK, count - 1) < done:
+            _map_chunk(lin, Phi, Q, mapped)
+            mapped += _CHUNK
+        lin_s += tac - tic
+        cov_s += time.perf_counter() - tac
+    tic = time.perf_counter()
+    _scan(Phi, Q, P0, out)
+    cov_s += time.perf_counter() - tic
+    conn.send((1e3 * lin_s, 1e3 * cov_s))
 
 
 def lincov(model, x0, des, grid, P0):
     """The LinCov chain: nominal, linearization, covariance, each timed.
 
-    Returns ``(nominal, cov, timings)``, where ``timings`` holds the wall
+    Returns ``(nominal, cov, timings)``, where ``timings`` holds the
     time of each stage in ms under ``nominal_ms``, ``linearize_ms`` and
-    ``covariance_ms``.  The stages are called through this module's
-    names, so a wrapper installed on them sees every call.
+    ``covariance_ms``.  With a second usable core, a forked child
+    (_covariance_behind) linearizes each block of 256 nominal rows and
+    maps its steps while this process integrates the next block, and
+    scans once the last row is in; the linearize and covariance times
+    are then the child's busy time, not this process's wait.  With one
+    core, ``linearize`` and ``propagate_covariance`` run after the
+    nominal.  Both paths run the same block functions on the same
+    block boundaries, so the results are the same bits.  The stages
+    are called through this module's names, so a wrapper installed on
+    them sees every call made in this process; the forked child calls
+    only the block functions.
     """
+    P0 = _checked_P0(P0, model.n_states)
+    ctx = _fork_context()
     timings = {}
-    tic = time.perf_counter()
-    nominal = integrate_nominal(model, x0, des, grid)
-    timings["nominal_ms"] = 1e3 * (time.perf_counter() - tic)
-    tic = time.perf_counter()
-    lin = linearize(model, nominal, des)
-    timings["linearize_ms"] = 1e3 * (time.perf_counter() - tic)
-    tic = time.perf_counter()
-    cov = propagate_covariance(lin, P0)
-    timings["covariance_ms"] = 1e3 * (time.perf_counter() - tic)
-    return nominal, cov, timings
+    if ctx is None:
+        tic = time.perf_counter()
+        nominal = integrate_nominal(model, x0, des, grid)
+        timings["nominal_ms"] = 1e3 * (time.perf_counter() - tic)
+        tic = time.perf_counter()
+        lin = linearize(model, nominal, des)
+        timings["linearize_ms"] = 1e3 * (time.perf_counter() - tic)
+        tic = time.perf_counter()
+        cov = propagate_covariance(lin, P0)
+        timings["covariance_ms"] = 1e3 * (time.perf_counter() - tic)
+        return nominal, cov, timings
+
+    n = model.n_states
+    states = _shared((grid.count, n))
+    P = _shared((grid.count, n, n))
+    with _forked(ctx, "LinCov process", _covariance_behind,
+                 model, des, grid, states, P0, P) as child:
+        def hand_over(lo, rows):
+            states[lo:lo + len(rows)] = rows
+            child.send(lo + len(rows))
+
+        tic = time.perf_counter()
+        nominal = integrate_nominal(model, x0, des, grid, hand_over)
+        timings["nominal_ms"] = 1e3 * (time.perf_counter() - tic)
+        timings["linearize_ms"], timings["covariance_ms"] = child.recv()
+    return nominal, CovarianceHistory(grid=grid, P=P), timings
 
 
 # --- chi-squared CDF and quantile ------------------------------------------

@@ -214,6 +214,38 @@ def test_range_errors_exit_one_naming_the_file_and_the_section(
     assert not out.exists()
 
 
+def test_an_out_of_range_beta_override_names_the_file(tmp_path, capsys):
+    # the override is checked when the scenario is parsed again
+    scn = write_quad_scenario(tmp_path, name="override.json")
+    out = tmp_path / "out"
+    code = main(["validate", "--scenario", str(scn), "--out", str(out),
+                 "--beta", "3"])
+    assert code == 1
+    assert f"{scn}: beta: must lie strictly inside (0, 1)" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("validate", "desired_trajectory: required for this mode"),
+    ("mc-compare", "desired_trajectory: required for this mode"),
+], ids=["validate", "mc-compare"])
+def test_a_plan_scenario_in_a_trajectory_mode_names_the_file(
+        tmp_path, capsys, mode, message):
+    scn = write_plan_scenario(tmp_path)
+    code = main([mode, "--scenario", str(scn), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"{scn}: {message}" in capsys.readouterr().err
+
+
+def test_plan_mode_without_a_planner_block_names_the_file(tmp_path, capsys):
+    scn = write_quad_scenario(tmp_path)
+    code = main(["plan", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"{scn}: planner: required for plan mode" in \
+        capsys.readouterr().err
+
+
 def test_help_runs_as_a_module():
     proc = subprocess.run([sys.executable, "-m", "tubeplan.cli", "--help"],
                           capture_output=True, text=True)

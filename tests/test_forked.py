@@ -1,0 +1,195 @@
+"""Work forked to a second core gives the bits of the one-core path.
+
+With two usable cores, ``lincov`` linearizes and maps the steps of each
+block of nominal rows in a forked child while the parent integrates the
+next block, and ``run_validate`` writes its two CSV files in a forked
+child beside the tube and clearance stages.  With one core the same
+block functions run in-process.  The oracle for every forked result is
+the one-core run of the same call; errors raised in a child reach the
+parent with their own type and message, a child that dies raises
+RuntimeError with its exit code, and no child outlives its call
+(``child_guard``).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import multiprocessing
+import os
+import re
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from tubeplan import runner, simcore, uncertainty
+from tubeplan.errors import ModelDomainError
+from tubeplan.runner import run_plan, run_validate
+from tubeplan.simcore import TimeGrid
+from tubeplan.uncertainty import lincov
+
+pytestmark = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the two-core paths fork")
+
+VALIDATE_ARTIFACTS = ["nominal.csv", "variances.csv", "tube.jsonl",
+                      "report.json"]
+PLAN_ARTIFACTS = ["path.csv", "tube.jsonl", "buffers.json", "tree.jsonl",
+                  "report.json"]
+
+
+@pytest.fixture
+def forks(monkeypatch, child_guard):
+    """Take the two-core paths; the list gets the name of each child."""
+    started = []
+    fork = simcore._forked
+
+    @contextlib.contextmanager
+    def counting(ctx, what, *args):
+        started.append(what)
+        with fork(ctx, what, *args) as child:
+            yield child
+
+    monkeypatch.setattr(simcore, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simcore, "_forked", counting)
+    monkeypatch.setattr(uncertainty, "_forked", counting)
+    return started
+
+
+def _cores(monkeypatch, cpus):
+    monkeypatch.setattr(simcore, "_usable_cpus", lambda: cpus)
+
+
+@dataclass
+class ToyRef:
+    t: float
+
+
+def toy_des(t):
+    return ToyRef(t=np.asarray(t, dtype=float))
+
+
+class ToyModel:
+    """x_dot = A x + B n + sin(t) e_0, with a domain that can end at t_bad
+    for the batched calls of the linearization only."""
+
+    n_states = 2
+    n_noise = 1
+
+    def __init__(self, t_bad=np.inf):
+        self.A = np.array([[-0.5, 1.0], [-1.0, -0.3]])
+        self.B = np.array([[0.2], [1.0]])
+        self.t_bad = t_bad
+
+    def deriv(self, x, ref, noise):
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 1 and np.any(ref.t >= self.t_bad):
+            raise ModelDomainError("linearized past t_bad")
+        out = x @ self.A.T + np.asarray(noise) @ self.B.T
+        out[..., 0] += np.sin(ref.t)
+        return out
+
+
+def _lincov_bits(monkeypatch, cpus, model, x0, des, grid, P0):
+    _cores(monkeypatch, cpus)
+    nominal, cov, timings = lincov(model, x0, des, grid, P0)
+    assert set(timings) == {"nominal_ms", "linearize_ms", "covariance_ms"}
+    return nominal.states.tobytes(), cov.P.tobytes()
+
+
+# grid counts around the 256-row blocks and chunks: fewer than one block,
+# block edges, one past them, and an uneven tail
+@pytest.mark.parametrize("count", [2, 255, 256, 257, 512, 513, 700])
+def test_streamed_lincov_gives_the_bits_of_the_one_core_chain(
+        count, monkeypatch, forks):
+    model = ToyModel()
+    grid = TimeGrid(0.0, 0.01 * (count - 1), 0.01)
+    assert grid.count == count
+    P0 = np.diag([0.3, 0.1])
+    args = (model, np.array([1.0, -0.5]), toy_des, grid, P0)
+    forked = _lincov_bits(monkeypatch, 2, *args)
+    one_core = _lincov_bits(monkeypatch, 1, *args)
+    assert forks == ["LinCov process"]
+    assert forked == one_core
+
+
+@pytest.mark.parametrize("which", ["quad_scenario", "fw_scenario"])
+def test_streamed_lincov_of_each_vehicle_gives_the_one_core_bits(
+        which, request, monkeypatch, forks):
+    sc = request.getfixturevalue(which)
+    args = (sc.model, sc.initial_state(), sc.profile, sc.grid, sc.P0)
+    forked = _lincov_bits(monkeypatch, 2, *args)
+    one_core = _lincov_bits(monkeypatch, 1, *args)
+    assert forks == ["LinCov process"]
+    assert forked == one_core
+
+
+def _artifacts(directory, names):
+    return {name: (directory / name).read_bytes() for name in names}
+
+
+@pytest.mark.parametrize("which", ["quad_scenario", "fw_scenario"])
+def test_validate_artifacts_do_not_depend_on_the_core_count(
+        which, request, monkeypatch, forks, tmp_path):
+    sc = request.getfixturevalue(which)
+    run_validate(sc, tmp_path / "forked")
+    assert forks == ["LinCov process", "CSV writer"]
+    _cores(monkeypatch, 1)
+    run_validate(sc, tmp_path / "one-core")
+    assert len(forks) == 2
+    assert _artifacts(tmp_path / "forked", VALIDATE_ARTIFACTS) == \
+        _artifacts(tmp_path / "one-core", VALIDATE_ARTIFACTS)
+
+
+def test_shipped_plan_does_not_depend_on_the_core_count(
+        plan_scenario, monkeypatch, forks, tmp_path):
+    run_plan(plan_scenario, tmp_path / "forked")
+    evaluations = len(forks)
+    assert evaluations >= 2 and set(forks) == {"LinCov process"}
+    _cores(monkeypatch, 1)
+    run_plan(plan_scenario, tmp_path / "one-core")
+    assert len(forks) == evaluations
+    assert _artifacts(tmp_path / "forked", PLAN_ARTIFACTS) == \
+        _artifacts(tmp_path / "one-core", PLAN_ARTIFACTS)
+
+
+def test_domain_error_in_the_lincov_child_names_its_time(forks):
+    # the nominal never calls deriv in batches, so only the child fails,
+    # in the second of four blocks, while the parent integrates on
+    model = ToyModel(t_bad=3.0)
+    grid = TimeGrid(0.0, 10.0, 0.01)
+    with pytest.raises(ModelDomainError, match="linearized past") as err:
+        lincov(model, np.zeros(2), toy_des, grid, np.zeros((2, 2)))
+    t = float(re.search(r"at t=(\S+):", str(err.value)).group(1))
+    assert t == pytest.approx(3.0, abs=1e-9)
+    assert forks == ["LinCov process"]
+
+
+def test_a_lincov_child_that_dies_mid_stream_raises_with_its_exit_code(
+        monkeypatch, forks):
+    rows = uncertainty._linearize_rows
+
+    def dying(model, des, times, states, A, B, start, stop):
+        if start >= 256:
+            os._exit(5)
+        rows(model, des, times, states, A, B, start, stop)
+
+    monkeypatch.setattr(uncertainty, "_linearize_rows", dying)
+    with pytest.raises(RuntimeError,
+                       match="LinCov process exited with code 5"):
+        lincov(ToyModel(), np.zeros(2), toy_des, TimeGrid(0.0, 10.0, 0.01),
+               np.zeros((2, 2)))
+    assert forks == ["LinCov process"]
+
+
+def test_a_csv_writer_that_raises_fails_the_run_before_its_report(
+        quad_scenario, monkeypatch, forks, tmp_path):
+    def failing(out, *args):
+        raise OSError(f"{out / 'nominal.csv'}: disk full")
+
+    monkeypatch.setattr(runner, "_write_state_csvs", failing)
+    with pytest.raises(OSError, match="disk full"):
+        run_validate(quad_scenario, tmp_path)
+    assert forks == ["LinCov process", "CSV writer"]
+    assert (tmp_path / "tube.jsonl").exists()
+    assert not (tmp_path / "report.json").exists()

@@ -472,3 +472,17 @@ def test_load_scenario_prefixes_field_errors_with_the_path(tmp_path):
     f.write_text(json.dumps(variant(beta=2.0)))
     with pytest.raises(ScenarioError, match="bad-field.json.*beta"):
         load_scenario(f)
+
+
+def test_the_built_arrays_and_the_data_are_read_only(plan_scenario):
+    # every run of a Scenario shares them, so none may change them
+    sc = parse_scenario({**plan_scenario.data, "initial_state": [0.0] * 9,
+                         "initial_covariance": [0.1] * 9})
+    for name in ("P0", "x0", "start", "goal"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sc, name)[0] += 1.0
+    with pytest.raises(TypeError):
+        sc.data["seed"] = 5
+    assert sc.seed == plan_scenario.seed
+    assert sc.hash() != plan_scenario.hash()
+    assert sc.with_overrides(seed=5).data["seed"] == 5

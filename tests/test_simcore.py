@@ -8,12 +8,11 @@ solution for order-of-accuracy checks.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import multiprocessing
+import os
 import re
-import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,21 +348,6 @@ def forked(monkeypatch):
     return started
 
 
-@contextlib.contextmanager
-def _time_limit(seconds):
-    """Raise TimeoutError in the block once ``seconds`` have passed."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @_needs_fork
 @pytest.mark.parametrize("which", ["quad_scenario", "fw_scenario"])
 def test_forked_and_in_process_noise_give_the_same_bits(
@@ -387,13 +371,13 @@ def test_forked_and_in_process_noise_give_the_same_bits(
 
 @_needs_fork
 def test_domain_error_mid_ensemble_names_its_time_and_ends_the_child(
-        monkeypatch, forked):
+        monkeypatch, forked, child_guard):
     # the noise-free reference stays at 0; noisy runs cross 0.5 early in
     # a 5 s grid, while the child still has chunks of 5 steps to draw
     model = GuardedModel([[-1.0]], [[1.0]], limit=0.5)
     grid = TimeGrid(0.0, 5.0, 0.01)
     monkeypatch.setattr(simcore, "_NOISE_BYTES", 8 * 4 * 10)
-    with _time_limit(60), pytest.raises(ModelDomainError) as err:
+    with pytest.raises(ModelDomainError) as err:
         mc_ensemble(model, np.zeros(1), toy_des, grid, runs=4, base_seed=0)
     t = float(re.search(r"at t=(\S+):", str(err.value)).group(1))
     assert 0.0 < t < 4.0
@@ -404,7 +388,7 @@ def test_domain_error_mid_ensemble_names_its_time_and_ends_the_child(
 @_needs_fork
 @pytest.mark.parametrize("draws_before_death", [0, 2])
 def test_a_noise_process_that_dies_makes_the_ensemble_raise(
-        draws_before_death, monkeypatch, forked):
+        draws_before_death, monkeypatch, forked, child_guard):
     stream = simcore._noise_stream
 
     def dying_stream(seed, m, dt):
@@ -412,19 +396,48 @@ def test_a_noise_process_that_dies_makes_the_ensemble_raise(
 
         def dying(steps):
             if next(calls) == draws_before_death:
-                raise RuntimeError("noise draw failed")
+                os._exit(3)
             return draw(steps)
         return dying
 
     monkeypatch.setattr(simcore, "_noise_stream", dying_stream)
     monkeypatch.setattr(simcore, "_NOISE_BYTES", 8 * 4 * 10)
     model = LinearModel([[-1.0]], [[1.0]])
-    with _time_limit(60), pytest.raises(RuntimeError,
-                                        match="noise process exited"):
+    with pytest.raises(RuntimeError,
+                       match="noise process exited with code 3"):
         mc_ensemble(model, np.zeros(1), toy_des, TimeGrid(0.0, 1.0, 0.01),
                     runs=4, base_seed=0)
     assert len(forked) == 1
     assert multiprocessing.active_children() == []
+
+
+@_needs_fork
+def test_an_error_in_the_noise_process_is_raised_in_the_ensemble(
+        monkeypatch, forked, child_guard):
+    def failing_stream(seed, m, dt):
+        raise ArithmeticError(f"no stream for seed {seed}")
+
+    monkeypatch.setattr(simcore, "_noise_stream", failing_stream)
+    model = LinearModel([[-1.0]], [[1.0]])
+    with pytest.raises(ArithmeticError, match="no stream for seed 7"):
+        mc_ensemble(model, np.zeros(1), toy_des, TimeGrid(0.0, 1.0, 0.01),
+                    runs=4, base_seed=7)
+    assert len(forked) == 1
+
+
+@_needs_fork
+def test_the_first_noise_process_starts_before_the_reference_path(
+        forked, child_guard):
+    # the fork and the model calls land in one list, in the order made
+    class Logged(LinearModel):
+        def deriv(self, x, ref, noise):
+            forked.append("deriv")
+            return super().deriv(x, ref, noise)
+
+    mc_ensemble(Logged([[-1.0]], [[1.0]]), np.zeros(1), toy_des,
+                TimeGrid(0.0, 0.1, 0.01), runs=4, base_seed=0)
+    assert isinstance(forked[0], tuple)
+    assert forked.count("deriv") == 2 * 10  # reference path, then the pass
 
 
 def test_chunked_noise_draws_equal_one_draw():
