@@ -9,11 +9,11 @@ read the run objects a ``Scenario`` holds; ``Scenario.with_overrides``
 gives one with another seed or confidence level.  A scenario that lacks
 a block its mode needs raises ScenarioError naming the file.
 
-With a second usable core, LinCov runs one block behind the nominal in
-a forked child (``uncertainty.lincov``), and validate writes its two
-CSV files in another forked child while it checks the tube against the
-obstacles; on one core the same writers run in-process.  The artifacts
-are the same bytes either way.
+LinCov behind the nominal (``uncertainty.lincov``) and validate's two
+CSV files are each one job.  With a second usable core each job runs in
+a forked child, beside the nominal and beside the tube check; on one
+core it runs in-process after them.  The artifacts are the same bytes
+either way.
 """
 
 from __future__ import annotations
@@ -153,9 +153,9 @@ def run_validate(sc: Scenario, out_dir) -> RunReport:
     """Propagate the tube along the scenario trajectory and check obstacles.
 
     Writes nominal.csv, variances.csv, tube.jsonl, report.json and
-    timings.json into ``out_dir``.  With a second usable core, a forked
-    child writes the two CSV files while this process builds the tube,
-    checks the obstacles and writes tube.jsonl.
+    timings.json into ``out_dir``.  The two CSV files are written beside
+    the tube, the obstacle check and tube.jsonl: in a forked child with a
+    second usable core, else after tube.jsonl.
     """
     if sc.profile is None:
         raise _scenario_error(sc,

@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import types
-from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -131,14 +130,16 @@ def _per_axis(obj, path, *, positive=False, nonnegative=False):
 
 @dataclass(eq=False)
 class Scenario:
-    """Normalized scenario: ``data`` is a read-only view of the canonical
-    dict form, and every field after ``source`` a run object built from
-    it once.  ``x0`` is None for an "auto" initial state; ``profile``,
-    ``planner``, ``start`` and ``goal`` are None when their block is
-    absent.  Runs share these objects; the arrays ``P0``, ``x0``,
-    ``start`` and ``goal`` are read-only."""
+    """Normalized scenario: the canonical JSON text of its dict form,
+    made at parse, and every field after ``source`` a run object built
+    from it once.  ``data`` is a read-only view of a fresh copy of the
+    dict form, so editing it changes nothing the scenario hashes,
+    reports or parses again.  ``x0`` is None for an "auto" initial
+    state; ``profile``, ``planner``, ``start`` and ``goal`` are None
+    when their block is absent.  Runs share these objects; the arrays
+    ``P0``, ``x0``, ``start`` and ``goal`` are read-only."""
 
-    data: Mapping
+    _json: str
     source: str
     model: QuadrotorModel | FixedWingModel
     grid: TimeGrid
@@ -151,6 +152,10 @@ class Scenario:
     goal: np.ndarray | None
 
     # -- accessors ---------------------------------------------------------
+
+    @property
+    def data(self):
+        return types.MappingProxyType(json.loads(self._json))
 
     @property
     def name(self):
@@ -188,15 +193,13 @@ class Scenario:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self):
-        return json.loads(self.canonical_json())
+        return json.loads(self._json)
 
     def canonical_json(self):
-        return json.dumps(dict(self.data), sort_keys=True, indent=2)
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def hash(self):
-        payload = json.dumps(dict(self.data), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return hashlib.sha256(self._json.encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------------------
@@ -504,7 +507,8 @@ def parse_scenario(raw, source="<dict>") -> Scenario:
         if array is not None:
             array.setflags(write=False)
     return Scenario(
-        data=types.MappingProxyType(data), source=source, model=model,
+        _json=json.dumps(data, sort_keys=True, separators=(",", ":")),
+        source=source, model=model,
         grid=TimeGrid(g["t0"], g["tf"], g["dt"]), P0=P0, x0=x0,
         profile=(None if spec is None else _built(
             "desired_trajectory", _profile, spec, vehicle["type"], g["dt"])),

@@ -11,16 +11,18 @@ own row of those samples.  Randomness comes from numpy's Philox counter
 generator (run i of an ensemble seeds Philox with base_seed + i), with
 normal variates produced by numpy's ziggurat sampler; given the same
 (model, x0, reference, grid, seed) every output bit is reproducible.
-When two cores are usable, an ensemble pass has a forked child draw its
-noise one time chunk ahead of the model steps; the samples, and so the
-outputs, are the same bits as when they are drawn in-process.  All
-forked work in the package goes through ``_forked``, which re-raises a
-child's exception in the parent, kills the child when the parent's side
-raises, and always joins it.
+
+Work that may go to a second core (an ensemble pass's noise, LinCov
+behind the nominal, validate's CSV files) is written once, as a
+generator job, and ``_forked`` alone decides where it runs: in a forked
+child when two cores are usable, else in-process while the parent waits
+for the job's next message.  The parent's side is the same code either
+way, and so are the output bits.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import math
@@ -303,20 +305,25 @@ def _shared(shape):
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
-def _child_main(conn, target, args):
-    """Body of a child of _forked: target(conn, *args), sending back an
-    exception it raises (no message of a target is an exception)."""
+def _child_main(conn, job, args):
+    """Body of a child of _forked: the job, fed from the pipe, sends its
+    messages back over it, and so does an exception it raises (no
+    message of a job is an exception)."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
+    end = _Local(job(*args), take=conn.recv)
     try:
-        target(conn, *args)
+        while True:
+            conn.send(end.recv())
+    except StopIteration:  # the job is done
+        pass
     except Exception as err:
         conn.send(err)
 
 
 class _Child:
-    """The parent's end of a child started by _forked."""
+    """The parent's end of a job that _forked runs in a child."""
 
     def __init__(self, conn, proc, what):
         self.conn, self.proc, self.what = conn, proc, what
@@ -330,8 +337,8 @@ class _Child:
         """The child's next message.
 
         Waits on the pipe and the child's sentinel together.  Re-raises
-        an exception the child raised, and raises RuntimeError with the
-        exit code when the child exits without a message.
+        an exception the child raised, and raises ChildProcessError with
+        the exit code when the child exits without a message.
         """
         from multiprocessing.connection import wait
 
@@ -345,21 +352,48 @@ class _Child:
                     raise msg
                 return msg
         self.proc.join()
-        raise RuntimeError(
+        raise ChildProcessError(
             f"{self.what} exited with code {self.proc.exitcode}")
 
 
-@contextlib.contextmanager
-def _forked(ctx, what, target, *args):
-    """Run ``target(conn, *args)`` in a child forked from ``ctx``.
+class _Local:
+    """A job's end in the process that runs it: ``recv`` runs the job
+    until it yields a message, feeding each bare yield from ``take``, by
+    default the queue of what ``send`` was given."""
 
-    Yields the parent's _Child end; ``what`` names the child in errors.
-    The child is killed if the block raises, and is always joined
-    before this returns.
+    def __init__(self, gen, take=None):
+        self.gen, self.inbox, self.reply = gen, collections.deque(), None
+        self.take = take or self.inbox.popleft
+
+    def send(self, obj):
+        self.inbox.append(obj)
+
+    def recv(self):
+        while (msg := self.gen.send(self.reply)) is None:
+            self.reply = self.take()
+        self.reply = None
+        return msg
+
+
+@contextlib.contextmanager
+def _forked(ctx, what, job, *args):
+    """Run the job ``job(*args)`` beside the block; yields the parent's end.
+
+    A job is a generator: a bare ``yield`` takes the parent's next
+    ``send``, and ``yield msg`` hands msg (never None) to the parent's
+    next ``recv``.  With a fork context the job runs in a forked child
+    (``what`` names it in errors); the child is killed if the block
+    raises, and is always joined before this returns.  With ``ctx`` None
+    the job runs in-process, only inside ``recv``, so the parent's side
+    is the same code on any core count.
     """
+    if ctx is None:
+        with contextlib.closing(job(*args)) as gen:
+            yield _Local(gen)
+        return
     conn, child_conn = ctx.Pipe()
     proc = ctx.Process(target=_child_main, daemon=True,
-                       args=(child_conn, target, args))
+                       args=(child_conn, job, args))
     proc.start()
     child_conn.close()
     try:
@@ -372,113 +406,80 @@ def _forked(ctx, what, target, *args):
         conn.close()
 
 
-def _call(conn, fn, *args):
-    """Child side of _beside: fn(*args), then report that it is done."""
+def _call(fn, *args):
+    """Job of _beside: fn(*args), then report that it is done."""
     fn(*args)
-    conn.send(None)
+    yield True
 
 
 @contextlib.contextmanager
 def _beside(what, fn, *args):
-    """Run fn(*args) while the block runs, in a forked child when a
-    second core is usable, else in-process after the block; leaving
+    """Run fn(*args) beside the block: in a forked child when a second
+    core is usable, else in-process once the block is done.  Leaving
     waits for it and raises what it raised."""
-    ctx = _fork_context()
-    if ctx is None:
-        yield
-        fn(*args)
-        return
-    with _forked(ctx, what, _call, fn, *args) as child:
+    with _forked(_fork_context(), what, _call, fn, *args) as child:
         yield
         child.recv()
 
 
-def _local_chunks(seeds, sizes, shape, m, dt):
-    """Fill one buffer in-process, chunk after chunk, and yield it."""
-    buf = np.empty(shape)
-    draws = [_noise_stream(seed, m, dt) for seed in seeds]
-    for size in sizes:
-        _fill(buf, draws, size)
-        yield buf
-
-
-def _fill_ahead(conn, bufs, seeds, sizes, m, dt):
-    """Child side of _forked_chunks: fill chunk j into bufs[j % 2]."""
+def _noise_chunks(bufs, seeds, sizes, m, dt):
+    """Job of _pass_noise: fill chunk j into bufs[j % len(bufs)] and send
+    j, once the parent has released that buffer's previous chunk."""
+    nbuf = len(bufs)
     draws = [_noise_stream(seed, m, dt) for seed in seeds]
     for j, size in enumerate(sizes):
-        if j >= 2:
-            conn.recv()  # the parent has stepped through chunk j - 2
-        _fill(bufs[j % 2], draws, size)
-        conn.send(j)
-
-
-@contextlib.contextmanager
-def _forked_chunks(ctx, seeds, sizes, shape, m, dt):
-    """Chunks that a forked child fills one chunk ahead.
-
-    Entering starts the child and yields an iterator over the chunks.
-    The two chunk buffers live in a shared mapping.  The child reports
-    each filled chunk over a pipe and waits for buffer j % 2 to be
-    released before it fills chunk j; the iterator releases a buffer
-    when it is asked for the next chunk.  A child that dies raises
-    RuntimeError instead of hanging; see _forked.
-    """
-    bufs = _shared((2,) + shape)
-    with _forked(ctx, "noise process", _fill_ahead,
-                 bufs, seeds, sizes, m, dt) as child:
-        def chunks():
-            for j in range(len(sizes)):
-                child.recv()
-                yield bufs[j % 2]
-                if j + 2 < len(sizes):
-                    child.send(j)
-
-        yield chunks()
+        if j >= nbuf:
+            yield  # the parent has stepped through chunk j - nbuf
+        _fill(bufs[j % nbuf], draws, size)
+        yield j
 
 
 @contextlib.contextmanager
 def _pass_noise(seeds, steps, m, dt):
     """Per-step (runs, m) noise of the runs ``seeds``, drawn in time chunks.
 
-    Entering yields an iterator over the steps' samples.  With a second
-    usable core, entering starts a forked child that draws chunk j + 1
-    while the caller steps through chunk j, so it can start drawing
-    while the caller still prepares; two chunk buffers split
-    _NOISE_BYTES.  Otherwise one chunk buffer of up to _NOISE_BYTES is
-    filled in-process.  Both paths fill with _fill from the runs' own
-    streams, so the samples, and every result, do not depend on the
-    path.  Each yielded sample is a Fortran-ordered view, so every
-    component's column is contiguous; it is overwritten by a later
-    chunk.  Leaving ends the child.
+    Entering yields an iterator over the steps' samples, which a
+    _noise_chunks job fills from the runs' own streams.  With a second
+    usable core the job is a forked child that starts drawing on entry,
+    while the caller still prepares, and draws chunk j + 1 while the
+    caller steps through chunk j, in two buffers that split
+    _NOISE_BYTES.  Otherwise it fills one buffer in-process, each chunk
+    when the caller reaches it.  Each sample is a Fortran-ordered view,
+    so every component's column is contiguous; a later chunk overwrites
+    it.  Leaving ends the job.
     """
     ctx = _fork_context()
     nbuf = 1 if ctx is None else 2
     chunk = min(steps, max(1, _NOISE_BYTES // (nbuf * 8 * m * len(seeds))))
     sizes = [min(chunk, steps - lo) for lo in range(0, steps, chunk)]
-    shape = (chunk, m, len(seeds))
-    chunks = (
-        contextlib.nullcontext(_local_chunks(seeds, sizes, shape, m, dt))
-        if ctx is None else _forked_chunks(ctx, seeds, sizes, shape, m, dt))
-    with chunks as filled:
-        samples = (buf[k].T for buf, size in zip(filled, sizes, strict=True)
-                   for k in range(size))
+    bufs = _shared((nbuf, chunk, m, len(seeds)))
+    with _forked(ctx, "noise process", _noise_chunks,
+                 bufs, seeds, sizes, m, dt) as job:
+        def samples():
+            for j, size in enumerate(sizes):
+                job.recv()
+                buf = bufs[j % nbuf]
+                for k in range(size):
+                    yield buf[k].T
+                if j + nbuf < len(sizes):
+                    job.send(j)  # release the buffer
+
         # closed on leaving, so that the caller's name for it holds no
         # chunk buffer once the pass is over
-        with contextlib.closing(samples):
-            yield samples
+        with contextlib.closing(samples()) as noise:
+            yield noise
 
 
 def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     """Seeded Monte Carlo ensemble: mean trajectory and sample covariance.
 
     Run i draws its noise exactly as ``mc_run(..., seed=base_seed + i)``
-    would, in time chunks of about 12 MB across a pass.  With two usable
-    cores a forked child draws the next chunk while this process steps
-    through the current one (see _pass_noise); the first pass's child
-    starts before the shared reference path is integrated.  Each child
-    is joined before its pass ends, also when a step raises, and a child
-    that dies raises RuntimeError.  The noise bits do not depend on which
-    path draws them.  Runs are integrated in passes of up to 2048, each
+    would, in time chunks of about 12 MB across a pass, by one noise job
+    per pass (see _pass_noise).  With two usable cores the job is a
+    forked child, and the first pass's child starts before the shared
+    reference path is integrated.  Each child is joined before its pass
+    ends, also when a step raises, and a child that dies raises
+    ChildProcessError.  Runs are integrated in passes of up to 2048, each
     holding its state column-major so the model works on contiguous
     state columns; a run's states do not depend on the pass it falls
     in.  Each step of a pass adds its deviations to the sums in one
@@ -510,27 +511,23 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     sum_o = np.zeros((count, n, n))
     seeds = range(base_seed, base_seed + runs)
 
-    def run_pass(lo, noise):
+    for lo in range(0, runs, _PASS):
         hi = min(lo + _PASS, runs)
-        x = np.full((hi - lo, n), x0, order="F")
-        for k, X in enumerate(_steps(model, x, grid, refs, noise)):
-            d = X - ref_path[k]
-            sum_d[k] += d.sum(axis=0)
-            sum_o[k] += d.T @ d
-            if recorded is not None and k in record_pos:
-                recorded[lo:hi, record_pos[k]] = X
-
-    # the first pass's noise child starts drawing beside the reference
-    # path, which that pass and every later one share with one sample of
-    # des
-    with _pass_noise(seeds[:_PASS], count - 1, m, dt) as noise:
-        refs = _step_refs(des, grid, rk4=False)
-        ref_path = np.array(list(_steps(model, x0, grid, refs,
-                                        np.zeros((count - 1, m)))))
-        run_pass(0, noise)
-    for lo in range(_PASS, runs, _PASS):
-        with _pass_noise(seeds[lo:lo + _PASS], count - 1, m, dt) as noise:
-            run_pass(lo, noise)
+        with _pass_noise(seeds[lo:hi], count - 1, m, dt) as noise:
+            if lo == 0:
+                # inside the first pass, so that its noise child draws
+                # beside the reference path, which every pass shares
+                # with one sample of des
+                refs = _step_refs(des, grid, rk4=False)
+                ref_path = np.array(list(_steps(model, x0, grid, refs,
+                                                np.zeros((count - 1, m)))))
+            x = np.full((hi - lo, n), x0, order="F")
+            for k, X in enumerate(_steps(model, x, grid, refs, noise)):
+                d = X - ref_path[k]
+                sum_d[k] += d.sum(axis=0)
+                sum_o[k] += d.T @ d
+                if recorded is not None and k in record_pos:
+                    recorded[lo:hi, record_pos[k]] = X
 
     mean = ref_path + sum_d / runs
     cov = (sum_o - np.einsum("ki,kj->kij", sum_d, sum_d) / runs) / (runs - 1)

@@ -14,9 +14,10 @@ constant A and B_n the scheme is fourth order in dt; for time-varying
 ones the half-step averages make it second order.
 
 ``lincov`` chains the nominal, the linearization and the covariance.
-With a second usable core a forked child linearizes and maps the steps
-of each block of nominal rows while the parent integrates the next
-block, then scans; the linearization, the step maps and the scan are
+It hands each block of nominal rows to one job that linearizes it and
+maps its steps, then scans; ``simcore._forked`` runs that job in a
+forked child beside the nominal when a second core is usable, else
+in-process after it.  The linearization, the step maps and the scan are
 the same block functions as those of ``linearize`` and
 ``propagate_covariance``, on the same block boundaries, so the
 covariance is the same bits on any core count.
@@ -48,7 +49,6 @@ from .simcore import (
     _linearize_rows,
     _shared,
     integrate_nominal,
-    linearize,
 )
 
 __all__ = [
@@ -233,14 +233,14 @@ def propagate_covariance(lin: LinearizationHistory, P0) -> CovarianceHistory:
     return CovarianceHistory(grid=lin.grid, P=out)
 
 
-def _covariance_behind(conn, model, des, grid, states, P0, out):
-    """LinCov's child: covariance from nominal rows as they arrive.
+def _covariance_behind(model, des, grid, states, P0, out):
+    """LinCov's job: covariance from nominal rows as they arrive.
 
     Each message is the number of rows of ``states`` that now exist.
     Their Jacobians are formed at once, and so is every chunk of step
     maps whose last grid point they reach.  After the last row the scan
-    writes the covariance history into ``out``.  The child then sends
-    its busy time in ms, split into linearization and covariance.
+    writes the covariance history into ``out``.  The job then sends its
+    busy time in ms, split into linearization and covariance.
     """
     n, count = model.n_states, grid.count
     times = grid.times()
@@ -251,7 +251,7 @@ def _covariance_behind(conn, model, des, grid, states, P0, out):
     lin_s = cov_s = 0.0
     done = mapped = 0
     while done < count:
-        hi = conn.recv()
+        hi = yield
         tic = time.perf_counter()
         _linearize_rows(model, des, times, states, lin.A, lin.B_n, done, hi)
         done = hi
@@ -265,7 +265,7 @@ def _covariance_behind(conn, model, des, grid, states, P0, out):
     tic = time.perf_counter()
     _scan(Phi, Q, P0, out)
     cov_s += time.perf_counter() - tic
-    conn.send((1e3 * lin_s, 1e3 * cov_s))
+    yield 1e3 * lin_s, 1e3 * cov_s
 
 
 def lincov(model, x0, des, grid, P0):
@@ -273,46 +273,29 @@ def lincov(model, x0, des, grid, P0):
 
     Returns ``(nominal, cov, timings)``, where ``timings`` holds the
     time of each stage in ms under ``nominal_ms``, ``linearize_ms`` and
-    ``covariance_ms``.  With a second usable core, a forked child
-    (_covariance_behind) linearizes each block of 256 nominal rows and
-    maps its steps while this process integrates the next block, and
+    ``covariance_ms``.  Each block of 256 nominal rows goes to a job
+    (_covariance_behind) that linearizes it and maps its steps, and
     scans once the last row is in; the linearize and covariance times
-    are then the child's busy time, not this process's wait.  With one
-    core, ``linearize`` and ``propagate_covariance`` run after the
-    nominal.  Both paths run the same block functions on the same
-    block boundaries, so the results are the same bits.  The stages
-    are called through this module's names, so a wrapper installed on
-    them sees every call made in this process; the forked child calls
-    only the block functions.
+    are the job's busy time.  With a second usable core the job is a
+    forked child that runs one block behind the nominal; on one core it
+    runs in-process after the nominal.  Either way the job runs the
+    block functions of ``linearize`` and ``propagate_covariance`` on
+    their block boundaries, so the results are the bits of those two.
     """
     P0 = _checked_P0(P0, model.n_states)
-    ctx = _fork_context()
+    states = _shared((grid.count, model.n_states))
+    P = _shared((grid.count,) + P0.shape)
     timings = {}
-    if ctx is None:
-        tic = time.perf_counter()
-        nominal = integrate_nominal(model, x0, des, grid)
-        timings["nominal_ms"] = 1e3 * (time.perf_counter() - tic)
-        tic = time.perf_counter()
-        lin = linearize(model, nominal, des)
-        timings["linearize_ms"] = 1e3 * (time.perf_counter() - tic)
-        tic = time.perf_counter()
-        cov = propagate_covariance(lin, P0)
-        timings["covariance_ms"] = 1e3 * (time.perf_counter() - tic)
-        return nominal, cov, timings
-
-    n = model.n_states
-    states = _shared((grid.count, n))
-    P = _shared((grid.count, n, n))
-    with _forked(ctx, "LinCov process", _covariance_behind,
-                 model, des, grid, states, P0, P) as child:
+    with _forked(_fork_context(), "LinCov process", _covariance_behind,
+                 model, des, grid, states, P0, P) as job:
         def hand_over(lo, rows):
             states[lo:lo + len(rows)] = rows
-            child.send(lo + len(rows))
+            job.send(lo + len(rows))
 
         tic = time.perf_counter()
         nominal = integrate_nominal(model, x0, des, grid, hand_over)
         timings["nominal_ms"] = 1e3 * (time.perf_counter() - tic)
-        timings["linearize_ms"], timings["covariance_ms"] = child.recv()
+        timings["linearize_ms"], timings["covariance_ms"] = job.recv()
     return nominal, CovarianceHistory(grid=grid, P=P), timings
 
 

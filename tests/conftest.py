@@ -1,5 +1,5 @@
-"""Shared fixtures: repository paths, the bundled scenarios and a guard
-for tests that fork."""
+"""Shared fixtures: repository paths, the bundled scenarios, a guard
+for tests that fork and a log of the jobs that fork."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from tubeplan import simcore, uncertainty
 from tubeplan.scenario import load_scenario
 
 REPO = Path(__file__).resolve().parents[1]
@@ -77,3 +78,22 @@ def child_guard():
         left = None
     assert left is None, f"a child process was left unjoined: {left}"
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def forks(monkeypatch, child_guard):
+    """Take the two-core paths under child_guard; the list gets the
+    ``what`` of each job that forks, and nothing for a job that runs
+    in-process (a test may set one core after this)."""
+    started = []
+    fork = simcore._forked
+
+    def counting(ctx, what, *args):
+        if ctx is not None:
+            started.append(what)
+        return fork(ctx, what, *args)
+
+    monkeypatch.setattr(simcore, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simcore, "_forked", counting)
+    monkeypatch.setattr(uncertainty, "_forked", counting)
+    return started

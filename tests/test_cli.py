@@ -7,13 +7,15 @@ from __future__ import annotations
 import collections
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from tubeplan import planner
+from tubeplan import planner, uncertainty
 from tubeplan.cli import main
 from tubeplan.errors import PlanningError, ScenarioError
 from tubeplan.geometry import CuboidObstacle, solve_qp, sphere_prefilter
@@ -171,6 +173,26 @@ def test_missing_scenario_exits_one(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the LinCov child is forked")
+def test_a_child_that_dies_exits_one_with_its_exit_code(
+        quad_scenario_path, tmp_path, capsys, monkeypatch, forks):
+    parent = os.getpid()
+
+    def dying(*args):
+        assert os.getpid() != parent, "the LinCov job ran in-process"
+        os._exit(5)
+
+    monkeypatch.setattr(uncertainty, "_linearize_rows", dying)
+    code = main(["validate", "--scenario", str(quad_scenario_path),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: LinCov process exited with code 5" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    assert forks == ["LinCov process"]
 
 
 def test_malformed_scenario_exits_one(tmp_path, capsys):

@@ -1,19 +1,19 @@
-"""Work forked to a second core gives the bits of the one-core path.
+"""Jobs give the same bits wherever they run.
 
-With two usable cores, ``lincov`` linearizes and maps the steps of each
-block of nominal rows in a forked child while the parent integrates the
-next block, and ``run_validate`` writes its two CSV files in a forked
-child beside the tube and clearance stages.  With one core the same
-block functions run in-process.  The oracle for every forked result is
-the one-core run of the same call; errors raised in a child reach the
-parent with their own type and message, a child that dies raises
-RuntimeError with its exit code, and no child outlives its call
-(``child_guard``).
+``lincov`` hands each block of nominal rows to one job that linearizes
+it and maps its steps, and ``run_validate`` writes its two CSV files in
+another.  With two usable cores each job runs in a forked child beside
+the parent's work; with one core it runs in-process after that work.
+The oracle for LinCov on either core count is the chain of
+``integrate_nominal``, ``linearize`` and ``propagate_covariance``
+called directly; for the artifacts it is the one-core run.  Errors
+raised in a child reach the parent with their own type and message, a
+child that dies raises ChildProcessError with its exit code, and no
+child outlives its call (``child_guard``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import re
@@ -25,8 +25,8 @@ import pytest
 from tubeplan import runner, simcore, uncertainty
 from tubeplan.errors import ModelDomainError
 from tubeplan.runner import run_plan, run_validate
-from tubeplan.simcore import TimeGrid
-from tubeplan.uncertainty import lincov
+from tubeplan.simcore import TimeGrid, integrate_nominal, linearize
+from tubeplan.uncertainty import lincov, propagate_covariance
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -36,24 +36,6 @@ VALIDATE_ARTIFACTS = ["nominal.csv", "variances.csv", "tube.jsonl",
                       "report.json"]
 PLAN_ARTIFACTS = ["path.csv", "tube.jsonl", "buffers.json", "tree.jsonl",
                   "report.json"]
-
-
-@pytest.fixture
-def forks(monkeypatch, child_guard):
-    """Take the two-core paths; the list gets the name of each child."""
-    started = []
-    fork = simcore._forked
-
-    @contextlib.contextmanager
-    def counting(ctx, what, *args):
-        started.append(what)
-        with fork(ctx, what, *args) as child:
-            yield child
-
-    monkeypatch.setattr(simcore, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(simcore, "_forked", counting)
-    monkeypatch.setattr(uncertainty, "_forked", counting)
-    return started
 
 
 def _cores(monkeypatch, cpus):
@@ -97,6 +79,13 @@ def _lincov_bits(monkeypatch, cpus, model, x0, des, grid, P0):
     return nominal.states.tobytes(), cov.P.tobytes()
 
 
+def _chain_bits(model, x0, des, grid, P0):
+    """The oracle: the three LinCov stages called one after another."""
+    nominal = integrate_nominal(model, x0, des, grid)
+    cov = propagate_covariance(linearize(model, nominal, des), P0)
+    return nominal.states.tobytes(), cov.P.tobytes()
+
+
 # grid counts around the 256-row blocks and chunks: fewer than one block,
 # block edges, one past them, and an uneven tail
 @pytest.mark.parametrize("count", [2, 255, 256, 257, 512, 513, 700])
@@ -107,10 +96,10 @@ def test_streamed_lincov_gives_the_bits_of_the_one_core_chain(
     assert grid.count == count
     P0 = np.diag([0.3, 0.1])
     args = (model, np.array([1.0, -0.5]), toy_des, grid, P0)
-    forked = _lincov_bits(monkeypatch, 2, *args)
-    one_core = _lincov_bits(monkeypatch, 1, *args)
+    chain = _chain_bits(*args)
+    assert _lincov_bits(monkeypatch, 2, *args) == chain
+    assert _lincov_bits(monkeypatch, 1, *args) == chain
     assert forks == ["LinCov process"]
-    assert forked == one_core
 
 
 @pytest.mark.parametrize("which", ["quad_scenario", "fw_scenario"])
@@ -118,10 +107,10 @@ def test_streamed_lincov_of_each_vehicle_gives_the_one_core_bits(
         which, request, monkeypatch, forks):
     sc = request.getfixturevalue(which)
     args = (sc.model, sc.initial_state(), sc.profile, sc.grid, sc.P0)
-    forked = _lincov_bits(monkeypatch, 2, *args)
-    one_core = _lincov_bits(monkeypatch, 1, *args)
+    chain = _chain_bits(*args)
+    assert _lincov_bits(monkeypatch, 2, *args) == chain
+    assert _lincov_bits(monkeypatch, 1, *args) == chain
     assert forks == ["LinCov process"]
-    assert forked == one_core
 
 
 def _artifacts(directory, names):
@@ -175,7 +164,7 @@ def test_a_lincov_child_that_dies_mid_stream_raises_with_its_exit_code(
         rows(model, des, times, states, A, B, start, stop)
 
     monkeypatch.setattr(uncertainty, "_linearize_rows", dying)
-    with pytest.raises(RuntimeError,
+    with pytest.raises(ChildProcessError,
                        match="LinCov process exited with code 5"):
         lincov(ToyModel(), np.zeros(2), toy_des, TimeGrid(0.0, 10.0, 0.01),
                np.zeros((2, 2)))
@@ -193,3 +182,30 @@ def test_a_csv_writer_that_raises_fails_the_run_before_its_report(
     assert forks == ["LinCov process", "CSV writer"]
     assert (tmp_path / "tube.jsonl").exists()
     assert not (tmp_path / "report.json").exists()
+
+
+def test_on_one_core_each_job_runs_after_the_work_it_could_overlap(
+        quad_scenario, monkeypatch, tmp_path):
+    # each entry is logged when its call returns
+    log = []
+
+    def logged(name, fn):
+        def call(*args):
+            out = fn(*args)
+            log.append(name(args))
+            return out
+        return call
+
+    _cores(monkeypatch, 1)
+    monkeypatch.setattr(uncertainty, "integrate_nominal", logged(
+        lambda args: "nominal", integrate_nominal))
+    monkeypatch.setattr(uncertainty, "_linearize_rows", logged(
+        lambda args: "linearize", uncertainty._linearize_rows))
+    monkeypatch.setattr(runner, "_write_jsonl", logged(
+        lambda args: args[0].name, runner._write_jsonl))
+    monkeypatch.setattr(runner, "_write_state_csvs", logged(
+        lambda args: "CSV files", runner._write_state_csvs))
+    run_validate(quad_scenario, tmp_path)
+    assert log[0] == "nominal"
+    assert set(log[1:-2]) == {"linearize"}
+    assert log[-2:] == ["tube.jsonl", "CSV files"]

@@ -486,3 +486,16 @@ def test_the_built_arrays_and_the_data_are_read_only(plan_scenario):
     assert sc.seed == plan_scenario.seed
     assert sc.hash() != plan_scenario.hash()
     assert sc.with_overrides(seed=5).data["seed"] == 5
+
+
+def test_edits_of_nested_data_change_nothing_the_scenario_reports(
+        plan_scenario_path):
+    sc = load_scenario(plan_scenario_path)
+    digest, text = sc.hash(), sc.canonical_json()
+    sc.data["obstacles"].pop()
+    sc.data["vehicle"]["params"]["C_D"] = 9.0
+    assert sc.hash() == digest
+    assert sc.canonical_json() == text
+    assert sc.to_dict() == json.loads(text)
+    assert "C_D" not in sc.data["vehicle"]["params"]
+    assert len(sc.with_overrides(seed=7).obstacles) == len(sc.obstacles) == 3

@@ -13,6 +13,7 @@ import itertools
 import multiprocessing
 import os
 import re
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,25 +334,10 @@ _needs_fork = pytest.mark.skipif(
     reason="the noise process is forked")
 
 
-@pytest.fixture
-def forked(monkeypatch):
-    """Take the forked noise path; the list gets one entry per child."""
-    started = []
-    fork = simcore._forked_chunks
-
-    def counting(*args):
-        started.append(args)
-        return fork(*args)
-
-    monkeypatch.setattr(simcore, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(simcore, "_forked_chunks", counting)
-    return started
-
-
 @_needs_fork
 @pytest.mark.parametrize("which", ["quad_scenario", "fw_scenario"])
 def test_forked_and_in_process_noise_give_the_same_bits(
-        which, request, monkeypatch, forked):
+        which, request, monkeypatch, forks):
     model, profile, x0 = _scenario_setup(request.getfixturevalue(which))
     grid = TimeGrid(0.0, 0.3, 0.01)
     idx = list(range(grid.count))
@@ -365,13 +351,14 @@ def test_forked_and_in_process_noise_give_the_same_bits(
         mean, cov, rec = mc_ensemble(model, x0, profile, grid, runs=8,
                                      base_seed=40, record_indices=idx)
         bits[cpus] = (mean.states.tobytes(), cov.P.tobytes(), rec.tobytes())
-    assert len(forked) == 3  # one child per pass, on the two-core path only
+    # one child per pass, on the two-core path only
+    assert forks == ["noise process"] * 3
     assert bits[2] == bits[1]
 
 
 @_needs_fork
 def test_domain_error_mid_ensemble_names_its_time_and_ends_the_child(
-        monkeypatch, forked, child_guard):
+        monkeypatch, forks):
     # the noise-free reference stays at 0; noisy runs cross 0.5 early in
     # a 5 s grid, while the child still has chunks of 5 steps to draw
     model = GuardedModel([[-1.0]], [[1.0]], limit=0.5)
@@ -381,14 +368,14 @@ def test_domain_error_mid_ensemble_names_its_time_and_ends_the_child(
         mc_ensemble(model, np.zeros(1), toy_des, grid, runs=4, base_seed=0)
     t = float(re.search(r"at t=(\S+):", str(err.value)).group(1))
     assert 0.0 < t < 4.0
-    assert len(forked) == 1
+    assert forks == ["noise process"]
     assert multiprocessing.active_children() == []
 
 
 @_needs_fork
 @pytest.mark.parametrize("draws_before_death", [0, 2])
 def test_a_noise_process_that_dies_makes_the_ensemble_raise(
-        draws_before_death, monkeypatch, forked, child_guard):
+        draws_before_death, monkeypatch, forks):
     stream = simcore._noise_stream
 
     def dying_stream(seed, m, dt):
@@ -403,17 +390,17 @@ def test_a_noise_process_that_dies_makes_the_ensemble_raise(
     monkeypatch.setattr(simcore, "_noise_stream", dying_stream)
     monkeypatch.setattr(simcore, "_NOISE_BYTES", 8 * 4 * 10)
     model = LinearModel([[-1.0]], [[1.0]])
-    with pytest.raises(RuntimeError,
+    with pytest.raises(ChildProcessError,
                        match="noise process exited with code 3"):
         mc_ensemble(model, np.zeros(1), toy_des, TimeGrid(0.0, 1.0, 0.01),
                     runs=4, base_seed=0)
-    assert len(forked) == 1
+    assert forks == ["noise process"]
     assert multiprocessing.active_children() == []
 
 
 @_needs_fork
 def test_an_error_in_the_noise_process_is_raised_in_the_ensemble(
-        monkeypatch, forked, child_guard):
+        monkeypatch, forks):
     def failing_stream(seed, m, dt):
         raise ArithmeticError(f"no stream for seed {seed}")
 
@@ -422,22 +409,44 @@ def test_an_error_in_the_noise_process_is_raised_in_the_ensemble(
     with pytest.raises(ArithmeticError, match="no stream for seed 7"):
         mc_ensemble(model, np.zeros(1), toy_des, TimeGrid(0.0, 1.0, 0.01),
                     runs=4, base_seed=7)
-    assert len(forked) == 1
+    assert forks == ["noise process"]
 
 
 @_needs_fork
 def test_the_first_noise_process_starts_before_the_reference_path(
-        forked, child_guard):
+        forks):
     # the fork and the model calls land in one list, in the order made
     class Logged(LinearModel):
         def deriv(self, x, ref, noise):
-            forked.append("deriv")
+            forks.append("deriv")
             return super().deriv(x, ref, noise)
 
     mc_ensemble(Logged([[-1.0]], [[1.0]]), np.zeros(1), toy_des,
                 TimeGrid(0.0, 0.1, 0.01), runs=4, base_seed=0)
-    assert isinstance(forked[0], tuple)
-    assert forked.count("deriv") == 2 * 10  # reference path, then the pass
+    assert forks[0] == "noise process"
+    assert forks.count("deriv") == 2 * 10  # reference path, then the pass
+
+
+@_needs_fork
+def test_the_noise_child_refills_a_buffer_only_once_it_is_released(forks):
+    seeds, sizes = range(5, 7), [3, 3, 3]
+    whole = [simcore._noise_stream(seed, 1, 0.01)(9) for seed in seeds]
+
+    def chunk(j):  # (steps, m, runs), as the job fills a buffer
+        return np.stack([w[3 * j:3 * j + 3] for w in whole], axis=-1)
+
+    bufs = simcore._shared((2, 3, 1, len(seeds)))
+    with simcore._forked(simcore._fork_context(), "noise process",
+                         simcore._noise_chunks, bufs, seeds, sizes, 1,
+                         0.01) as job:
+        assert [job.recv(), job.recv()] == [0, 1]
+        time.sleep(0.2)  # time for a child that did not wait to refill
+        assert np.array_equal(bufs[0], chunk(0))
+        assert np.array_equal(bufs[1], chunk(1))
+        job.send(0)
+        assert job.recv() == 2
+        assert np.array_equal(bufs[0], chunk(2))
+    assert forks == ["noise process"]
 
 
 def test_chunked_noise_draws_equal_one_draw():
