@@ -129,6 +129,8 @@ class PlanTree:
     excluded from every query until reconnected) or dead.  ``c_best`` is
     always recomputed from the set of alive connected nodes within
     ``goal_radius`` of the goal, including the exact closing segment.
+    ``add_node`` and ``cleanup_and_regrow`` keep that segment free of
+    every cross-section.
     """
 
     def __init__(self, start, goal, goal_radius):
@@ -492,9 +494,10 @@ def add_node(tree: PlanTree, sections, cfg: PlannerConfig, rng):
     """One sampling/steer/choose-parent/rewire round.
 
     Returns the index of the inserted node, or None when the sample was
-    rejected (out of steer reach of free space); a rejected sample
-    leaves the tree untouched.  Before a first solution exists the goal
-    itself is sampled with probability ``goal_bias``.
+    rejected (out of steer reach of free space, or within goal_radius of
+    the goal but blocked from it); a rejected sample leaves the tree
+    untouched.  Before a first solution exists the goal itself is
+    sampled with probability ``goal_bias``.
     """
     c_best = tree.c_best()
     if (not math.isfinite(c_best)) and cfg.goal_bias > 0.0 \
@@ -512,6 +515,10 @@ def add_node(tree: PlanTree, sections, cfg: PlannerConfig, rng):
         return None
     x_new = x_near + min(cfg.step, gap) / gap * (x_rand - x_near)
     if not no_collision_2d(x_near, x_new, sections):
+        return None
+    # best_path closes a goal-region node's path straight to the goal
+    if np.linalg.norm(x_new - tree.goal) <= tree.goal_radius \
+            and not no_collision_2d(x_new, tree.goal, sections):
         return None
     near_idx = tree.near(x_new, cfg.r_w)
     dists = {int(i): float(np.linalg.norm(tree.coords(int(i)) - x_new))
@@ -626,8 +633,6 @@ class TubeEvaluator:
     c2: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie strictly inside (0, 1)")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         self.c2 = chi2_quantile(self.beta, dof=3)
@@ -687,7 +692,8 @@ def cleanup_and_regrow(tree: PlanTree, grown: CrossSection, sections,
                        cfg: PlannerConfig, rng):
     """Repair the tree after an obstacle's buffer grew to ``grown``.
 
-    Nodes inside the grown cross-section die; surviving subtrees
+    Nodes inside the grown cross-section die, and so do goal-region nodes
+    whose closing segment to the goal meets it; surviving subtrees
     hanging under them, and surviving nodes whose parent edge now
     crosses the region, are detached as orphan components.  Fresh
     add_node growth then tries to reconnect each component through any
@@ -696,7 +702,9 @@ def cleanup_and_regrow(tree: PlanTree, grown: CrossSection, sections,
     pruned.
     """
     alive = [int(i) for i in np.flatnonzero(tree._alive[:tree.size])]
-    dead = {i for i in alive if grown.contains(tree._xy[i])}
+    dead = {i for i in alive if grown.contains(tree._xy[i])
+            or (i in tree._x_soln
+                and grown.meets_segment(tree._xy[i], tree.goal))}
     if tree.root in dead:
         raise PlanningError(
             f"start became infeasible: buffered obstacle {grown.id!r} "
@@ -783,8 +791,15 @@ def dynamic_informed_rrt_star(start, goal, obstacles, cfg: PlannerConfig,
     a buffer still growing.  ``buffer_history`` holds the buffers each
     round planned against.  The reported tube is the one comp_obs_dist
     built for the final path, and its clearances are checked against
-    the caller's true obstacles, which are never changed.
+    the caller's true obstacles, which are never changed.  Buffers are
+    keyed by obstacle id, so a repeated id raises ``ValueError``.
     """
+    seen = set()
+    for obs in obstacles:
+        if obs.id in seen:
+            raise ValueError(f"obstacle id {obs.id!r} is repeated; "
+                             "the planner sizes buffers by id")
+        seen.add(obs.id)
     start = np.asarray(start, dtype=float).reshape(2)
     goal = np.asarray(goal, dtype=float).reshape(2)
     init = evaluator.initial_buffer()

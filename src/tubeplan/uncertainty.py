@@ -28,7 +28,7 @@ ellipsoids
     {z : (z - r)^T Sigma^-1 (z - r) <= c^2},
 
 where c^2 is the chi-squared quantile for 3 degrees of freedom at the
-requested confidence level.
+requested confidence level, bisected on the CDF's closed-form finite sum.
 """
 
 from __future__ import annotations
@@ -300,69 +300,33 @@ def lincov(model, x0, des, grid, P0):
 
 
 # --- chi-squared CDF and quantile ------------------------------------------
-#
-# The regularized lower incomplete gamma function is evaluated with the
-# classic series / continued-fraction pair, switching at x = a + 1, so the
-# quantile is reproducible to 1e-12 without relying on a platform library.
-
-_GAMMA_EPS = 1e-16
-_GAMMA_FPMIN = 1e-300
-_GAMMA_MAXIT = 600
-
-
-def _gamma_series(a, x):
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_GAMMA_MAXIT):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_cont_frac(a, x):
-    b = x + 1.0 - a
-    c = 1.0 / _GAMMA_FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAXIT):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _GAMMA_FPMIN:
-            d = _GAMMA_FPMIN
-        c = b + an / c
-        if abs(c) < _GAMMA_FPMIN:
-            c = _GAMMA_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _reg_lower_gamma(a, x):
-    if x < 0.0 or a <= 0.0:
-        raise ValueError("regularized gamma needs x >= 0 and a > 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cont_frac(a, x)
 
 
 def chi2_cdf(y, dof=3):
-    """Chi-squared CDF at y for the given degrees of freedom."""
-    if dof <= 0:
-        raise ValueError("dof must be positive")
+    """Chi-squared CDF at y for a positive integer dof.
+
+    The CDF is the regularized lower incomplete gamma function P(dof/2, h)
+    at h = y/2, which at integer dof is a finite sum.  It starts from
+    P(1, h) = 1 - e^-h for even dof or P(1/2, h) = erf(sqrt(h)) for odd
+    dof and steps up with P(a + 1, h) = P(a, h) - h^a e^-h / Gamma(a + 1).
+    Each term is formed in logarithms, so no order or argument overflows,
+    and the result is clamped to [0, 1] against round-off.
+    """
+    if not (dof >= 1 and float(dof).is_integer()):
+        raise ValueError("dof must be a positive integer")
     y = float(y)
     if y <= 0.0:
         return 0.0
-    return _reg_lower_gamma(0.5 * dof, 0.5 * y)
+    h = 0.5 * y
+    if dof % 2:
+        a, p = 0.5, math.erf(math.sqrt(h))
+    else:
+        a, p = 1.0, -math.expm1(-h)
+    log_h = math.log(h)
+    while a < 0.5 * dof:
+        p -= math.exp(a * log_h - h - math.lgamma(a + 1.0))
+        a += 1.0
+    return min(max(p, 0.0), 1.0)
 
 
 def chi2_quantile(beta, dof=3):

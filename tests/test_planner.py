@@ -384,6 +384,39 @@ def test_cleanup_raises_when_the_root_is_covered():
                            np.random.default_rng(0))
 
 
+def test_cleanup_kills_a_goal_node_whose_closing_segment_is_blocked():
+    cfg = free_config()
+    tree = PlanTree((0.0, 0.0), (10.0, 0.0), goal_radius=2.0)
+    a = tree.insert((5.0, 0.0), tree.root, 5.0)
+    near_goal = tree.insert((9.0, 0.0), a, 9.0)
+    # a thin wall between the goal node and the goal, clear of both
+    grown = cut(box(9.5, 0.0, hx=0.1, hy=3.0, id="grown"))
+    assert not grown.contains(tree.coords(near_goal))
+    assert no_collision_2d(tree.coords(a), tree.coords(near_goal), [grown])
+    cleanup_and_regrow(tree, grown, [grown], cfg, np.random.default_rng(0))
+    assert not tree._alive[near_goal] and tree._alive[a]
+    assert tree.best_goal_node() is None and tree.c_best() == math.inf
+    tree.check_consistency()
+
+
+def test_no_path_crosses_an_obstacle_on_its_closing_segment():
+    # a wall just short of the goal: nodes beyond the goal radius cannot
+    # see the goal, nodes inside it can only from behind the wall
+    wall = CrossSection(CuboidObstacle.from_box((49.6, 0.0, 10.0),
+                                                (0.1, 3.0, 10.0)), 10.0, 0.0)
+    cfg = free_config(bounds=Bounds((-5.0, -20.0), (55.0, 20.0)))
+    solved = 0
+    for seed in range(5):
+        tree = informed_rrt_star((0.0, 0.0), (50.0, 0.0), [wall], cfg,
+                                 np.random.default_rng(seed))
+        if math.isfinite(tree.c_best()):
+            solved += 1
+            path = tree.best_path()
+            assert all(no_collision_2d(p, q, [wall])
+                       for p, q in zip(path, path[1:])), seed
+    assert solved > 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_surgery_preserves_the_invariants(seed):
@@ -557,6 +590,19 @@ def test_dynamic_planner_with_zero_start_covariance_keeps_zero_buffers():
     # buffers never go negative
     for round_buffers in res.buffer_history:
         assert round_buffers["side"] >= -1e-12
+
+
+def test_dynamic_planner_rejects_repeated_obstacle_ids():
+    # buffers are keyed by id: two obstacles sharing one would be sized
+    # as one
+    obstacles = [box(25.0, 2.5, hx=3.0, hy=1.5, id="obstacle"),
+                 box(50.0, -17.0, hx=1.0, hy=1.0, id="obstacle")]
+    cfg = free_config(bounds=Bounds((-10.0, -30.0), (110.0, 30.0)),
+                      N_max=600, N_conv=100, M=2)
+    ev = TubeEvaluator(model=QuadrotorModel(), dt=0.02, beta=0.999)
+    with pytest.raises(ValueError, match="'obstacle' is repeated"):
+        dynamic_informed_rrt_star((0.0, 0.0), (55.0, 0.0), obstacles, cfg,
+                                  ev, np.random.default_rng(5))
 
 
 def plan_three_obstacles(sc, seed, evaluator_cls=TubeEvaluator):

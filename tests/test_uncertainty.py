@@ -90,6 +90,26 @@ def test_chi2_input_validation():
             chi2_quantile(bad, 3)
 
 
+def test_chi2_quantile_keeps_the_bits_of_the_incomplete_gamma_levels():
+    # float.hex of the levels the series / continued-fraction CDF gave
+    expected = {0.9: "0x1.9016c05760000p+2", 0.99: "0x1.6b0925f400000p+3",
+                0.999: "0x1.044280e300000p+4",
+                0.9999: "0x1.51b8600800000p+4"}
+    assert {b: chi2_quantile(b, 3).hex() for b in expected} == expected
+
+
+def test_chi2_cdf_stays_in_the_unit_interval():
+    for dof in range(1, 13):
+        for y in np.logspace(-300, 5, 611):
+            assert 0.0 <= chi2_cdf(y, dof) <= 1.0
+
+
+def test_chi2_cdf_rejects_a_non_integer_dof():
+    for bad in (2.5, 0.5, -1, float("nan")):
+        with pytest.raises(ValueError, match="positive integer"):
+            chi2_cdf(1.0, bad)
+
+
 # --------------------------------------------------------------------------
 # Lyapunov propagation
 
