@@ -55,7 +55,6 @@ __all__ = [
 
 _ROOT = -1
 _ORPHAN = -3
-_UNUSED = -2
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,13 @@ class PlanTree:
 
     Nodes are stored in flat arrays and never physically deleted; a node
     is either alive, alive-but-orphaned (detached by obstacle growth,
-    excluded from every query until reconnected) or dead.  ``c_best`` is
-    always recomputed from the set of alive connected nodes within
-    ``goal_radius`` of the goal, including the exact closing segment.
-    ``add_node`` and ``cleanup_and_regrow`` keep that segment free of
-    every cross-section.
+    excluded from every query until reconnected) or dead.  A node is a
+    goal node when it lies within ``goal_radius`` of the goal; that is
+    fixed at insert, since nodes never move, and the root is never one,
+    so every path to the goal has at least one tree edge.  ``c_best`` is
+    always recomputed from the alive connected goal nodes, including the
+    exact closing segment.  ``add_node`` and ``cleanup_and_regrow`` keep
+    that segment free of every cross-section.
     """
 
     def __init__(self, start, goal, goal_radius):
@@ -139,13 +140,13 @@ class PlanTree:
         self.goal_radius = float(goal_radius)
         cap = 256
         self._xy = np.zeros((cap, 2))
-        self._parent = np.full(cap, _UNUSED, dtype=int)
+        self._parent = np.zeros(cap, dtype=int)
         self._cost = np.zeros(cap)
         self._alive = np.zeros(cap, dtype=bool)
         self._orphan = np.zeros(cap, dtype=bool)
         self._children: list[list[int]] = [[] for _ in range(cap)]
         self.size = 0
-        self._x_soln: set[int] = set()
+        self._goal_nodes: list[int] = []  # ascending, dead ones included
         self.root = self.insert(self.start, _ROOT, 0.0)
 
     # -- storage ----------------------------------------------------------
@@ -156,7 +157,7 @@ class PlanTree:
             return
         self._xy = np.vstack([self._xy, np.zeros((cap, 2))])
         self._parent = np.concatenate([self._parent,
-                                       np.full(cap, _UNUSED, dtype=int)])
+                                       np.zeros(cap, dtype=int)])
         self._cost = np.concatenate([self._cost, np.zeros(cap)])
         self._alive = np.concatenate([self._alive, np.zeros(cap, dtype=bool)])
         self._orphan = np.concatenate([self._orphan,
@@ -171,11 +172,10 @@ class PlanTree:
         self._parent[i] = parent
         self._cost[i] = cost
         self._alive[i] = True
-        self._orphan[i] = False
         if parent >= 0:
             self._children[parent].append(i)
-        if np.linalg.norm(np.asarray(xy) - self.goal) <= self.goal_radius:
-            self._x_soln.add(i)
+            if np.linalg.norm(self._xy[i] - self.goal) <= self.goal_radius:
+                self._goal_nodes.append(i)
         return i
 
     # -- queries ----------------------------------------------------------
@@ -212,14 +212,12 @@ class PlanTree:
         hit = mask & (d2 <= radius * radius)
         return np.flatnonzero(hit)
 
-    def solution_nodes(self):
-        return sorted(i for i in self._x_soln
-                      if self._alive[i] and not self._orphan[i])
-
     def _best_solution(self):
         """(total cost, node) of the cheapest solution, or (inf, None)."""
         best, best_i = math.inf, None
-        for i in self.solution_nodes():
+        for i in self._goal_nodes:
+            if not self._alive[i] or self._orphan[i]:
+                continue
             total = self._cost[i] + float(
                 np.linalg.norm(self._xy[i] - self.goal))
             if total < best:
@@ -284,15 +282,9 @@ class PlanTree:
         """Remove node i (caller handles its children beforehand)."""
         p = self._parent[i]
         if p >= 0 and self._alive[p]:
-            try:
-                self._children[p].remove(i)
-            except ValueError:
-                pass
+            self._children[p].remove(i)
         self._alive[i] = False
-        self._orphan[i] = False
-        self._parent[i] = _UNUSED
         self._children[i] = []
-        self._x_soln.discard(i)
 
     def component(self, r):
         """All node indices in the subtree rooted at r."""
@@ -308,10 +300,7 @@ class PlanTree:
         """Cut r from its parent and flag its whole subtree as orphaned."""
         p = self._parent[r]
         if p >= 0 and self._alive[p]:
-            try:
-                self._children[p].remove(r)
-            except ValueError:
-                pass
+            self._children[p].remove(r)
         self._parent[r] = _ORPHAN
         for k in self.component(r):
             self._orphan[k] = True
@@ -339,8 +328,6 @@ class PlanTree:
         while stack:
             k = stack.pop()
             self._orphan[k] = False
-            if np.linalg.norm(self._xy[k] - self.goal) <= self.goal_radius:
-                self._x_soln.add(k)
             for ch in self._children[k]:
                 self._cost[ch] = self._cost[k] + float(
                     np.linalg.norm(self._xy[ch] - self._xy[k]))
@@ -360,9 +347,15 @@ class PlanTree:
         """Raise AssertionError on any structural violation (test hook)."""
         assert self._alive[self.root] and not self._orphan[self.root]
         assert self._parent[self.root] == _ROOT
+        goal_nodes = set(self._goal_nodes)
         for i in range(self.size):
             if not self._alive[i]:
                 continue
+            # the root is never a goal node, whatever its distance
+            in_goal = (i != self.root and np.linalg.norm(
+                self._xy[i] - self.goal) <= self.goal_radius)
+            assert (i in goal_nodes) == in_goal, (
+                f"goal membership of node {i} disagrees with goal_radius")
             for ch in self._children[i]:
                 assert self._alive[ch], f"dead child {ch} linked under {i}"
                 assert self._parent[ch] == i
@@ -383,10 +376,6 @@ class PlanTree:
                 k = int(self._parent[k])
                 steps += 1
                 assert k >= 0 and steps <= self.size, f"cycle through {i}"
-        for i in self._x_soln:
-            if self._alive[i] and not self._orphan[i]:
-                assert np.linalg.norm(self._xy[i] - self.goal) \
-                    <= self.goal_radius + 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -593,8 +582,7 @@ def informed_rrt_star(start, goal, sections, cfg: PlannerConfig, rng,
 # tube evaluation along a candidate path
 
 
-def path_to_trajectory(path_xy, altitude, cruise_speed, vehicle="quadrotor",
-                       fd_step=0.01):
+def path_to_trajectory(path_xy, altitude, cruise_speed, vehicle, fd_step):
     """Desired-trajectory callable for a planar waypoint path.
 
     Quadrotor: constant-altitude, constant-speed 3D polyline (piecewise
@@ -641,9 +629,7 @@ class TubeEvaluator:
 
     def initial_buffer(self):
         """c * sqrt(largest position variance) of P0."""
-        rows = list(self.model.position_rows)
-        block = self.P0[np.ix_(rows, rows)]
-        lam = float(np.linalg.eigvalsh(block)[-1])
+        lam = float(np.linalg.eigvalsh(self.P0[:3, :3])[-1])
         # +0.0, never -0.0, for a zero P0: the buffer goes into buffers.json
         return math.sqrt(self.c2) * math.sqrt(lam) if lam > 0.0 else 0.0
 
@@ -658,9 +644,7 @@ class TubeEvaluator:
               if self.initial_state is None
               else np.asarray(self.initial_state, dtype=float))
         nominal, cov, _ = lincov(self.model, x0, des, grid, self.P0)
-        tube = build_tube(nominal, cov, self.beta,
-                          position_rows=self.model.position_rows)
-        return tube, nominal, cov
+        return build_tube(nominal, cov, self.beta), nominal, cov
 
 
 # --------------------------------------------------------------------------
@@ -702,9 +686,9 @@ def cleanup_and_regrow(tree: PlanTree, grown: CrossSection, sections,
     pruned.
     """
     alive = [int(i) for i in np.flatnonzero(tree._alive[:tree.size])]
-    dead = {i for i in alive if grown.contains(tree._xy[i])
-            or (i in tree._x_soln
-                and grown.meets_segment(tree._xy[i], tree.goal))}
+    dead = {i for i in alive if grown.contains(tree._xy[i])}
+    dead.update(i for i in tree._goal_nodes if tree._alive[i]
+                and grown.meets_segment(tree._xy[i], tree.goal))
     if tree.root in dead:
         raise PlanningError(
             f"start became infeasible: buffered obstacle {grown.id!r} "

@@ -361,24 +361,25 @@ def _parse_planner(obj):
     for label, q in (("start", start), ("goal", goal)):
         inside = all(l <= v <= h for v, l, h in zip(q, lo, hi))
         _require(inside, f"planner.{label}", "must lie inside the bounds")
+    default = {f.name: f.default for f in fields(PlannerConfig)}
+
+    def given(key, parse, **kw):
+        return parse(obj.get(key, default[key]), f"planner.{key}", **kw)
+
     out = {
         "bounds": {"lo": lo, "hi": hi}, "start": start, "goal": goal,
-        "altitude": _number(obj["altitude"], "planner.altitude",
-                            positive=True),
-        "cruise_speed": _number(obj["cruise_speed"], "planner.cruise_speed",
-                                positive=True),
-        "N_max": _count(obj.get("N_max", 3000), "planner.N_max"),
-        "N_conv": _count(obj.get("N_conv", 200), "planner.N_conv"),
-        "M": _count(obj.get("M", 4), "planner.M"),
-        "tol": _number(obj.get("tol", 0.01), "planner.tol", positive=True),
+        "altitude": given("altitude", _number, positive=True),
+        "cruise_speed": given("cruise_speed", _number, positive=True),
+        "N_max": given("N_max", _count),
+        "N_conv": given("N_conv", _count),
+        "M": given("M", _count),
+        "tol": given("tol", _number, positive=True),
         "step": (None if obj.get("step") is None
                  else _number(obj["step"], "planner.step", positive=True)),
         "r_w": (None if obj.get("r_w") is None
                 else _number(obj["r_w"], "planner.r_w", positive=True)),
-        "goal_radius": _number(obj.get("goal_radius", 1.0),
-                               "planner.goal_radius", positive=True),
-        "goal_bias": _number(obj.get("goal_bias", 0.05),
-                             "planner.goal_bias", nonnegative=True),
+        "goal_radius": given("goal_radius", _number, positive=True),
+        "goal_bias": given("goal_bias", _number, nonnegative=True),
     }
     _require(out["goal_bias"] <= 0.2, "planner.goal_bias",
              "must not exceed 0.2")

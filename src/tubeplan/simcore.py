@@ -37,6 +37,7 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "LinearizationHistory",
+    "CovarianceHistory",
     "integrate_nominal",
     "linearize",
     "mc_run",
@@ -93,6 +94,20 @@ class LinearizationHistory:
     grid: TimeGrid
     A: np.ndarray    # (count, n, n), d f / d x
     B_n: np.ndarray  # (count, n, m), d f / d noise
+
+
+@dataclass
+class CovarianceHistory:
+    """Symmetric PSD state covariance at every grid point."""
+
+    grid: TimeGrid
+    P: np.ndarray  # (count, n, n)
+
+    def __post_init__(self):
+        self.P = np.asarray(self.P, dtype=float)
+        if self.P.ndim != 3 or self.P.shape[0] != self.grid.count \
+                or self.P.shape[1] != self.P.shape[2]:
+            raise ValueError("P must have shape (count, n, n)")
 
 
 def _wrap_domain_error(err, t):
@@ -532,8 +547,6 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     mean = ref_path + sum_d / runs
     cov = (sum_o - np.einsum("ki,kj->kij", sum_d, sum_d) / runs) / (runs - 1)
     cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
-
-    from .uncertainty import CovarianceHistory  # deferred: avoids an import cycle
 
     mean_traj = Trajectory(grid=grid, states=mean)
     cov_hist = CovarianceHistory(grid=grid, P=cov)

@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import BracketError
 from .simcore import (
+    CovarianceHistory,
     LinearizationHistory,
-    TimeGrid,
     Trajectory,
     _fork_context,
     _forked,
@@ -64,20 +64,6 @@ __all__ = [
 
 
 @dataclass
-class CovarianceHistory:
-    """Symmetric PSD state covariance at every grid point."""
-
-    grid: TimeGrid
-    P: np.ndarray  # (count, n, n)
-
-    def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=float)
-        if self.P.ndim != 3 or self.P.shape[0] != self.grid.count \
-                or self.P.shape[1] != self.P.shape[2]:
-            raise ValueError("P must have shape (count, n, n)")
-
-
-@dataclass
 class ConfidenceEllipsoid:
     """One tube cross-section: center, 3x3 covariance block and level c^2."""
 
@@ -90,7 +76,7 @@ class ConfidenceEllipsoid:
 class Tube:
     """Time-ordered confidence ellipsoids around a nominal position path."""
 
-    def __init__(self, times, centers, sigmas, beta, c2):
+    def __init__(self, times, centers, sigmas, c2):
         self.times = np.asarray(times, dtype=float)
         self.centers = np.asarray(centers, dtype=float)
         self.sigmas = np.asarray(sigmas, dtype=float)
@@ -98,7 +84,6 @@ class Tube:
             raise ValueError("centers must have shape (count, 3)")
         if self.sigmas.shape != (len(self.times), 3, 3):
             raise ValueError("sigmas must have shape (count, 3, 3)")
-        self.beta = float(beta)
         self.c2 = float(c2)
 
     def __len__(self):
@@ -354,19 +339,15 @@ def chi2_quantile(beta, dof=3):
     raise BracketError("chi-squared quantile bisection did not reach tolerance")
 
 
-def build_tube(nominal: Trajectory, cov: CovarianceHistory, beta,
-               position_rows=(0, 1, 2)) -> Tube:
-    """Extract the position-marginal probability tube at confidence beta."""
+def build_tube(nominal: Trajectory, cov: CovarianceHistory, beta) -> Tube:
+    """Extract the position-marginal probability tube at confidence beta.
+
+    The position is the first three states.  The tube holds copies, so
+    it keeps neither the state history nor the covariance alive.
+    """
     if nominal.grid != cov.grid:
         raise ValueError("nominal trajectory and covariance use different grids")
-    rows = list(position_rows)
-    if len(rows) != 3:
-        raise ValueError("position_rows must select three states")
-    n = cov.P.shape[1]
-    if any(not 0 <= r < n for r in rows):
-        raise ValueError("position_rows out of range")
-    c2 = chi2_quantile(beta, dof=3)
-    centers = nominal.states[:, rows]
-    sigmas = cov.P[:, rows, :][:, :, rows]
-    return Tube(times=nominal.grid.times(), centers=centers,
-                sigmas=sigmas, beta=beta, c2=c2)
+    return Tube(times=nominal.grid.times(),
+                centers=nominal.states[:, :3].copy(),
+                sigmas=cov.P[:, :3, :3].copy(),
+                c2=chi2_quantile(beta, dof=3))

@@ -165,7 +165,6 @@ class FixedWingModel:
     name = "fixedwing"
     n_states = 14
     n_noise = 3
-    position_rows = (0, 1, 2)
     state_labels = (
         "x", "y", "h", "V", "psi", "gamma", "T", "V_des", "psi_des",
         "eta_u", "eta_w1", "eta_w2", "eta_v1", "eta_v2",

@@ -77,7 +77,6 @@ class QuadrotorModel:
     name = "quadrotor"
     n_states = 9
     n_noise = 3
-    position_rows = (0, 1, 2)
     state_labels = ("x", "y", "z", "vx", "vy", "vz", "eta_x", "eta_y", "eta_z")
 
     def __init__(self, params: QuadrotorParams | None = None):

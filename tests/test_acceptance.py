@@ -85,8 +85,7 @@ def test_criterion_01_quadrotor_variances_within_20pct_of_10k_mc(
     model, profile, grid, x0, P0 = _pipeline(quad_scenario)
     nominal, cov, timings = lincov(model, x0, profile, grid, P0)
     tic = time.perf_counter()
-    build_tube(nominal, cov, quad_scenario.beta,
-               position_rows=model.position_rows)
+    build_tube(nominal, cov, quad_scenario.beta)
     lc_s = (time.perf_counter() - tic
             + 1e-3 * (timings["linearize_ms"] + timings["covariance_ms"]))
 
@@ -114,8 +113,7 @@ def test_criterion_02_fixedwing_variances_within_20pct_of_10k_mc(
     model, profile, grid, x0, P0 = _pipeline(fw_scenario)
     nominal, cov, timings = lincov(model, x0, profile, grid, P0)
     tic = time.perf_counter()
-    build_tube(nominal, cov, fw_scenario.beta,
-               position_rows=model.position_rows)
+    build_tube(nominal, cov, fw_scenario.beta)
     lc_s = (time.perf_counter() - tic
             + 1e-3 * (timings["linearize_ms"] + timings["covariance_ms"]))
 

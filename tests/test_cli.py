@@ -543,7 +543,7 @@ def test_tube_jsonl_bytes_match_the_per_element_formulation(tmp_path):
     vals = np.array(AWKWARD)
     tube = Tube(times=vals, centers=np.column_stack([vals] * 3),
                 sigmas=np.broadcast_to(vals[:, None, None], (n, 3, 3)),
-                beta=0.999, c2=0.1 + 0.2)
+                c2=0.1 + 0.2)
     _write_jsonl(tmp_path / "tube.jsonl", _tube_records(tube))
     lines = [json.dumps({"t": float(tube.times[k]),
                          "center": [float(v) for v in tube.centers[k]],

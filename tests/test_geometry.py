@@ -32,8 +32,7 @@ def make_tube(centers, sigmas, c2, t0=0.0, dt=1.0):
     if sigmas.ndim == 2:
         sigmas = np.repeat(sigmas[None], centers.shape[0], axis=0)
     times = t0 + dt * np.arange(centers.shape[0])
-    return Tube(times=times, centers=centers, sigmas=sigmas,
-                beta=0.999, c2=c2)
+    return Tube(times=times, centers=centers, sigmas=sigmas, c2=c2)
 
 
 def random_spd(rng, scale=1.0):
@@ -321,7 +320,7 @@ def test_buffer_touch_monotone_in_confidence_level():
 def test_buffer_touch_rejects_empty_tube():
     obs = CuboidObstacle.from_box((3.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     empty = Tube(times=np.empty(0), centers=np.empty((0, 3)),
-                 sigmas=np.empty((0, 3, 3)), beta=0.999, c2=9.0)
+                 sigmas=np.empty((0, 3, 3)), c2=9.0)
     with pytest.raises(ValueError):
         buffer_touch_distance(empty, obs, 9.0)
 

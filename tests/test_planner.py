@@ -159,6 +159,17 @@ def test_consistency_catches_cost_corruption():
         tree.check_consistency()
 
 
+def test_consistency_catches_a_wrong_goal_membership():
+    tree = PlanTree((0.0, 0.0), (0.5, 0.0), goal_radius=1.0)
+    a = tree.insert((0.0, 2.0), tree.root, 2.0)
+    tree.check_consistency()
+    for wrong in (tree.root, a):
+        tree._goal_nodes.append(wrong)
+        with pytest.raises(AssertionError, match="goal"):
+            tree.check_consistency()
+        tree._goal_nodes.remove(wrong)
+
+
 def test_orphan_detach_and_adopt_reverses_the_chain():
     tree, a, b, c, d = small_tree()
     tree.detach_orphan(b)                   # cuts {b, c} loose
@@ -323,6 +334,42 @@ def test_informed_rrt_star_obstacle_free_is_near_straight():
     tree.check_consistency()
 
 
+def start_near_goal():
+    """Start (0, 0) within goal_radius 1 of goal (0.9, 0); a thin wall
+    between them, clear of both."""
+    cfg = PlannerConfig(bounds=Bounds((-5.0, -5.0), (5.0, 5.0)),
+                        altitude=10.0, cruise_speed=1.0, goal_radius=1.0)
+    wall = cut(box(0.45, 0.0, hx=0.05, hy=3.0, id="wall"))
+    assert not wall.contains((0.0, 0.0)) and not wall.contains((0.9, 0.0))
+    return cfg, wall
+
+
+def test_a_start_within_the_goal_radius_is_not_a_solution():
+    cfg, _ = start_near_goal()
+    tree = PlanTree((0.0, 0.0), (0.9, 0.0), cfg.goal_radius)
+    assert tree.c_best() == math.inf and tree.best_goal_node() is None
+    tree.check_consistency()
+
+
+def test_a_start_within_the_goal_radius_never_plans_through_a_wall():
+    cfg, wall = start_near_goal()
+    tree = informed_rrt_star((0.0, 0.0), (0.9, 0.0), [wall], cfg,
+                             np.random.default_rng(0))
+    path = tree.best_path()
+    assert all(no_collision_2d(p, q, [wall]) for p, q in zip(path, path[1:]))
+    assert tree.c_best() > 6.0      # round the end of the wall at |y| = 3
+    tree.check_consistency()
+
+
+def test_a_start_within_the_goal_radius_plans_through_a_tree_edge():
+    cfg, _ = start_near_goal()
+    tree = informed_rrt_star((0.0, 0.0), (0.9, 0.0), [], cfg,
+                             np.random.default_rng(0))
+    assert len(tree.best_path()) >= 3
+    assert abs(tree.c_best() - 0.9) <= 1e-9
+    tree.check_consistency()
+
+
 def test_planner_rejects_blocked_endpoints():
     cfg = free_config()
     rng = np.random.default_rng(0)
@@ -399,6 +446,18 @@ def test_cleanup_kills_a_goal_node_whose_closing_segment_is_blocked():
     tree.check_consistency()
 
 
+def test_cleanup_blocking_the_start_goal_leg_keeps_the_start():
+    # the start's own leg to the goal is no path, so a wall across it
+    # kills goal nodes, never the start
+    cfg, wall = start_near_goal()
+    tree = informed_rrt_star((0.0, 0.0), (0.9, 0.0), [], cfg,
+                             np.random.default_rng(0))
+    cleanup_and_regrow(tree, wall, [wall], cfg, np.random.default_rng(1))
+    tree.check_consistency()
+    path = tree.best_path()
+    assert all(no_collision_2d(p, q, [wall]) for p, q in zip(path, path[1:]))
+
+
 def test_no_path_crosses_an_obstacle_on_its_closing_segment():
     # a wall just short of the goal: nodes beyond the goal radius cannot
     # see the goal, nodes inside it can only from behind the wall
@@ -442,10 +501,11 @@ def test_random_surgery_preserves_the_invariants(seed):
 
 def test_path_to_trajectory_validation():
     with pytest.raises(PlanningError):
-        path_to_trajectory([(0.0, 0.0)], 10.0, 5.0)
+        path_to_trajectory([(0.0, 0.0)], 10.0, 5.0, "quadrotor", 0.01)
     with pytest.raises(PlanningError):
-        path_to_trajectory([(0, 0), (1, 0)], 10.0, 5.0, vehicle="blimp")
-    des = path_to_trajectory([(0.0, 0.0), (10.0, 0.0)], 7.0, 5.0)
+        path_to_trajectory([(0, 0), (1, 0)], 10.0, 5.0, "blimp", 0.01)
+    des = path_to_trajectory([(0.0, 0.0), (10.0, 0.0)], 7.0, 5.0,
+                             "quadrotor", 0.01)
     ref = des(0.0)
     assert np.allclose(ref.r, (0.0, 0.0, 7.0))
     assert np.allclose(ref.rdot, (5.0, 0.0, 0.0))

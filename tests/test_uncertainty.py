@@ -277,7 +277,7 @@ def test_build_tube_extracts_position_marginal():
         P[k] = np.diag([1.0, 2.0, 3.0, 4.0]) * (k + 1)
     nominal = Trajectory(grid=grid, states=states)
     cov = CovarianceHistory(grid=grid, P=P)
-    tube = build_tube(nominal, cov, 0.999, position_rows=(0, 1, 2))
+    tube = build_tube(nominal, cov, 0.999)
     assert len(tube) == grid.count
     assert tube.c2 == pytest.approx(chi2_quantile(0.999, 3))
     ell = tube[1]
@@ -286,6 +286,9 @@ def test_build_tube_extracts_position_marginal():
     assert ell.c2 == tube.c2
     # iteration yields the same cross-sections
     assert [e.t for e in tube] == list(grid.times())
+    # copies: the tube holds on to neither the states nor the covariance
+    assert not np.shares_memory(tube.centers, nominal.states)
+    assert not np.shares_memory(tube.sigmas, cov.P)
 
 
 def test_build_tube_validates_inputs():
@@ -297,17 +300,17 @@ def test_build_tube_validates_inputs():
         grid=other, P=np.zeros((other.count, 4, 4)))
     with pytest.raises(ValueError):
         build_tube(nominal, cov_other, 0.99)
-    cov = CovarianceHistory(grid=grid, P=np.zeros((grid.count, 4, 4)))
-    with pytest.raises(ValueError):
-        build_tube(nominal, cov, 0.99, position_rows=(0, 1))
-    with pytest.raises(ValueError):
-        build_tube(nominal, cov, 0.99, position_rows=(0, 1, 7))
+    # the position is the first three states: two states are too few
+    planar = Trajectory(grid=grid, states=np.zeros((grid.count, 2)))
+    cov = CovarianceHistory(grid=grid, P=np.zeros((grid.count, 2, 2)))
+    with pytest.raises(ValueError, match="centers"):
+        build_tube(planar, cov, 0.99)
 
 
 def test_tube_shape_validation():
     with pytest.raises(ValueError):
         Tube(times=[0.0, 1.0], centers=np.zeros((3, 3)),
-             sigmas=np.zeros((2, 3, 3)), beta=0.99, c2=1.0)
+             sigmas=np.zeros((2, 3, 3)), c2=1.0)
     with pytest.raises(ValueError):
         Tube(times=[0.0, 1.0], centers=np.zeros((2, 3)),
-             sigmas=np.zeros((2, 2, 2)), beta=0.99, c2=1.0)
+             sigmas=np.zeros((2, 2, 2)), c2=1.0)
