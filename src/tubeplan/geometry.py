@@ -72,10 +72,10 @@ def _independent_triples(A):
     return T[np.abs(np.linalg.det(A[T])) >= 1e-12]
 
 
-def _basic_points(A, b, triples, tol=_FEAS_TOL):
+def _basic_points(A, b, triples):
     """Feasible points of {A z <= b} where the faces of a triple meet."""
     V = np.linalg.solve(A[triples], b[triples][..., None])[..., 0]
-    return V[np.all(V @ A.T <= b + tol, axis=1)]
+    return V[np.all(V @ A.T <= b + _FEAS_TOL, axis=1)]
 
 
 def _enumerate_vertices(A, b, triples):
@@ -165,9 +165,9 @@ class CuboidObstacle:
             rhs.extend([axis @ center + h[i], -(axis @ center) + h[i]])
         return cls(A=np.array(rows), b=np.array(rhs), id=id)
 
-    def contains(self, z, *, tol=_FEAS_TOL):
+    def contains(self, z):
         z = np.asarray(z, dtype=float)
-        return bool(np.all(self.A @ z <= self.b + tol))
+        return bool(np.all(self.A @ z <= self.b + _FEAS_TOL))
 
 
 @dataclass

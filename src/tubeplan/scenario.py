@@ -46,9 +46,7 @@ _TOP_KEYS = {"schema_version", "name", "seed", "beta", "vehicle", "grid",
              "obstacles", "planner"}
 _VEHICLE_KEYS = {"type", "params"}
 _GRID_KEYS = {"t0", "tf", "dt"}
-_PLANNER_KEYS = {"bounds", "start", "goal", "altitude", "cruise_speed",
-                 "N_max", "N_conv", "M", "tol", "step", "r_w",
-                 "goal_radius", "goal_bias"}
+_PLANNER_KEYS = {f.name for f in fields(PlannerConfig)} | {"start", "goal"}
 
 _MODELS = {
     "quadrotor": (QuadrotorModel, QuadrotorParams),
@@ -203,7 +201,15 @@ class Scenario:
 
 
 # --------------------------------------------------------------------------
-# parsing
+# parsing: each section is checked, normalized and built in one pass
+
+
+def _built(path, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError re-raised under ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def _parse_vehicle(obj):
@@ -211,9 +217,9 @@ def _parse_vehicle(obj):
     vtype = obj.get("type")
     _require(vtype in ("quadrotor", "fixedwing"), "vehicle.type",
              "must be 'quadrotor' or 'fixedwing'")
+    model_cls, params_cls = _MODELS[vtype]
     raw = obj.get("params", {})
-    allowed = {f.name for f in fields(_MODELS[vtype][1])}
-    _check_keys(raw, allowed, "vehicle.params")
+    _check_keys(raw, {f.name for f in fields(params_cls)}, "vehicle.params")
     params = {}
     for key, val in raw.items():
         path = f"vehicle.params.{key}"
@@ -226,7 +232,10 @@ def _parse_vehicle(obj):
                                     positive=(key == "L"))
         else:
             params[key] = _number(val, path)
-    return {"type": vtype, "params": dict(sorted(params.items()))}
+    model = model_cls(_built("vehicle.params", params_cls, **{
+        k: np.asarray(v, dtype=float) if isinstance(v, list) else v
+        for k, v in params.items()}))
+    return {"type": vtype, "params": dict(sorted(params.items()))}, model
 
 
 def _parse_grid(obj):
@@ -238,10 +247,10 @@ def _parse_grid(obj):
     dt = _number(obj["dt"], "grid.dt", positive=True)
     _require(tf > t0, "grid.tf", "must exceed grid.t0")
     _require((tf - t0) / dt >= 1.0, "grid.dt", "grid must have >= 2 points")
-    return {"t0": t0, "tf": tf, "dt": dt}
+    return {"t0": t0, "tf": tf, "dt": dt}, TimeGrid(t0, tf, dt)
 
 
-def _parse_profile(obj, vehicle):
+def _parse_profile(obj, vehicle, grid):
     _require(isinstance(obj, dict), "desired_trajectory", "must be an object")
     kind = obj.get("profile")
     _require(kind in _PROFILES[vehicle], "desired_trajectory.profile",
@@ -252,58 +261,66 @@ def _parse_profile(obj, vehicle):
                 "cruise_altitude", "cruise_distance", "final_altitude",
                 "climb_rate", "cruise_speed", "descent_rate"}
         _check_keys(obj, keys, path)
-        out = {"profile": kind,
-               "start_xy": _vector(obj.get("start_xy", [0.0, 0.0]),
-                                   f"{path}.start_xy", 2),
-               "heading_deg": _number(obj.get("heading_deg", 0.0),
-                                      f"{path}.heading_deg")}
+        spec = {"start_xy": _vector(obj.get("start_xy", [0.0, 0.0]),
+                                    f"{path}.start_xy", 2),
+                "heading_deg": _number(obj.get("heading_deg", 0.0),
+                                       f"{path}.heading_deg")}
         for key in ("start_altitude", "cruise_altitude", "cruise_distance",
                     "final_altitude", "climb_rate", "cruise_speed",
                     "descent_rate"):
             _require(key in obj, f"{path}.{key}", "is required")
             positive = key not in ("start_altitude", "final_altitude")
-            out[key] = _number(obj[key], f"{path}.{key}", positive=positive)
-        return dict(sorted(out.items()))
-    if kind == "lateral-sinusoid":
+            spec[key] = _number(obj[key], f"{path}.{key}", positive=positive)
+        profile = _built(path, ascent_cruise_descent, **spec)
+    elif kind == "lateral-sinusoid":
         keys = {"profile", "cruise_speed", "amplitude", "period",
                 "altitude", "origin"}
         _check_keys(obj, keys, path)
-        out = {"profile": kind,
-               "origin": _vector(obj.get("origin", [0.0, 0.0]),
-                                 f"{path}.origin", 2)}
+        spec = {"origin": _vector(obj.get("origin", [0.0, 0.0]),
+                                  f"{path}.origin", 2)}
         for key, positive in (("cruise_speed", True), ("amplitude", False),
                               ("period", True), ("altitude", True)):
             _require(key in obj, f"{path}.{key}", "is required")
-            out[key] = _number(obj[key], f"{path}.{key}", positive=positive)
-        return dict(sorted(out.items()))
-    # waypoints
-    keys = {"profile", "points", "speed"}
-    if vehicle == "fixedwing":
-        keys.add("altitude")
-    _check_keys(obj, keys, path)
-    pts = obj.get("points")
-    _require(isinstance(pts, list) and len(pts) >= 2, f"{path}.points",
-             "must list at least two waypoints")
-    dim = 3 if vehicle == "quadrotor" else 2
-    points = [_vector(p, f"{path}.points[{i}]", dim)
-              for i, p in enumerate(pts)]
-    speed = obj.get("speed")
-    if isinstance(speed, list):
-        speed = _vector(speed, f"{path}.speed", len(points) - 1)
-        for i, v in enumerate(speed):
-            _require(v > 0.0, f"{path}.speed[{i}]", "must be positive")
-    else:
-        speed = _number(speed, f"{path}.speed", positive=True)
-    out = {"profile": kind, "points": points, "speed": speed}
-    if vehicle == "fixedwing":
-        out["altitude"] = _number(obj.get("altitude"), f"{path}.altitude",
-                                  positive=True)
-    return dict(sorted(out.items()))
+            spec[key] = _number(obj[key], f"{path}.{key}", positive=positive)
+        profile = _built(path, LateralSinusoidProfile, **spec,
+                         fd_step=grid.dt)
+    else:  # waypoints
+        keys = {"profile", "points", "speed"}
+        if vehicle == "fixedwing":
+            keys.add("altitude")
+        _check_keys(obj, keys, path)
+        pts = obj.get("points")
+        _require(isinstance(pts, list) and len(pts) >= 2, f"{path}.points",
+                 "must list at least two waypoints")
+        dim = 3 if vehicle == "quadrotor" else 2
+        points = [_vector(p, f"{path}.points[{i}]", dim)
+                  for i, p in enumerate(pts)]
+        speed = obj.get("speed")
+        if isinstance(speed, list):
+            speed = _vector(speed, f"{path}.speed", len(points) - 1)
+            for i, v in enumerate(speed):
+                _require(v > 0.0, f"{path}.speed[{i}]", "must be positive")
+        else:
+            speed = _number(speed, f"{path}.speed", positive=True)
+        spec = {"points": points, "speed": speed}
+        if vehicle == "quadrotor":
+            profile = _built(path, PolylineProfile3D, points, speed)
+        else:
+            spec["altitude"] = _number(obj.get("altitude"),
+                                       f"{path}.altitude", positive=True)
+            profile = _built(path, FixedWingPolylineProfile, points,
+                             spec["altitude"], speed, fd_step=grid.dt)
+            # past its last waypoint the path holds still, which a
+            # fixed-wing cannot fly
+            _require(grid.times()[-1] < profile.duration, "grid.tf",
+                     "must end before the waypoint path does, at "
+                     f"{profile.duration:.6g} s")
+    return dict(sorted({"profile": kind, **spec}.items())), profile
 
 
 def _parse_obstacles(obj):
     _require(isinstance(obj, list), "obstacles", "must be a list")
-    out = []
+    entries, obstacles = [], []
     seen = set()
     for k, entry in enumerate(obj):
         path = f"obstacles[{k}]"
@@ -330,7 +347,9 @@ def _parse_obstacles(obj):
             for i, h in enumerate(parsed["half_extents"]):
                 _require(h > 0.0, f"{path}.box.half_extents[{i}]",
                          "must be positive")
-            out.append({"id": oid, "box": parsed})
+            entries.append({"id": oid, "box": parsed})
+            obstacles.append(_built(path, CuboidObstacle.from_box, **parsed,
+                                    id=oid))
         else:
             hs = entry["halfspaces"]
             _check_keys(hs, {"A", "b"}, f"{path}.halfspaces")
@@ -340,13 +359,14 @@ def _parse_obstacles(obj):
             rows = [_vector(r, f"{path}.halfspaces.A[{i}]", 3)
                     for i, r in enumerate(A)]
             b = _vector(hs.get("b"), f"{path}.halfspaces.b", len(rows))
-            out.append({"id": oid, "halfspaces": {"A": rows, "b": b}})
-    return out
+            entries.append({"id": oid, "halfspaces": {"A": rows, "b": b}})
+            obstacles.append(_built(path, CuboidObstacle,
+                                    A=np.asarray(rows, dtype=float),
+                                    b=np.asarray(b, dtype=float), id=oid))
+    return entries, obstacles
 
 
 def _parse_planner(obj):
-    if obj is None:
-        return None
     _check_keys(obj, _PLANNER_KEYS, "planner")
     for key in ("bounds", "start", "goal", "altitude", "cruise_speed"):
         _require(key in obj, f"planner.{key}", "is required")
@@ -366,8 +386,7 @@ def _parse_planner(obj):
     def given(key, parse, **kw):
         return parse(obj.get(key, default[key]), f"planner.{key}", **kw)
 
-    out = {
-        "bounds": {"lo": lo, "hi": hi}, "start": start, "goal": goal,
+    knobs = {
         "altitude": given("altitude", _number, positive=True),
         "cruise_speed": given("cruise_speed", _number, positive=True),
         "N_max": given("N_max", _count),
@@ -381,65 +400,14 @@ def _parse_planner(obj):
         "goal_radius": given("goal_radius", _number, positive=True),
         "goal_bias": given("goal_bias", _number, nonnegative=True),
     }
-    _require(out["goal_bias"] <= 0.2, "planner.goal_bias",
+    _require(knobs["goal_bias"] <= 0.2, "planner.goal_bias",
              "must not exceed 0.2")
-    return dict(sorted(out.items()))
-
-
-# --------------------------------------------------------------------------
-# building the run objects
-
-
-def _built(path, make, *args, **kwargs):
-    """make(*args, **kwargs), its ValueError re-raised under ``path``."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-
-def _profile(spec, vehicle, dt):
-    kind = spec["profile"]
-    if kind == "ascent-cruise-descent":
-        return ascent_cruise_descent(
-            spec["start_xy"], spec["heading_deg"],
-            start_altitude=spec["start_altitude"],
-            cruise_altitude=spec["cruise_altitude"],
-            cruise_distance=spec["cruise_distance"],
-            final_altitude=spec["final_altitude"],
-            climb_rate=spec["climb_rate"],
-            cruise_speed=spec["cruise_speed"],
-            descent_rate=spec["descent_rate"])
-    if kind == "lateral-sinusoid":
-        return LateralSinusoidProfile(
-            cruise_speed=spec["cruise_speed"],
-            amplitude=spec["amplitude"], period=spec["period"],
-            altitude=spec["altitude"], fd_step=dt,
-            origin=spec["origin"])
-    if vehicle == "quadrotor":
-        return PolylineProfile3D(spec["points"], spec["speed"])
-    return FixedWingPolylineProfile(spec["points"], spec["altitude"],
-                                    spec["speed"], fd_step=dt)
-
-
-def _obstacle(entry):
-    if "box" in entry:
-        box = entry["box"]
-        return CuboidObstacle.from_box(box["center"], box["half_extents"],
-                                       yaw=box["yaw"], id=entry["id"])
-    hs = entry["halfspaces"]
-    return CuboidObstacle(A=np.asarray(hs["A"], dtype=float),
-                          b=np.asarray(hs["b"], dtype=float), id=entry["id"])
-
-
-def _planner_config(p):
-    return PlannerConfig(
-        bounds=Bounds(lo=tuple(p["bounds"]["lo"]),
-                      hi=tuple(p["bounds"]["hi"])),
-        altitude=p["altitude"], cruise_speed=p["cruise_speed"],
-        N_max=p["N_max"], N_conv=p["N_conv"], M=p["M"], tol=p["tol"],
-        step=p["step"], r_w=p["r_w"], goal_radius=p["goal_radius"],
-        goal_bias=p["goal_bias"])
+    config = _built("planner", lambda: PlannerConfig(Bounds(lo, hi),
+                                                     **knobs))
+    block = {"bounds": {"lo": lo, "hi": hi}, "start": start, "goal": goal,
+             **knobs}
+    return (dict(sorted(block.items())), config, np.asarray(start),
+            np.asarray(goal))
 
 
 def parse_scenario(raw, source="<dict>") -> Scenario:
@@ -459,63 +427,47 @@ def parse_scenario(raw, source="<dict>") -> Scenario:
     _require(0.0 < beta < 1.0, "beta", "must lie strictly inside (0, 1)")
     _require("vehicle" in raw, "vehicle", "is required")
     _require("grid" in raw, "grid", "is required")
-    vehicle = _parse_vehicle(raw["vehicle"])
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "seed": seed,
-        "beta": beta,
-        "vehicle": vehicle,
-        "grid": _parse_grid(raw["grid"]),
-        "initial_state": raw.get("initial_state", "auto"),
-        "initial_covariance": raw.get("initial_covariance", "zero"),
-        "desired_trajectory": (
-            None if raw.get("desired_trajectory") is None
-            else _parse_profile(raw["desired_trajectory"],
-                                vehicle["type"])),
-        "obstacles": _parse_obstacles(raw.get("obstacles", [])),
-        "planner": _parse_planner(raw.get("planner")),
-    }
-    model_cls, params_cls = _MODELS[vehicle["type"]]
-    model = model_cls(_built("vehicle.params", params_cls, **{
-        k: np.asarray(v, dtype=float) if isinstance(v, list) else v
-        for k, v in vehicle["params"].items()}))
+    vehicle, model = _parse_vehicle(raw["vehicle"])
+    grid_block, grid = _parse_grid(raw["grid"])
+    spec = profile = None
+    if raw.get("desired_trajectory") is not None:
+        spec, profile = _parse_profile(raw["desired_trajectory"],
+                                       vehicle["type"], grid)
+    entries, obstacles = _parse_obstacles(raw.get("obstacles", []))
+    block = planner = start = goal = None
+    if raw.get("planner") is not None:
+        block, planner, start, goal = _parse_planner(raw["planner"])
     n = model.n_states
-    ist = data["initial_state"]
+    ist = raw.get("initial_state", "auto")
     x0 = None
     if ist != "auto":
         _require(isinstance(ist, list), "initial_state",
                  "must be 'auto' or a list of numbers")
-        data["initial_state"] = _vector(ist, "initial_state", n)
-        x0 = np.asarray(data["initial_state"])
-    icov = data["initial_covariance"]
+        ist = _vector(ist, "initial_state", n)
+        x0 = np.asarray(ist)
+    icov = raw.get("initial_covariance", "zero")
     P0 = np.zeros((n, n))
     if icov != "zero":
         _require(isinstance(icov, list), "initial_covariance",
                  "must be 'zero' or a diagonal list")
-        data["initial_covariance"] = [
-            _number(v, f"initial_covariance[{i}]", nonnegative=True)
-            for i, v in enumerate(icov)]
+        icov = [_number(v, f"initial_covariance[{i}]", nonnegative=True)
+                for i, v in enumerate(icov)]
         _require(len(icov) == n, "initial_covariance",
                  f"diagonal must have length {n}")
-        P0 = np.diag(data["initial_covariance"])
-    g, spec, p = data["grid"], data["desired_trajectory"], data["planner"]
-    planner = start = goal = None
-    if p is not None:
-        planner = _built("planner", _planner_config, p)
-        start, goal = np.asarray(p["start"]), np.asarray(p["goal"])
+        P0 = np.diag(icov)
     for array in (P0, x0, start, goal):
         if array is not None:
             array.setflags(write=False)
+    data = {"schema_version": SCHEMA_VERSION, "name": name, "seed": seed,
+            "beta": beta, "vehicle": vehicle, "grid": grid_block,
+            "initial_state": ist, "initial_covariance": icov,
+            "desired_trajectory": spec, "obstacles": entries,
+            "planner": block}
     return Scenario(
         _json=json.dumps(data, sort_keys=True, separators=(",", ":")),
-        source=source, model=model,
-        grid=TimeGrid(g["t0"], g["tf"], g["dt"]), P0=P0, x0=x0,
-        profile=(None if spec is None else _built(
-            "desired_trajectory", _profile, spec, vehicle["type"], g["dt"])),
-        obstacles=[_built(f"obstacles[{k}]", _obstacle, entry)
-                   for k, entry in enumerate(data["obstacles"])],
-        planner=planner, start=start, goal=goal)
+        source=source, model=model, grid=grid, P0=P0, x0=x0,
+        profile=profile, obstacles=obstacles, planner=planner, start=start,
+        goal=goal)
 
 
 def load_scenario(path) -> Scenario:

@@ -99,11 +99,11 @@ class Tube:
             yield self[k]
 
 
-def _check_sym_psd(P, what, tol=1e-10):
+def _check_sym_psd(P, what):
     if not np.allclose(P, P.T, atol=1e-12, rtol=0.0):
         raise ValueError(f"{what} must be symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (P + P.T))
-    if np.any(eigs < -tol * max(1.0, float(eigs[-1]))):
+    if np.any(eigs < -1e-10 * max(1.0, float(eigs[-1]))):
         raise ValueError(f"{what} must be positive semidefinite")
 
 

@@ -82,12 +82,6 @@ class QuadrotorModel:
     def __init__(self, params: QuadrotorParams | None = None):
         self.params = params if params is not None else QuadrotorParams()
 
-    def controller(self, x, ref):
-        """Commanded acceleration for the current state and reference."""
-        x = np.asarray(x, dtype=float)
-        xp = math_for(x)
-        return xp.stack(self._command(xp, split(x), ref), x)
-
     def _command(self, xp, cols, ref):
         # u = rddot_des - K edot - Lam (edot + K e), per component
         K, Lam = self.params.K, self.params.Lam

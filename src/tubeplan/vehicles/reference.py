@@ -187,7 +187,7 @@ class LateralSinusoidProfile:
         )
 
 
-def ascent_cruise_descent(start_xy, headings_deg=0.0, *, start_altitude,
+def ascent_cruise_descent(start_xy, heading_deg=0.0, *, start_altitude,
                           cruise_altitude, cruise_distance, final_altitude,
                           climb_rate, cruise_speed, descent_rate):
     """Three-phase quadrotor mission: climb, level cruise, descend.
@@ -200,7 +200,7 @@ def ascent_cruise_descent(start_xy, headings_deg=0.0, *, start_altitude,
     :class:`PolylineProfile3D`.
     """
     x0, y0 = (float(v) for v in start_xy)
-    heading = np.deg2rad(float(headings_deg))
+    heading = np.deg2rad(float(heading_deg))
     ux, uy = np.cos(heading), np.sin(heading)
     v_cruise = float(cruise_speed)
     if v_cruise <= 0.0:

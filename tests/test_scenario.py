@@ -105,6 +105,21 @@ def test_bundled_scenarios_parse_and_round_trip(quad_scenario, fw_scenario,
 # vehicle parameter normalization
 
 
+# sha256 of each bundled scenario's canonical JSON; a change here changes
+# the hash embedded in every report made from it
+BUNDLED_HASHES = {
+    "quad": "07f553dadfe093988d3fc4610f2dea7094436712a1f5dec7c43b54519ef9616c",
+    "fw": "bb02c9edc74f5f6925500597320133d5415be62632e229e65b21afc25f209d27",
+    "plan": "c52795db48ec94257618b77fbc9a8a781e0ad0976f85a549e34d3a403a48103e",
+}
+
+
+def test_bundled_scenario_hashes_are_pinned(quad_scenario, fw_scenario,
+                                            plan_scenario):
+    got = {"quad": quad_scenario.hash(), "fw": fw_scenario.hash(),
+           "plan": plan_scenario.hash()}
+    assert got == BUNDLED_HASHES
+
 def test_gust_intensity_scalar_broadcasts_to_three_axes():
     s = parse_scenario(variant(
         vehicle={"type": "quadrotor", "params": {"sigma": 2.0}}))
@@ -281,6 +296,26 @@ def test_waypoint_profile_validation():
             "profile": "waypoints",
             "points": [[0.0, 0.0, 5.0], [1.0, 0.0, 5.0]],
             "speed": [1.0, 2.0]}))
+
+
+def test_fixedwing_waypoint_grid_must_end_before_the_path():
+    # (0, 0) -> (500, 0) -> (1000, 50) at 18 m/s lasts 55.694 s; past its
+    # end the path holds still, which a fixed-wing cannot fly
+    def raw(tf):
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "vehicle": {"type": "fixedwing", "params": {}},
+            "grid": {"t0": 0.0, "tf": tf, "dt": 0.01},
+            "desired_trajectory": {
+                "profile": "waypoints", "altitude": 100.0, "speed": 18.0,
+                "points": [[0.0, 0.0], [500.0, 0.0], [1000.0, 50.0]]},
+        }
+
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(raw(60.0))
+    assert str(err.value) == ("grid.tf: must end before the waypoint path "
+                              "does, at 55.6941 s")
+    assert parse_scenario(raw(55.69)).grid.tf == 55.69
 
 
 # --------------------------------------------------------------------------
