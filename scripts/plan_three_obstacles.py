@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from tubeplan import load_scenario, run_plan
-from tubeplan.cli import exit_code
+from tubeplan.cli import clearance_lines, exit_code
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO = REPO / "scenarios" / "quadrotor_three_obstacles.json"
@@ -43,11 +43,8 @@ def main():
     if report.verdict != "error":
         print(f"  path length {extras['path_length']:.2f} m over "
               f"{extras['waypoints']} waypoints")
-    for entry in report.clearance:
-        c2 = entry["min_cstar2"]
-        shown = "inf" if c2 is None else f"{c2:.3f}"
-        print(f"  {entry['obstacle_id']}: min c*^2 = {shown} "
-              f"(threshold {entry['c2']:.3f}) -> {entry['verdict']}")
+    for line in clearance_lines(report):
+        print(line)
     print(f"  artifacts: {args.out}")
     return exit_code(report)
 

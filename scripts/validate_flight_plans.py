@@ -5,6 +5,7 @@ import argparse
 from pathlib import Path
 
 from tubeplan import load_scenario, run_validate
+from tubeplan.cli import clearance_lines
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = [
@@ -30,11 +31,8 @@ def main():
               f"covariance {t['covariance_ms']:.1f} ms | "
               f"tube {t['tube_ms']:.1f} ms | "
               f"collision {t['collision_ms']:.1f} ms")
-        for entry in report.clearance:
-            c2 = entry["min_cstar2"]
-            shown = "inf" if c2 is None else f"{c2:.3f}"
-            print(f"  {entry['obstacle_id']}: min c*^2 = {shown} "
-                  f"(threshold {entry['c2']:.3f}) -> {entry['verdict']}")
+        for line in clearance_lines(report):
+            print(line)
         print(f"  artifacts: {out}")
 
 

@@ -89,6 +89,17 @@ def exit_code(report) -> int:
     return 0
 
 
+def clearance_lines(report):
+    """The report's clearance summary, one indented line per obstacle."""
+    lines = []
+    for entry in report.clearance:
+        c2 = entry["min_cstar2"]
+        shown = "inf" if c2 is None else f"{c2:.4f}"
+        lines.append(f"  obstacle {entry['obstacle_id']}: min c*^2 = {shown} "
+                     f"(threshold {entry['c2']:.4f}) -> {entry['verdict']}")
+    return lines
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -106,11 +117,8 @@ def main(argv=None) -> int:
 
     print(f"scenario: {report.scenario_name}  "
           f"hash: {report.scenario_hash[:12]}  seed: {report.seed}")
-    for entry in report.clearance:
-        c2 = entry["min_cstar2"]
-        shown = "inf" if c2 is None else f"{c2:.4f}"
-        print(f"  obstacle {entry['obstacle_id']}: min c*^2 = {shown} "
-              f"(threshold {entry['c2']:.4f}) -> {entry['verdict']}")
+    for line in clearance_lines(report):
+        print(line)
     if report.mode == "mc-compare":
         dev = report.extras["position_max_rel_dev"]
         print(f"  position max relative deviation: {dev:.4f} "

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,16 +51,8 @@ class RunReport:
     timings_ms: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "mode": self.mode,
-            "scenario_name": self.scenario_name,
-            "scenario_hash": self.scenario_hash,
-            "seed": self.seed,
-            "beta": self.beta,
-            "verdict": self.verdict,
-            "clearance": self.clearance,
-            "extras": self.extras,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "timings_ms"}
 
 
 # --------------------------------------------------------------------------
@@ -149,6 +141,17 @@ def _scenario_error(sc, message):
     return ScenarioError(f"{sc.source}: {message}")
 
 
+def _finish(sc, out, mode, verdict, clearance, extras, timings):
+    """The run's report, written to report.json beside timings.json."""
+    report = RunReport(mode=mode, scenario_name=sc.name,
+                       scenario_hash=sc.hash(), seed=sc.seed, beta=sc.beta,
+                       verdict=verdict, clearance=clearance, extras=extras,
+                       timings_ms=timings)
+    _write_json(out / "report.json", report.to_dict())
+    _write_json(out / "timings.json", timings)
+    return report
+
+
 def run_validate(sc: Scenario, out_dir) -> RunReport:
     """Propagate the tube along the scenario trajectory and check obstacles.
 
@@ -178,16 +181,10 @@ def run_validate(sc: Scenario, out_dir) -> RunReport:
         timings["collision_ms"] = 1e3 * (time.perf_counter() - tic)
         _write_jsonl(out / "tube.jsonl", _tube_records(tube))
 
-    report = RunReport(
-        mode="validate", scenario_name=sc.name, scenario_hash=sc.hash(),
-        seed=sc.seed, beta=sc.beta,
-        verdict=overall_verdict(reports),
-        clearance=_clearance_dicts(reports),
-        extras={"grid_points": grid.count, "c2": float(tube.c2)},
-        timings_ms=timings)
-    _write_json(out / "report.json", report.to_dict())
-    _write_json(out / "timings.json", timings)
-    return report
+    return _finish(sc, out, "validate", overall_verdict(reports),
+                   _clearance_dicts(reports),
+                   {"grid_points": grid.count, "c2": float(tube.c2)},
+                   timings)
 
 
 def run_plan(sc: Scenario, out_dir) -> RunReport:
@@ -240,14 +237,8 @@ def run_plan(sc: Scenario, out_dir) -> RunReport:
         extras["message"] = result.message
         verdict = "error"
 
-    report = RunReport(
-        mode="plan", scenario_name=sc.name, scenario_hash=sc.hash(),
-        seed=sc.seed, beta=sc.beta, verdict=verdict,
-        clearance=_clearance_dicts(result.reports),
-        extras=extras, timings_ms=timings)
-    _write_json(out / "report.json", report.to_dict())
-    _write_json(out / "timings.json", timings)
-    return report
+    return _finish(sc, out, "plan", verdict,
+                   _clearance_dicts(result.reports), extras, timings)
 
 
 def run_mc_compare(sc: Scenario, out_dir, *, runs) -> RunReport:
@@ -301,12 +292,4 @@ def run_mc_compare(sc: Scenario, out_dir, *, runs) -> RunReport:
                  "runs": int(runs)}
     _write_json(out / "deviation.json", deviation)
 
-    report = RunReport(
-        mode="mc-compare", scenario_name=sc.name, scenario_hash=sc.hash(),
-        seed=sc.seed, beta=sc.beta, verdict="none",
-        clearance=[],
-        extras=deviation,
-        timings_ms=timings)
-    _write_json(out / "report.json", report.to_dict())
-    _write_json(out / "timings.json", timings)
-    return report
+    return _finish(sc, out, "mc-compare", "none", [], deviation, timings)

@@ -126,19 +126,21 @@ def _per_axis(obj, path, *, positive=False, nonnegative=False):
     return vec
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """Normalized scenario: the canonical JSON text of its dict form,
-    made at parse, and every field after ``source`` a run object built
-    from it once.  ``data`` is a read-only view of a fresh copy of the
-    dict form, so editing it changes nothing the scenario hashes,
-    reports or parses again.  ``x0`` is None for an "auto" initial
-    state; ``profile``, ``planner``, ``start`` and ``goal`` are None
-    when their block is absent.  Runs share these objects; the arrays
-    ``P0``, ``x0``, ``start`` and ``goal`` are read-only."""
+    """Frozen, normalized scenario: the canonical JSON text of its dict
+    form, then ``name``, ``seed``, ``beta`` and the run objects, all set at
+    parse.  ``data`` is a read-only view of a fresh copy of the dict form,
+    so editing it changes nothing the scenario hashes, reports or parses
+    again.  ``x0`` is None for an "auto" initial state; ``profile``,
+    ``planner``, ``start`` and ``goal`` are None when their block is absent.
+    Runs share these objects; the arrays among them are read-only."""
 
     _json: str
     source: str
+    name: str
+    seed: int
+    beta: float
     model: QuadrotorModel | FixedWingModel
     grid: TimeGrid
     P0: np.ndarray
@@ -155,28 +157,15 @@ class Scenario:
     def data(self):
         return types.MappingProxyType(json.loads(self._json))
 
-    @property
-    def name(self):
-        return self.data["name"]
-
-    @property
-    def seed(self):
-        return self.data["seed"]
-
-    @property
-    def beta(self):
-        return self.data["beta"]
-
-    @property
-    def vehicle(self):
-        return self.data["vehicle"]["type"]
-
     def initial_state(self):
         """Explicit initial state, or the model's start state on the
         profile at t0."""
-        if self.x0 is None:
-            return self.model.start_state(self.profile(self.grid.t0))
-        return self.x0
+        if self.x0 is not None:
+            return self.x0
+        if self.profile is None:
+            raise ScenarioError(f"{self.source}: desired_trajectory: "
+                                'required for an "auto" initial state')
+        return self.model.start_state(self.profile(self.grid.t0))
 
     def with_overrides(self, seed=None, beta=None):
         """This scenario parsed again with the seed and/or confidence
@@ -465,9 +454,9 @@ def parse_scenario(raw, source="<dict>") -> Scenario:
             "planner": block}
     return Scenario(
         _json=json.dumps(data, sort_keys=True, separators=(",", ":")),
-        source=source, model=model, grid=grid, P0=P0, x0=x0,
-        profile=profile, obstacles=obstacles, planner=planner, start=start,
-        goal=goal)
+        source=source, name=name, seed=seed, beta=beta, model=model,
+        grid=grid, P0=P0, x0=x0, profile=profile, obstacles=obstacles,
+        planner=planner, start=start, goal=goal)
 
 
 def load_scenario(path) -> Scenario:

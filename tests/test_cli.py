@@ -5,6 +5,7 @@ and an independent re-check of the reported verdicts.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -20,8 +21,8 @@ from tubeplan.cli import main
 from tubeplan.errors import PlanningError, ScenarioError
 from tubeplan.geometry import CuboidObstacle, solve_qp, sphere_prefilter
 from tubeplan.planner import PlannerConfig
-from tubeplan.runner import (_tube_records, _write_csv, _write_jsonl,
-                             run_plan, run_validate)
+from tubeplan.runner import (RunReport, _tube_records, _write_csv,
+                             _write_jsonl, run_plan, run_validate)
 from tubeplan.scenario import load_scenario
 from tubeplan.uncertainty import ConfidenceEllipsoid, Tube
 from tubeplan.vehicles import QuadrotorModel
@@ -108,18 +109,30 @@ def test_validate_clear_run(tmp_path, capsys):
 
 
 def test_validate_report_embeds_provenance(tmp_path):
-    scn = write_quad_scenario(tmp_path)
-    out = tmp_path / "out"
-    main(["validate", "--scenario", str(scn), "--out", str(out)])
-    report = json.loads((out / "report.json").read_text())
-    assert report["scenario_hash"] == load_scenario(scn).hash()
-    assert report["seed"] == 11
-    assert report["mode"] == "validate"
-    assert report["beta"] == 0.999
-    assert "timings_ms" not in report
-    for entry in report["clearance"]:
-        assert set(entry) == {"obstacle_id", "min_cstar2", "argmin_t",
-                              "z_star", "c2", "verdict"}
+    # as do plan's and mc-compare's: every RunReport field but the
+    # wall-clock timings, under the same keys
+    keys = {"mode", "scenario_name", "scenario_hash", "seed", "beta",
+            "verdict", "clearance", "extras"}
+    assert keys == {f.name for f in dataclasses.fields(RunReport)
+                    } - {"timings_ms"}
+    for mode, write, extra in (("validate", write_quad_scenario, []),
+                               ("plan", write_plan_scenario, []),
+                               ("mc-compare", write_quad_scenario,
+                                ["--runs", "100"])):
+        scn = write(tmp_path)
+        raw = json.loads(scn.read_text())
+        out = tmp_path / mode
+        main([mode, "--scenario", str(scn), "--out", str(out), *extra])
+        report = json.loads((out / "report.json").read_text())
+        assert set(report) == keys
+        assert report["mode"] == mode
+        assert report["scenario_name"] == raw["name"]
+        assert report["scenario_hash"] == load_scenario(scn).hash()
+        assert report["seed"] == raw["seed"]
+        assert report["beta"] == 0.999
+        for entry in report["clearance"]:
+            assert set(entry) == {"obstacle_id", "min_cstar2", "argmin_t",
+                                  "z_star", "c2", "verdict"}
 
 
 def test_validate_rerun_is_byte_identical_except_timings(tmp_path):

@@ -60,7 +60,7 @@ def test_parse_normalizes_and_round_trips():
     s = parse_scenario(quad_raw())
     assert s.name == "unit-quad"
     assert s.seed == 7
-    assert s.vehicle == "quadrotor"
+    assert s.model.name == "quadrotor"
     again = parse_scenario(s.to_dict())
     assert again.canonical_json() == s.canonical_json()
     assert again.hash() == s.hash()
@@ -96,8 +96,8 @@ def test_bundled_scenarios_parse_and_round_trip(quad_scenario, fw_scenario,
         assert model.n_states in (9, 14)
         again = parse_scenario(s.to_dict())
         assert again.hash() == s.hash()
-    assert quad_scenario.vehicle == "quadrotor"
-    assert fw_scenario.vehicle == "fixedwing"
+    assert quad_scenario.model.name == "quadrotor"
+    assert fw_scenario.model.name == "fixedwing"
     assert plan_scenario.data["planner"] is not None
 
 
@@ -243,6 +243,16 @@ def test_initial_state_forms():
         parse_scenario(variant(initial_state=[1.0, 2.0]))
     with pytest.raises(ScenarioError, match="initial_state"):
         parse_scenario(variant(initial_state="origin"))
+
+
+def test_an_auto_initial_state_needs_a_desired_trajectory(plan_scenario):
+    # the bundled plan scenario starts "auto" without a trajectory: the
+    # planner takes each candidate path's own start state instead
+    assert plan_scenario.x0 is None and plan_scenario.profile is None
+    with pytest.raises(ScenarioError) as err:
+        plan_scenario.initial_state()
+    assert str(err.value) == (f"{plan_scenario.source}: desired_trajectory: "
+                              'required for an "auto" initial state')
 
 
 def test_initial_covariance_forms():
@@ -518,6 +528,9 @@ def test_the_built_arrays_and_the_data_are_read_only(plan_scenario):
             getattr(sc, name)[0] += 1.0
     with pytest.raises(TypeError):
         sc.data["seed"] = 5
+    for name in ("seed", "model"):
+        with pytest.raises(AttributeError):
+            setattr(sc, name, getattr(sc, name))
     assert sc.seed == plan_scenario.seed
     assert sc.hash() != plan_scenario.hash()
     assert sc.with_overrides(seed=5).data["seed"] == 5
