@@ -99,7 +99,8 @@ class CuboidObstacle:
     Rows of ``A`` are unit-normalized at construction, so ``{A z <= b + d}``
     is the region inflated by the metric distance ``d``.  The planner's
     buffers, sized by ``buffer_touch_distance``, are such inflations; the
-    planner keeps them itself and never changes an obstacle.
+    planner keeps them itself and never changes an obstacle, whose ``A``,
+    ``b``, ``vertices`` and ``centroid`` are read-only copies.
     """
 
     A: np.ndarray
@@ -144,6 +145,8 @@ class CuboidObstacle:
             raise ScenarioError(f"obstacle {self.id!r}: region is empty")
         self.vertices = verts
         self.centroid = verts.mean(axis=0)
+        for own in (self.A, self.b, self.vertices, self.centroid):
+            own.setflags(write=False)
         self.circumradius = float(
             np.max(np.linalg.norm(verts - self.centroid, axis=1)))
         self.face_sets = _face_sets(self.A, triples)

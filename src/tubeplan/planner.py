@@ -55,6 +55,7 @@ __all__ = [
 
 _ROOT = -1
 _ORPHAN = -3
+_DEAD, _LIVE, _ORPHANED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class Bounds:
         return lo + rng.random(2) * (hi - lo)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannerConfig:
     """Tuning knobs of the planner; unset step/r_w derive from the bounds."""
 
@@ -103,9 +104,9 @@ class PlannerConfig:
 
     def __post_init__(self):
         if self.step is None:
-            self.step = self.bounds.diagonal() / 50.0
+            object.__setattr__(self, "step", self.bounds.diagonal() / 50.0)
         if self.r_w is None:
-            self.r_w = 3.0 * self.step
+            object.__setattr__(self, "r_w", 3.0 * self.step)
         ints = {"N_max": self.N_max, "N_conv": self.N_conv, "M": self.M}
         for name, v in ints.items():
             if int(v) != v or v <= 0:
@@ -123,15 +124,15 @@ class PlannerConfig:
 class PlanTree:
     """Rooted tree over 2D waypoints with cost-to-come bookkeeping.
 
-    Nodes are stored in flat arrays and never physically deleted; a node
-    is either alive, alive-but-orphaned (detached by obstacle growth,
-    excluded from every query until reconnected) or dead.  A node is a
-    goal node when it lies within ``goal_radius`` of the goal; that is
-    fixed at insert, since nodes never move, and the root is never one,
-    so every path to the goal has at least one tree edge.  ``c_best`` is
-    always recomputed from the alive connected goal nodes, including the
-    exact closing segment.  ``add_node`` and ``cleanup_and_regrow`` keep
-    that segment free of every cross-section.
+    Nodes are stored in flat arrays and never physically deleted.  Each
+    has one ``_state``: live (seen by every query), orphaned (detached by
+    obstacle growth, unseen until reconnected) or dead, as is an unused
+    slot.  A node is a goal node when it lies within ``goal_radius`` of
+    the goal; that is fixed at insert, since nodes never move, and the
+    root is never one, so every path to the goal has at least one tree
+    edge.  ``c_best`` is always recomputed from the live goal nodes, with
+    the exact closing segment, which ``add_node`` and
+    ``cleanup_and_regrow`` keep free of every cross-section.
     """
 
     def __init__(self, start, goal, goal_radius):
@@ -142,8 +143,7 @@ class PlanTree:
         self._xy = np.zeros((cap, 2))
         self._parent = np.zeros(cap, dtype=int)
         self._cost = np.zeros(cap)
-        self._alive = np.zeros(cap, dtype=bool)
-        self._orphan = np.zeros(cap, dtype=bool)
+        self._state = np.zeros(cap, dtype=np.int8)
         self._children: list[list[int]] = [[] for _ in range(cap)]
         self.size = 0
         self._goal_nodes: list[int] = []  # ascending, dead ones included
@@ -155,13 +155,9 @@ class PlanTree:
         cap = self._xy.shape[0]
         if self.size < cap:
             return
-        self._xy = np.vstack([self._xy, np.zeros((cap, 2))])
-        self._parent = np.concatenate([self._parent,
-                                       np.zeros(cap, dtype=int)])
-        self._cost = np.concatenate([self._cost, np.zeros(cap)])
-        self._alive = np.concatenate([self._alive, np.zeros(cap, dtype=bool)])
-        self._orphan = np.concatenate([self._orphan,
-                                       np.zeros(cap, dtype=bool)])
+        for name in ("_xy", "_parent", "_cost", "_state"):
+            a = getattr(self, name)
+            setattr(self, name, np.concatenate([a, np.zeros_like(a)]))
         self._children.extend([] for _ in range(cap))
 
     def insert(self, xy, parent, cost):
@@ -171,7 +167,7 @@ class PlanTree:
         self._xy[i] = xy
         self._parent[i] = parent
         self._cost[i] = cost
-        self._alive[i] = True
+        self._state[i] = _LIVE
         if parent >= 0:
             self._children[parent].append(i)
             if np.linalg.norm(self._xy[i] - self.goal) <= self.goal_radius:
@@ -181,8 +177,7 @@ class PlanTree:
     # -- queries ----------------------------------------------------------
 
     def _active_mask(self):
-        m = self._alive[:self.size] & ~self._orphan[:self.size]
-        return m
+        return self._state[:self.size] == _LIVE
 
     def coords(self, i):
         return self._xy[i].copy()
@@ -216,7 +211,7 @@ class PlanTree:
         """(total cost, node) of the cheapest solution, or (inf, None)."""
         best, best_i = math.inf, None
         for i in self._goal_nodes:
-            if not self._alive[i] or self._orphan[i]:
+            if self._state[i] != _LIVE:
                 continue
             total = self._cost[i] + float(
                 np.linalg.norm(self._xy[i] - self.goal))
@@ -249,18 +244,11 @@ class PlanTree:
         return np.array(out)
 
     def to_records(self):
-        """Flat node dump (alive connected nodes only) for artifacts."""
-        recs = []
-        for i in range(self.size):
-            if self._alive[i] and not self._orphan[i]:
-                recs.append({
-                    "index": i,
-                    "x": float(self._xy[i, 0]),
-                    "y": float(self._xy[i, 1]),
-                    "parent": int(self._parent[i]),
-                    "cost": float(self._cost[i]),
-                })
-        return recs
+        """Flat node dump (live nodes only) for artifacts."""
+        return [{"index": i, "x": float(self._xy[i, 0]),
+                 "y": float(self._xy[i, 1]), "parent": int(self._parent[i]),
+                 "cost": float(self._cost[i])}
+                for i in np.flatnonzero(self._active_mask()).tolist()]
 
     # -- mutation ---------------------------------------------------------
 
@@ -279,11 +267,12 @@ class PlanTree:
             stack.extend(self._children[k])
 
     def kill(self, i):
-        """Remove node i (caller handles its children beforehand)."""
+        """Make live or orphaned node i dead, unlinked from a parent that is
+        not dead (the caller handles its children beforehand)."""
         p = self._parent[i]
-        if p >= 0 and self._alive[p]:
+        if p >= 0 and self._state[p] != _DEAD:
             self._children[p].remove(i)
-        self._alive[i] = False
+        self._state[i] = _DEAD
         self._children[i] = []
 
     def component(self, r):
@@ -299,11 +288,10 @@ class PlanTree:
     def detach_orphan(self, r):
         """Cut r from its parent and flag its whole subtree as orphaned."""
         p = self._parent[r]
-        if p >= 0 and self._alive[p]:
+        if p >= 0 and self._state[p] != _DEAD:
             self._children[p].remove(r)
         self._parent[r] = _ORPHAN
-        for k in self.component(r):
-            self._orphan[k] = True
+        self._state[self.component(r)] = _ORPHANED
 
     def adopt_orphan(self, n_o, new_parent):
         """Reconnect an orphaned component through its node n_o.
@@ -327,29 +315,27 @@ class PlanTree:
         stack = [n_o]
         while stack:
             k = stack.pop()
-            self._orphan[k] = False
+            self._state[k] = _LIVE
             for ch in self._children[k]:
                 self._cost[ch] = self._cost[k] + float(
                     np.linalg.norm(self._xy[ch] - self._xy[k]))
                 stack.append(ch)
 
     def orphan_nodes(self):
-        return np.flatnonzero(self._alive[:self.size]
-                              & self._orphan[:self.size])
-
-    def orphan_roots(self):
-        return [i for i in self.orphan_nodes()
-                if self._parent[i] == _ORPHAN]
+        return np.flatnonzero(self._state[:self.size] == _ORPHANED)
 
     # -- diagnostics -------------------------------------------------------
 
     def check_consistency(self):
         """Raise AssertionError on any structural violation (test hook)."""
-        assert self._alive[self.root] and not self._orphan[self.root]
+        state = self._state[:self.size]
+        assert np.isin(state, (_DEAD, _LIVE, _ORPHANED)).all(), (
+            "a node state is none of dead, live and orphaned")
+        assert state[self.root] == _LIVE
         assert self._parent[self.root] == _ROOT
         goal_nodes = set(self._goal_nodes)
         for i in range(self.size):
-            if not self._alive[i]:
+            if state[i] == _DEAD:
                 continue
             # the root is never a goal node, whatever its distance
             in_goal = (i != self.root and np.linalg.norm(
@@ -357,16 +343,18 @@ class PlanTree:
             assert (i in goal_nodes) == in_goal, (
                 f"goal membership of node {i} disagrees with goal_radius")
             for ch in self._children[i]:
-                assert self._alive[ch], f"dead child {ch} linked under {i}"
+                assert state[ch] != _DEAD, f"dead child {ch} linked under {i}"
                 assert self._parent[ch] == i
-            if self._orphan[i]:
-                continue
             p = self._parent[i]
+            if state[i] == _ORPHANED:
+                assert p == _ORPHAN or (p >= 0 and state[p] == _ORPHANED), (
+                    f"orphan {i} hangs under a node that is not orphaned")
+                continue
             if i == self.root:
                 assert self._cost[i] == 0.0
                 continue
             assert p >= 0, f"connected node {i} lacks a parent"
-            assert self._alive[p] and not self._orphan[p]
+            assert state[p] == _LIVE
             edge = float(np.linalg.norm(self._xy[i] - self._xy[p]))
             assert abs(self._cost[i] - (self._cost[p] + edge)) <= 1e-9, (
                 f"cost recursion violated at node {i}")
@@ -685,60 +673,43 @@ def cleanup_and_regrow(tree: PlanTree, grown: CrossSection, sections,
     there); components still orphaned after N_max/4 iterations are
     pruned.
     """
-    alive = [int(i) for i in np.flatnonzero(tree._alive[:tree.size])]
-    dead = {i for i in alive if grown.contains(tree._xy[i])}
-    dead.update(i for i in tree._goal_nodes if tree._alive[i]
+    nodes = np.flatnonzero(tree._state[:tree.size] != _DEAD).tolist()
+    dead = {i for i in nodes if grown.contains(tree._xy[i])}
+    dead.update(i for i in tree._goal_nodes if tree._state[i] != _DEAD
                 and grown.meets_segment(tree._xy[i], tree.goal))
     if tree.root in dead:
         raise PlanningError(
             f"start became infeasible: buffered obstacle {grown.id!r} "
             f"(buffer {grown.buffer:.3f} m) covers it")
-    roots = set()
-    for i in dead:
-        for ch in tree._children[i]:
-            if ch not in dead:
-                roots.add(ch)
-    for i in alive:
-        if i in dead or i == tree.root:
-            continue
-        p = tree.parent(i)
-        if p < 0 or p in dead:
-            continue
-        if grown.meets_segment(tree._xy[p], tree._xy[i]):
-            roots.add(i)
+    # every node that is not dead hangs under its parent, so the roots
+    # are the survivors whose parent dies or whose parent edge is cut
+    roots = [i for i in nodes if i not in dead and i != tree.root
+             and (p := tree.parent(i)) >= 0 and (
+                 p in dead or grown.meets_segment(tree._xy[p], tree._xy[i]))]
     for i in sorted(dead):
         tree.kill(i)
-    for r in sorted(roots):
+    for r in roots:
         tree.detach_orphan(r)
 
     cap = max(cfg.N_max // 4, 1)
     for _ in range(cap):
-        if len(tree.orphan_nodes()) == 0:
+        if tree.orphan_nodes().size == 0:
             break
         j = add_node(tree, sections, cfg, rng)
         if j is None:
             continue
         x_new = tree.coords(j)
-        while True:
-            orphans = tree.orphan_nodes()
-            if orphans.size == 0:
-                break
+        # adopt through the nearest orphan (ties by index) that x_new sees
+        while (orphans := tree.orphan_nodes()).size:
             d = np.linalg.norm(tree._xy[orphans] - x_new, axis=1)
-            order = np.argsort(d, kind="stable")
-            connected = False
-            for k in order:
-                if d[k] > cfg.r_w:
-                    break
-                cand = int(orphans[k])
-                if no_collision_2d(x_new, tree._xy[cand], sections):
-                    tree.adopt_orphan(cand, j)
-                    connected = True
-                    break
-            if not connected:
+            n_o = next((int(orphans[k]) for k in np.argsort(d, kind="stable")
+                        if d[k] <= cfg.r_w and no_collision_2d(
+                            x_new, tree._xy[orphans[k]], sections)), None)
+            if n_o is None:
                 break
-    for r in tree.orphan_roots():
-        for k in sorted(tree.component(r), reverse=True):
-            tree.kill(k)
+            tree.adopt_orphan(n_o, j)
+    for k in tree.orphan_nodes():
+        tree.kill(k)
     return tree
 
 
@@ -754,8 +725,8 @@ class PlanResult:
     outer_iterations: int
     solved: bool
     converged: bool
+    tree: PlanTree
     message: str = ""
-    tree: PlanTree | None = None
 
 
 def dynamic_informed_rrt_star(start, goal, obstacles, cfg: PlannerConfig,

@@ -215,8 +215,7 @@ def run_plan(sc: Scenario, out_dir) -> RunReport:
     timings["plan_ms"] = 1e3 * (time.perf_counter() - tic)
 
     _write_json(out / "buffers.json", result.buffer_history)
-    if result.tree is not None:
-        _write_jsonl(out / "tree.jsonl", result.tree.to_records())
+    _write_jsonl(out / "tree.jsonl", result.tree.to_records())
     extras = {
         "cost_history": [_finite_or_none(c) for c in result.cost_history],
         "outer_iterations": result.outer_iterations,

@@ -134,7 +134,10 @@ class Scenario:
     so editing it changes nothing the scenario hashes, reports or parses
     again.  ``x0`` is None for an "auto" initial state; ``profile``,
     ``planner``, ``start`` and ``goal`` are None when their block is absent.
-    Runs share these objects; the arrays among them are read-only."""
+    Runs share these objects, so ``P0``, ``x0``, ``start``, ``goal`` and
+    each obstacle's ``A``, ``b``, ``vertices`` and ``centroid`` are
+    read-only, ``obstacles`` is a tuple and ``planner`` is frozen; the
+    model's parameters and the profile stay writable."""
 
     _json: str
     source: str
@@ -146,7 +149,7 @@ class Scenario:
     P0: np.ndarray
     x0: np.ndarray | None
     profile: object
-    obstacles: list[CuboidObstacle]
+    obstacles: tuple[CuboidObstacle, ...]
     planner: PlannerConfig | None
     start: np.ndarray | None
     goal: np.ndarray | None
@@ -352,7 +355,7 @@ def _parse_obstacles(obj):
             obstacles.append(_built(path, CuboidObstacle,
                                     A=np.asarray(rows, dtype=float),
                                     b=np.asarray(b, dtype=float), id=oid))
-    return entries, obstacles
+    return entries, tuple(obstacles)
 
 
 def _parse_planner(obj):

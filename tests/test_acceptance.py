@@ -22,6 +22,8 @@ from tubeplan.geometry import (
     sphere_prefilter,
 )
 from tubeplan.planner import (
+    _DEAD,
+    _LIVE,
     Bounds,
     CrossSection,
     PlannerConfig,
@@ -395,8 +397,7 @@ def test_criterion_08b_tree_fuzz_10k_mutations_zero_violations():
             mutations += 1
         elif r < 0.78:
             connected = [i for i in range(tree.size)
-                         if tree._alive[i] and not tree._orphan[i]
-                         and i != tree.root]
+                         if tree._state[i] == _LIVE and i != tree.root]
             if connected:
                 tree.detach_orphan(int(rng.choice(connected)))
                 mutations += 1
@@ -404,13 +405,13 @@ def test_criterion_08b_tree_fuzz_10k_mutations_zero_violations():
             orphans = tree.orphan_nodes()
             if orphans.size:
                 connected = [i for i in range(tree.size)
-                             if tree._alive[i] and not tree._orphan[i]]
+                             if tree._state[i] == _LIVE]
                 tree.adopt_orphan(int(rng.choice(orphans)),
                                   int(rng.choice(connected)))
                 mutations += 1
         elif r < 0.93:
             leaves = [i for i in range(tree.size)
-                      if tree._alive[i] and not tree._children[i]
+                      if tree._state[i] != _DEAD and not tree._children[i]
                       and i != tree.root]
             if leaves:
                 tree.kill(int(rng.choice(leaves)))

@@ -14,6 +14,10 @@ from tubeplan import planner
 from tubeplan.errors import PlanningError
 from tubeplan.geometry import CuboidObstacle, check_tube_collision
 from tubeplan.planner import (
+    _DEAD,
+    _LIVE,
+    _ORPHAN,
+    _ORPHANED,
     Bounds,
     CrossSection,
     PlannerConfig,
@@ -159,6 +163,29 @@ def test_consistency_catches_cost_corruption():
         tree.check_consistency()
 
 
+def test_consistency_catches_a_bad_state_and_an_orphan_under_a_live_node():
+    tree, a, b, c, d = small_tree()
+    tree._state[d] = 7
+    with pytest.raises(AssertionError, match="state"):
+        tree.check_consistency()
+    tree, a, b, c, d = small_tree()
+    tree._state[c] = _ORPHANED              # its parent b is still live
+    with pytest.raises(AssertionError, match="orphan"):
+        tree.check_consistency()
+
+
+def test_pruned_orphans_read_dead():
+    # samples stay in the unit square, out of r_w of every orphan
+    cfg = free_config(bounds=Bounds((0.0, 0.0), (1.0, 1.0)))
+    tree, a, b, c, d = small_tree()
+    # a wall across the a-b edge orphans {b, c}
+    grown = cut(box(4.5, 0.0, hx=0.2, hy=2.0, id="grown"))
+    cleanup_and_regrow(tree, grown, [grown], cfg, np.random.default_rng(0))
+    assert tree._state[b] == tree._state[c] == _DEAD
+    assert tree.orphan_nodes().size == 0
+    tree.check_consistency()
+
+
 def test_consistency_catches_a_wrong_goal_membership():
     tree = PlanTree((0.0, 0.0), (0.5, 0.0), goal_radius=1.0)
     a = tree.insert((0.0, 2.0), tree.root, 2.0)
@@ -174,7 +201,8 @@ def test_orphan_detach_and_adopt_reverses_the_chain():
     tree, a, b, c, d = small_tree()
     tree.detach_orphan(b)                   # cuts {b, c} loose
     assert set(tree.orphan_nodes().tolist()) == {b, c}
-    assert tree.orphan_roots() == [b]
+    assert [i for i in tree.orphan_nodes()
+            if tree.parent(i) == _ORPHAN] == [b]
     assert tree.num_alive() == 3            # orphans leave the queries
     assert tree.nearest((6.0, 0.0)) == a
     tree.check_consistency()
@@ -409,11 +437,11 @@ def test_cleanup_kills_covered_nodes_and_keeps_the_rest_consistent():
     tree.check_consistency()
     # nodes inside the buffered region died
     for i in range(tree.size):
-        if tree._alive[i]:
+        if tree._state[i] != _DEAD:
             assert not grown.contains(tree.coords(i))
     # no surviving edge crosses the region
     for i in range(tree.size):
-        if not tree._alive[i] or i == tree.root:
+        if tree._state[i] == _DEAD or i == tree.root:
             continue
         p = tree.parent(i)
         if p >= 0:
@@ -441,7 +469,7 @@ def test_cleanup_kills_a_goal_node_whose_closing_segment_is_blocked():
     assert not grown.contains(tree.coords(near_goal))
     assert no_collision_2d(tree.coords(a), tree.coords(near_goal), [grown])
     cleanup_and_regrow(tree, grown, [grown], cfg, np.random.default_rng(0))
-    assert not tree._alive[near_goal] and tree._alive[a]
+    assert tree._state[near_goal] == _DEAD and tree._state[a] != _DEAD
     assert tree.best_goal_node() is None and tree.c_best() == math.inf
     tree.check_consistency()
 
@@ -686,7 +714,7 @@ def test_dynamic_planner_repairs_the_tree_when_a_buffer_grows(plan_scenario):
     tree = res.tree
     tree.check_consistency()
     for i in range(tree.size):
-        if tree._alive[i] and not tree._orphan[i] and i != tree.root:
+        if tree._state[i] == _LIVE and i != tree.root:
             assert no_collision_2d(tree.coords(tree.parent(i)),
                                    tree.coords(i), final)
 

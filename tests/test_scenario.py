@@ -531,6 +531,14 @@ def test_the_built_arrays_and_the_data_are_read_only(plan_scenario):
     for name in ("seed", "model"):
         with pytest.raises(AttributeError):
             setattr(sc, name, getattr(sc, name))
+    with pytest.raises(AttributeError):
+        sc.obstacles.pop()
+    for name in ("A", "b", "vertices", "centroid"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sc.obstacles[0], name)[0] += 1.0
+    with pytest.raises(AttributeError):
+        sc.planner.N_max = 5
+    assert len(sc.obstacles) == 3 and sc.planner.N_max == 3000
     assert sc.seed == plan_scenario.seed
     assert sc.hash() != plan_scenario.hash()
     assert sc.with_overrides(seed=5).data["seed"] == 5
