@@ -136,8 +136,8 @@ class Scenario:
     ``planner``, ``start`` and ``goal`` are None when their block is absent.
     Runs share these objects, so ``P0``, ``x0``, ``start``, ``goal`` and
     each obstacle's ``A``, ``b``, ``vertices`` and ``centroid`` are
-    read-only, ``obstacles`` is a tuple and ``planner`` is frozen; the
-    model's parameters and the profile stay writable."""
+    read-only, ``obstacles`` is a tuple, and ``planner`` and the model's
+    parameters are frozen; the profile stays writable."""
 
     _json: str
     source: str

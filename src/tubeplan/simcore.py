@@ -1,10 +1,16 @@
 """Time grids, closed-loop integration, linearization and Monte Carlo.
 
 One stepper advances the closed loop across a grid, on one state row or
-on a (runs, n) batch.  Without noise it takes classic RK4 steps, giving
-the nominal trajectory; with noise samples it takes Euler-Maruyama steps
-under piecewise-constant white noise n_k ~ N(0, 1/dt), the step-limit
-approximation of unit-intensity continuous white noise.  The desired
+on a (runs, n) batch.  Without noise it takes classic RK4 steps on a
+row, giving the nominal trajectory; with noise samples it takes
+Euler-Maruyama steps under piecewise-constant white noise
+n_k ~ N(0, 1/dt), the step-limit approximation of unit-intensity
+continuous white noise.  A row is stepped as a list of n Python floats
+from the first step to the last: ``deriv`` is handed that list and may
+return any sequence of n numbers (the bundled models return a list),
+and each stage sum is a list comprehension that does the IEEE
+operations of the array expression, in its order, so the bits are
+those of stepping an (n,) array.  The desired
 trajectory is sampled with one call per set of step times (profiles take
 arrays of times, see ``vehicles.reference``), and each step reads its
 own row of those samples.  Randomness comes from numpy's Philox counter
@@ -146,31 +152,54 @@ def _rows(ref):
             yield cls(*vals)
 
 
+def _rk4(model, x, ref, dt, zero_n):
+    """One classic RK4 step of the row x, a list of floats, with zero noise.
+
+    Each comprehension is the array expression in the comment beside it,
+    element by element and in the same order.
+    """
+    ref1, refh, ref2 = ref
+    h = 0.5 * dt
+    k1 = model.deriv(x, ref1, zero_n)
+    k2 = model.deriv([a + h * b for a, b in zip(x, k1)],  # x + 0.5*dt*k1
+                     refh, zero_n)
+    k3 = model.deriv([a + h * b for a, b in zip(x, k2)],  # x + 0.5*dt*k2
+                     refh, zero_n)
+    k4 = model.deriv([a + dt * b for a, b in zip(x, k3)],  # x + dt*k3
+                     ref2, zero_n)
+    w = dt / 6.0
+    # x + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)
+    return [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+
+
 def _steps(model, x, grid, refs, noise=None):
     """Yield the closed-loop state at every grid time, starting with x.
 
-    x is one state row or a (runs, n) batch, and refs the samples of
-    _step_refs; step k reads row k of each.  Without noise each step is
-    classic RK4 with zero noise; with noise, an iterable of count - 1
-    per-step samples shaped (m,) or (runs, m), step k is Euler-Maruyama
-    on its k-th sample.  A model domain error is re-raised naming the
+    x is one (n,) state row, stepped and yielded as a list of floats, or
+    a (runs, n) batch, and refs the samples of _step_refs; step k reads
+    row k of each.  Without noise each step of a row is classic RK4 with
+    zero noise; with noise, an iterable of count - 1 per-step samples
+    shaped (m,) or (runs, m), step k is Euler-Maruyama on its k-th
+    sample (x + dt * f).  A model domain error is re-raised naming the
     step's start time.
     """
     dt = grid.dt
-    zero_n = np.zeros(model.n_noise)
+    row = x.ndim == 1
+    if row:
+        x = x.tolist()
+    zero_n = [0.0] * model.n_noise
     noise = None if noise is None else iter(noise)
     yield x
     for k, ref in enumerate(zip(*map(_rows, refs), strict=True)):
         try:
-            if noise is not None:
-                x = x + dt * model.deriv(x, ref[0], next(noise))
+            if noise is None:
+                x = _rk4(model, x, ref, dt, zero_n)
+            elif row:
+                f = model.deriv(x, ref[0], next(noise))
+                x = [a + dt * b for a, b in zip(x, f)]
             else:
-                ref1, refh, ref2 = ref
-                k1 = model.deriv(x, ref1, zero_n)
-                k2 = model.deriv(x + 0.5 * dt * k1, refh, zero_n)
-                k3 = model.deriv(x + 0.5 * dt * k2, refh, zero_n)
-                k4 = model.deriv(x + dt * k3, ref2, zero_n)
-                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x = x + dt * model.deriv(x, ref[0], next(noise))
         except ModelDomainError as err:
             raise _wrap_domain_error(err, grid.t0 + k * dt) from err
         yield x
@@ -275,6 +304,7 @@ def _noise_stream(seed, m, dt):
 def mc_run(model, x0, des, grid, seed):
     """One Euler-Maruyama sample path, fully determined by the seed."""
     noise = _noise_stream(seed, model.n_noise, grid.dt)(grid.count - 1)
+    noise = noise.tolist()
     refs = _step_refs(des, grid, rk4=False)
     states = _steps(model, np.asarray(x0, dtype=float), grid, refs, noise)
     return Trajectory(grid=grid, states=list(states))
@@ -535,7 +565,7 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
                 # with one sample of des
                 refs = _step_refs(des, grid, rk4=False)
                 ref_path = np.array(list(_steps(model, x0, grid, refs,
-                                                np.zeros((count - 1, m)))))
+                                                [[0.0] * m] * (count - 1))))
             x = np.full((hi - lo, n), x0, order="F")
             for k, X in enumerate(_steps(model, x, grid, refs, noise)):
                 d = X - ref_path[k]

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import ModelDomainError
 from .dryden import longitudinal, transverse
-from .elementwise import math_for, split
+from .elementwise import BatchMath, RowMath, math_for, split
 
 __all__ = ["FixedWingParams", "FixedWingModel", "EPS_SING"]
 
@@ -46,9 +46,12 @@ EPS_SING = 1e-6          # singularity guard on V, cos(gamma), V_des
 _ASIN_CLAMP = 1.0 - 1e-9  # keeps the commanded flight-path angle off +/-90 deg
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedWingParams:
-    """Airframe constants, controller gains and gust settings."""
+    """Airframe constants, controller gains and gust settings.
+
+    Frozen, with a read-only copy of ``Lam_f``, so a model's converted
+    copies of it never go stale."""
 
     m: float = 5.0
     g: float = 9.81
@@ -74,11 +77,13 @@ class FixedWingParams:
             raise ValueError("m, g, rho and S must be positive")
         if self.C_D0 < 0.0 or self.K_d < 0.0:
             raise ValueError("drag polar coefficients must be nonnegative")
-        self.Lam_f = np.asarray(self.Lam_f, dtype=float)
-        if self.Lam_f.shape != (2, 2):
+        Lam_f = np.array(self.Lam_f, dtype=float)
+        Lam_f.setflags(write=False)
+        object.__setattr__(self, "Lam_f", Lam_f)
+        if Lam_f.shape != (2, 2):
             raise ValueError("Lam_f must be 2x2")
         # -Lam_f must be Hurwitz for the sliding surface to contract
-        if np.any(np.real(np.linalg.eigvals(self.Lam_f)) <= 0.0):
+        if np.any(np.real(np.linalg.eigvals(Lam_f)) <= 0.0):
             raise ValueError("Lam_f must have eigenvalues with positive real part")
         if min(self.sigma_u, self.sigma_w, self.sigma_v) < 0.0:
             raise ValueError("gust intensities must be nonnegative")
@@ -117,12 +122,13 @@ def _outer_longitudinal(xp, h, V, h_des, hdot_des, kappa):
 
 
 def _outer_lateral(xp, x, y, V, cg, cpsi, spsi, V_des, cpd, spd,
-                   eta_des, etadot_des, etaddot_des, p):
+                   eta_des, etadot_des, etaddot_des, p, Lam_f):
     """Rates of the desired-speed and desired-heading states.
 
     Solves A [Vdot_des, psidot_des]^T = etaddot_des - kappa edot - Lam_f S,
     where e is the lateral track error and S = edot + kappa e.  A is
     singular at cos(gamma) = 0 or V_des = 0, which ``deriv`` rejects.
+    ``Lam_f`` is ``p.Lam_f`` in the form ``xp.matvec`` takes.
     """
     # eta_des, etadot_des, etaddot_des are (x, y) component pairs
     e1 = x - eta_des[0]
@@ -131,7 +137,7 @@ def _outer_lateral(xp, x, y, V, cg, cpsi, spsi, V_des, cpd, spd,
     edot2 = V * cg * spsi - etadot_des[1]
     s1 = edot1 + p.kappa * e1
     s2 = edot2 + p.kappa * e2
-    Ls1, Ls2 = xp.matvec(p.Lam_f, [s1, s2])
+    Ls1, Ls2 = xp.matvec(Lam_f, [s1, s2])
     rhs1 = etaddot_des[0] - p.kappa * edot1 - Ls1
     rhs2 = etaddot_des[1] - p.kappa * edot2 - Ls2
 
@@ -171,7 +177,14 @@ class FixedWingModel:
     )
 
     def __init__(self, params: FixedWingParams | None = None):
-        self.params = params if params is not None else FixedWingParams()
+        p = self._params = params if params is not None else FixedWingParams()
+        # Lam_f as each namespace's matvec takes it, converted once
+        self._Lam_f = {RowMath: p.Lam_f.tolist(), BatchMath: p.Lam_f}
+
+    @property
+    def params(self):
+        """The model's frozen FixedWingParams."""
+        return self._params
 
     def deriv(self, x, ref, noise):
         """Closed-loop state derivative.
@@ -179,10 +192,11 @@ class FixedWingModel:
         One row is evaluated in Python floats, a batch on numpy column
         views; both run this body (see :mod:`.elementwise`).  Raises
         ModelDomainError if any row has V, |cos(gamma)| or V_des at or
-        below EPS_SING.
+        below EPS_SING.  A list row gives a list.
         """
-        p = self.params
-        x = np.asarray(x, dtype=float)
+        p = self._params
+        if not isinstance(x, list):
+            x = np.asarray(x, dtype=float)
         xp = math_for(x)
         (X, Y, H, V, psi, gamma, T, V_des, psi_des,
          eta_u, eta_w1, eta_w2, eta_v1, eta_v2) = split(x)
@@ -202,7 +216,8 @@ class FixedWingModel:
             xp, H, V, ref.h, ref.hdot, p.kappa)
         vdot_des, psidot_des = _outer_lateral(
             xp, X, Y, V, cg, cpsi, spsi, V_des, xp.cos(psi_des), xp.sin(psi_des),
-            split(ref.eta), split(ref.etadot), split(ref.etaddot), p)
+            split(ref.eta), split(ref.etadot), split(ref.etaddot), p,
+            self._Lam_f[xp])
         mu, C_L, T_cmd = _inner_loop(V, cg, sg, gamma, psi, psi_des, V_des,
                                      gamma_des, p)
 

@@ -28,13 +28,22 @@ import numpy as np
 
 from ..errors import ModelDomainError
 from .dryden import longitudinal
-from .elementwise import math_for, split
+from .elementwise import BatchMath, RowMath, math_for, split
 
 __all__ = ["QuadrotorParams", "QuadrotorModel"]
 
 
+def _read_only(value, shape=None):
+    """A read-only float copy of value, reshaped to ``shape`` if given."""
+    arr = np.array(value, dtype=float)
+    if shape is not None:
+        arr = arr.reshape(shape)
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_gain(value, name):
-    arr = np.asarray(value, dtype=float)
+    arr = _read_only(value)
     if arr.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix")
     eigs = np.linalg.eigvalsh(0.5 * (arr + arr.T))
@@ -43,9 +52,12 @@ def _as_gain(value, name):
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadrotorParams:
-    """Physical constants and gains; defaults give a ~1 kg vehicle."""
+    """Physical constants and gains; defaults give a ~1 kg vehicle.
+
+    Frozen, with read-only copies of the arrays given, so a model's
+    converted copies of them never go stale."""
 
     m: float = 1.0
     rho: float = 1.225
@@ -61,10 +73,10 @@ class QuadrotorParams:
             raise ValueError("m, rho and S must be positive")
         if self.C_D < 0.0:
             raise ValueError("C_D must be nonnegative")
-        self.K = _as_gain(self.K, "K")
-        self.Lam = _as_gain(self.Lam, "Lam")
-        self.sigma = np.asarray(self.sigma, dtype=float).reshape(3)
-        self.L = np.asarray(self.L, dtype=float).reshape(3)
+        object.__setattr__(self, "K", _as_gain(self.K, "K"))
+        object.__setattr__(self, "Lam", _as_gain(self.Lam, "Lam"))
+        object.__setattr__(self, "sigma", _read_only(self.sigma, 3))
+        object.__setattr__(self, "L", _read_only(self.L, 3))
         if np.any(self.sigma < 0.0):
             raise ValueError("gust intensities must be nonnegative")
         if np.any(self.L <= 0.0):
@@ -80,11 +92,22 @@ class QuadrotorModel:
     state_labels = ("x", "y", "z", "vx", "vy", "vz", "eta_x", "eta_y", "eta_z")
 
     def __init__(self, params: QuadrotorParams | None = None):
-        self.params = params if params is not None else QuadrotorParams()
+        p = self._params = params if params is not None else QuadrotorParams()
+        # the constants as the body reads them, converted once: the gain
+        # matrices as each namespace's matvec takes them, the gust
+        # settings as Python floats for both
+        self._gains = {RowMath: (p.K.tolist(), p.Lam.tolist()),
+                       BatchMath: (p.K, p.Lam)}
+        self._gust = (p.sigma.tolist(), p.L.tolist())
+
+    @property
+    def params(self):
+        """The model's frozen QuadrotorParams."""
+        return self._params
 
     def _command(self, xp, cols, ref):
         # u = rddot_des - K edot - Lam (edot + K e), per component
-        K, Lam = self.params.K, self.params.Lam
+        K, Lam = self._gains[xp]
         rx, ry, rz = split(ref.r)
         vx, vy, vz = split(ref.rdot)
         ax, ay, az = split(ref.rddot)
@@ -100,10 +123,12 @@ class QuadrotorModel:
         """Closed-loop state derivative; raises on zero vehicle speed.
 
         One row is evaluated in Python floats, a batch on numpy column
-        views; both run this body (see :mod:`.elementwise`).
+        views; both run this body (see :mod:`.elementwise`).  A list row
+        gives a list.
         """
-        p = self.params
-        x = np.asarray(x, dtype=float)
+        p = self._params
+        if not isinstance(x, list):
+            x = np.asarray(x, dtype=float)
         xp = math_for(x)
         cols = split(x)
         _, _, _, vx, vy, vz, eta_x, eta_y, eta_z = cols
@@ -113,7 +138,7 @@ class QuadrotorModel:
             raise ModelDomainError(
                 "quadrotor gust filters are singular at zero vehicle speed")
         ux, uy, uz = self._command(xp, cols, ref)
-        (sig_x, sig_y, sig_z), (L_x, L_y, L_z) = p.sigma.tolist(), p.L.tolist()
+        (sig_x, sig_y, sig_z), (L_x, L_y, L_z) = self._gust
         a_x, c_x = longitudinal(xp, speed, sig_x, L_x)
         a_y, c_y = longitudinal(xp, speed, sig_y, L_y)
         a_z, c_z = longitudinal(xp, speed, sig_z, L_z)

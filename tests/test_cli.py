@@ -354,9 +354,9 @@ def test_timings_keys_mean_the_same_stages_in_validate_and_mc_compare(
     val = json.loads((tmp_path / "v" / "timings.json").read_text())
     mc = json.loads((tmp_path / "m" / "timings.json").read_text())
     assert set(val) == {"nominal_ms", "linearize_ms", "covariance_ms",
-                        "tube_ms", "lc_ms", "collision_ms"}
+                        "lincov_wait_ms", "tube_ms", "lc_ms", "collision_ms"}
     assert set(mc) == {"nominal_ms", "linearize_ms", "covariance_ms",
-                       "lc_ms", "mc_ms"}
+                       "lincov_wait_ms", "lc_ms", "mc_ms"}
     assert val["lc_ms"] == pytest.approx(
         val["linearize_ms"] + val["covariance_ms"] + val["tube_ms"])
     assert mc["lc_ms"] == pytest.approx(

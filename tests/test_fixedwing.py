@@ -8,6 +8,8 @@ propagation.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -123,7 +125,7 @@ def test_outer_lateral_is_zero_on_a_matched_track():
         BatchMath, 0.0, 0.0, V, np.cos(gamma), np.cos(psi), np.sin(psi), V,
         np.cos(psi_des), np.sin(psi_des),
         split(np.array([0.0, 0.0])), split(np.array([V, 0.0])),
-        split(np.zeros(2)), p)
+        split(np.zeros(2)), p, p.Lam_f)
     assert vdot == pytest.approx(0.0, abs=1e-12)
     assert psidot == pytest.approx(0.0, abs=1e-12)
 
@@ -213,9 +215,18 @@ def test_row_deriv_matches_the_rows_of_a_batch():
     def close(row, batch_row):
         assert np.all(np.abs(row - batch_row) <= 1e-12 * np.abs(batch_row))
 
+    def row_deriv(x, ref, noise):
+        # a list row, as the stepper hands it, gives a list with the bits
+        # of the (n,) array row, with noise and without
+        for n in (noise, np.zeros(3)):
+            as_list = model.deriv(x.tolist(), ref, n.tolist())
+            assert isinstance(as_list, list)
+            assert np.array_equal(as_list, model.deriv(x, ref, n))
+        return model.deriv(x, ref, noise)
+
     shared = model.deriv(X[0], ref, N[0])
     for r in range(7):
-        close(model.deriv(X[0, r], ref, N[0, r]), shared[r])
+        close(row_deriv(X[0, r], ref, N[0, r]), shared[r])
     # one reference per grid point, sampled as linearize samples it
     prof = LateralSinusoidProfile(cruise_speed=20.0, amplitude=3.0,
                                   period=4.0, altitude=101.0, fd_step=0.01,
@@ -224,7 +235,7 @@ def test_row_deriv_matches_the_rows_of_a_batch():
     per_point = model.deriv(X, prof(times[:, None]), N)
     for k in range(5):
         for r in range(7):
-            close(model.deriv(X[k, r], prof(times[k]), N[k, r]),
+            close(row_deriv(X[k, r], prof(times[k]), N[k, r]),
                   per_point[k, r])
 
 
@@ -254,12 +265,28 @@ def test_domain_errors_raise_alone_and_inside_a_batch(column, value):
     bad[column] = value
     with pytest.raises(ModelDomainError) as alone:
         model.deriv(bad, ref, np.zeros(3))
+    with pytest.raises(ModelDomainError) as as_list:
+        model.deriv(bad.tolist(), ref, [0.0] * 3)
     X = np.tile(x0, (5, 1))
     model.deriv(X, ref, np.zeros((5, 3)))
     X[3] = bad
     with pytest.raises(ModelDomainError) as in_batch:
         model.deriv(X, ref, np.zeros((5, 3)))
-    assert str(in_batch.value) == str(alone.value)
+    assert str(in_batch.value) == str(as_list.value) == str(alone.value)
+
+
+def test_params_are_frozen_copies_of_what_they_are_given():
+    Lam_f = np.eye(2)
+    model = FixedWingModel(FixedWingParams(Lam_f=Lam_f))
+    Lam_f[0, 0] = 3.0                     # the caller's array stays theirs
+    params = model.params
+    assert params.Lam_f[0, 0] == 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.m = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        params.Lam_f[0, 0] = 2.0
+    with pytest.raises(AttributeError):
+        model.params = FixedWingParams()
 
 
 # --------------------------------------------------------------------------

@@ -75,7 +75,8 @@ class ToyModel:
 def _lincov_bits(monkeypatch, cpus, model, x0, des, grid, P0):
     _cores(monkeypatch, cpus)
     nominal, cov, timings = lincov(model, x0, des, grid, P0)
-    assert set(timings) == {"nominal_ms", "linearize_ms", "covariance_ms"}
+    assert set(timings) == {"nominal_ms", "linearize_ms", "covariance_ms",
+                            "lincov_wait_ms"}
     return nominal.states.tobytes(), cov.P.tobytes()
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,9 +125,18 @@ def test_row_deriv_matches_the_rows_of_a_batch():
     def close(row, batch_row):
         assert np.all(np.abs(row - batch_row) <= 1e-12 * np.abs(batch_row))
 
+    def row_deriv(x, ref, noise):
+        # a list row, as the stepper hands it, gives a list with the bits
+        # of the (n,) array row, with noise and without
+        for n in (noise, np.zeros(3)):
+            as_list = model.deriv(x.tolist(), ref, n.tolist())
+            assert isinstance(as_list, list)
+            assert np.array_equal(as_list, model.deriv(x, ref, n))
+        return model.deriv(x, ref, noise)
+
     shared = model.deriv(X[0], ref, N[0])
     for r in range(7):
-        close(model.deriv(X[0, r], ref, N[0, r]), shared[r])
+        close(row_deriv(X[0, r], ref, N[0, r]), shared[r])
     # one reference per grid point, sampled as linearize samples it:
     # before the start, on two legs, at a knot and past the end
     prof = PolylineProfile3D([(0, 0, 1), (3, 0, 1), (3, 4, 2)], [1.5, 2.0])
@@ -133,7 +144,7 @@ def test_row_deriv_matches_the_rows_of_a_batch():
     per_point = model.deriv(X, prof(times[:, None]), N)
     for k in range(5):
         for r in range(7):
-            close(model.deriv(X[k, r], prof(times[k]), N[k, r]),
+            close(row_deriv(X[k, r], prof(times[k]), N[k, r]),
                   per_point[k, r])
 
 
@@ -146,9 +157,26 @@ def test_zero_speed_raises_alone_and_inside_a_batch():
     X[2, 3] = 0.0
     with pytest.raises(ModelDomainError) as alone:
         model.deriv(X[2], ref, np.zeros(3))
+    with pytest.raises(ModelDomainError) as as_list:
+        model.deriv(X[2].tolist(), ref, [0.0] * 3)
     with pytest.raises(ModelDomainError) as in_batch:
         model.deriv(X, ref, np.zeros((5, 3)))
-    assert str(in_batch.value) == str(alone.value)
+    assert str(in_batch.value) == str(as_list.value) == str(alone.value)
+
+
+def test_params_are_frozen_copies_of_what_they_are_given():
+    K = 3.0 * np.eye(3)
+    model = QuadrotorModel(QuadrotorParams(K=K))
+    K[0, 0] = 1.0                         # the caller's array stays theirs
+    params = model.params
+    assert params.K[0, 0] == 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.m = 2.0
+    for array in (params.K, params.Lam, params.sigma, params.L):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    with pytest.raises(AttributeError):
+        model.params = QuadrotorParams()
 
 
 def test_gust_state_shifts_drag_through_relative_velocity():
