@@ -5,8 +5,10 @@ samples are drawn only from the ellipse of points that could shorten it,
 and both a choose-parent pass and a rewiring pass keep the tree
 asymptotically optimal.  The planner keeps one buffer per obstacle and,
 for each buffer value, cuts the obstacle inflated by that buffer at the
-planning altitude once (``CrossSection``); every collision gate reads
-these cross-sections, and the obstacles themselves never change.
+planning altitude once (``CrossSection``) and stacks their rows, so that
+one segment test is two matrix-vector products for all of them; every
+collision gate reads these cross-sections, and the obstacles themselves
+never change.
 
 The outer loop makes the plan chance-constrained.  Each round it
 propagates the closed-loop state covariance along the current best path,
@@ -21,7 +23,10 @@ loop stops once no buffer grows and the buffers have settled.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,9 +135,11 @@ class PlanTree:
     slot.  A node is a goal node when it lies within ``goal_radius`` of
     the goal; that is fixed at insert, since nodes never move, and the
     root is never one, so every path to the goal has at least one tree
-    edge.  ``c_best`` is always recomputed from the live goal nodes, with
-    the exact closing segment, which ``add_node`` and
-    ``cleanup_and_regrow`` keep free of every cross-section.
+    edge.  So is a node's distance to the goal (``_leg``, the
+    ``np.linalg.norm`` taken at insert).  ``c_best`` is recomputed on
+    every call from the live goal nodes' costs plus these closing-leg
+    lengths; ``add_node`` and ``cleanup_and_regrow`` keep each closing
+    segment free of every cross-section.
     """
 
     def __init__(self, start, goal, goal_radius):
@@ -143,6 +150,7 @@ class PlanTree:
         self._xy = np.zeros((cap, 2))
         self._parent = np.zeros(cap, dtype=int)
         self._cost = np.zeros(cap)
+        self._leg = np.zeros(cap)
         self._state = np.zeros(cap, dtype=np.int8)
         self._children: list[list[int]] = [[] for _ in range(cap)]
         self.size = 0
@@ -155,7 +163,7 @@ class PlanTree:
         cap = self._xy.shape[0]
         if self.size < cap:
             return
-        for name in ("_xy", "_parent", "_cost", "_state"):
+        for name in ("_xy", "_parent", "_cost", "_leg", "_state"):
             a = getattr(self, name)
             setattr(self, name, np.concatenate([a, np.zeros_like(a)]))
         self._children.extend([] for _ in range(cap))
@@ -167,10 +175,11 @@ class PlanTree:
         self._xy[i] = xy
         self._parent[i] = parent
         self._cost[i] = cost
+        self._leg[i] = _norm(self._xy[i] - self.goal)
         self._state[i] = _LIVE
         if parent >= 0:
             self._children[parent].append(i)
-            if np.linalg.norm(self._xy[i] - self.goal) <= self.goal_radius:
+            if self._leg[i] <= self.goal_radius:
                 self._goal_nodes.append(i)
         return i
 
@@ -191,21 +200,23 @@ class PlanTree:
     def num_alive(self):
         return int(np.count_nonzero(self._active_mask()))
 
+    def _sq_dists(self, q):
+        """Squared distance from every slot to q, x*x + y*y per slot (the
+        bits of a row-wise ``einsum``), formed one column at a time: a
+        row-wise difference array is formed two numbers at a time."""
+        x = self._xy[:self.size, 0] - q[0]
+        y = self._xy[:self.size, 1] - q[1]
+        return x * x + y * y
+
     def nearest(self, q):
-        mask = self._active_mask()
-        if not mask.any():
-            return None
-        d2 = np.einsum("ij,ij->i", self._xy[:self.size] - q,
-                       self._xy[:self.size] - q)
-        d2[~mask] = np.inf
-        return int(np.argmin(d2))
+        d2 = self._sq_dists(q)
+        d2[self._state[:self.size] != _LIVE] = np.inf
+        i = int(np.argmin(d2))
+        return i if self._state[i] == _LIVE else None
 
     def near(self, q, radius):
-        mask = self._active_mask()
-        d2 = np.einsum("ij,ij->i", self._xy[:self.size] - q,
-                       self._xy[:self.size] - q)
-        hit = mask & (d2 <= radius * radius)
-        return np.flatnonzero(hit)
+        hit = self._sq_dists(q) <= radius * radius
+        return (hit & self._active_mask()).nonzero()[0]
 
     def _best_solution(self):
         """(total cost, node) of the cheapest solution, or (inf, None)."""
@@ -213,8 +224,7 @@ class PlanTree:
         for i in self._goal_nodes:
             if self._state[i] != _LIVE:
                 continue
-            total = self._cost[i] + float(
-                np.linalg.norm(self._xy[i] - self.goal))
+            total = self._cost[i] + self._leg[i]
             if total < best:
                 best, best_i = float(total), i
         return best, best_i
@@ -342,6 +352,8 @@ class PlanTree:
                 self._xy[i] - self.goal) <= self.goal_radius)
             assert (i in goal_nodes) == in_goal, (
                 f"goal membership of node {i} disagrees with goal_radius")
+            assert self._leg[i] == np.linalg.norm(self._xy[i] - self.goal), (
+                f"cached closing leg of node {i} is stale")
             for ch in self._children[i]:
                 assert state[ch] != _DEAD, f"dead child {ch} linked under {i}"
                 assert self._parent[ch] == i
@@ -377,29 +389,36 @@ def sample_ellipse(start, goal, c_best, bounds: Bounds, rng):
     whose foci are start and goal and whose major axis is c_best, drawn
     by scaling a unit-disk sample to the half-axes c_best/2 and
     sqrt(c_best^2 - c_min^2)/2, rotated onto the focal line; samples
-    falling outside the bounds are rejected and redrawn.
+    falling outside the bounds are rejected and redrawn.  The arithmetic
+    is done in Python floats, each component in the order of the array
+    expression ``center + (a r cos phi) ex + (b r sin phi) ey``.
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
     if not math.isfinite(c_best):
         return bounds.sample(rng)
-    c_min = float(np.linalg.norm(goal - start))
+    c_min = _norm(goal - start)
     c_best = max(float(c_best), c_min)
-    center = 0.5 * (start + goal)
+    (sx, sy), (gx, gy) = start.tolist(), goal.tolist()
+    cx, cy = 0.5 * (sx + gx), 0.5 * (sy + gy)
     a = 0.5 * c_best
     b = 0.5 * math.sqrt(max(c_best * c_best - c_min * c_min, 0.0))
     if c_min > 0.0:
-        ex = (goal - start) / c_min
+        ux, uy = (gx - sx) / c_min, (gy - sy) / c_min
     else:
-        ex = np.array([1.0, 0.0])
-    ey = np.array([-ex[1], ex[0]])
+        ux, uy = 1.0, 0.0
+    lo_x, lo_y = (v - 1e-12 for v in bounds.lo)
+    hi_x, hi_y = (v + 1e-12 for v in bounds.hi)
     for _ in range(10000):
         r = math.sqrt(rng.random())
         phi = 2.0 * math.pi * rng.random()
-        q = center + (a * r * math.cos(phi)) * ex + (b * r * math.sin(phi)) * ey
-        if bounds.contains(q):
-            return q
-    return np.clip(q, bounds.lo, bounds.hi)
+        u, v = a * r * math.cos(phi), b * r * math.sin(phi)
+        # the major axis is (ux, uy), the minor one (-uy, ux)
+        x = cx + u * ux + v * -uy
+        y = cy + u * uy + v * ux
+        if lo_x <= x <= hi_x and lo_y <= y <= hi_y:
+            return np.array([x, y])
+    return np.clip(np.array([x, y]), bounds.lo, bounds.hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,36 +450,85 @@ class CrossSection:
                            <= self.rhs + 1e-12))
 
     def meets_segment(self, p, q):
-        """Exact test: does segment pq meet the region?
+        """Exact test: does segment pq meet the region?  Grazing contact
+        counts as a hit (see ``_meets_any``)."""
+        return _meets_any(self.A2, self.rhs, (len(self.rhs),),
+                          np.asarray(p, dtype=float),
+                          np.asarray(q, dtype=float))
 
-        Every half-space constraint is affine along the segment, so the
-        feasible parameter set is an interval obtained by clipping
-        [0, 1]; the segment intersects iff the interval is nonempty.
-        Grazing contact counts as a hit.
-        """
-        alpha = self.A2 @ p - self.rhs
-        beta = self.A2 @ (q - p)
+
+class _Stacked(tuple):
+    """A tuple of cross-sections with their rows stacked once: ``A2`` and
+    ``rhs`` hold every section's rows in order, and ``ends`` the row
+    index after each section's last."""
+
+    def __new__(cls, sections):
+        self = super().__new__(cls, sections)
+        self.A2 = np.concatenate([np.zeros((0, 2))] + [s.A2 for s in self])
+        self.rhs = np.concatenate([np.zeros(0)] + [s.rhs for s in self])
+        self.ends = list(itertools.accumulate(len(s.rhs) for s in self))
+        return self
+
+
+def _stacked(sections):
+    """The sections as a ``_Stacked``, stacking them unless they are."""
+    return sections if isinstance(sections, _Stacked) else _Stacked(sections)
+
+
+def _meets_any(A2, rhs, ends, p, q):
+    """Does segment pq meet any region {A2[k:e] x <= rhs[k:e]}, where each
+    region's rows end at one entry of ``ends``?
+
+    Every half-space constraint is affine along the segment, so a
+    region's feasible parameter set is an interval obtained by clipping
+    [0, 1]; the segment meets the region iff the interval is nonempty.
+    Grazing contact (within 1e-12) counts as a hit.  One matrix-vector
+    product per side serves every region, with the bits of the
+    region-by-region products; the clipping runs in Python floats.
+    """
+    alpha = (A2 @ p - rhs).tolist()
+    beta = (A2 @ (q - p)).tolist()
+    start = 0
+    for end in ends:
         t0, t1 = 0.0, 1.0
-        for al, be in zip(alpha, beta):
+        for al, be in zip(alpha[start:end], beta[start:end]):
             if abs(be) < 1e-15:
                 if al > 1e-12:
-                    return False
+                    break
                 continue
             crossing = -al / be
             if be > 0.0:
-                t1 = min(t1, crossing)
-            else:
-                t0 = max(t0, crossing)
+                if crossing < t1:
+                    t1 = crossing
+            elif crossing > t0:
+                t0 = crossing
             if t0 > t1 + 1e-12:
-                return False
-        return t0 <= t1 + 1e-12
+                break
+        else:
+            return True
+        start = end
+    return False
 
 
 def no_collision_2d(p, q, sections):
     """True iff segment pq avoids every obstacle cross-section."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return not any(s.meets_segment(p, q) for s in sections)
+    stack = _stacked(sections)
+    return not _meets_any(stack.A2, stack.rhs, stack.ends,
+                          np.asarray(p, dtype=float),
+                          np.asarray(q, dtype=float))
+
+
+def _norm(v):
+    """``np.linalg.norm`` of a 1-D float array, computed as numpy does it,
+    sqrt(v . v), without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
+def _norms(D):
+    """Row lengths of an (n, 2) array, each with the bits of the 1-D
+    ``np.linalg.norm`` of its row: a dot product, which a BLAS may fuse
+    into a multiply-add, so ``x*x + y*y`` or ``axis=1`` can differ."""
+    return np.sqrt(D[:, None, :] @ D[:, :, None]).ravel().tolist()
 
 
 # --------------------------------------------------------------------------
@@ -487,27 +555,27 @@ def add_node(tree: PlanTree, sections, cfg: PlannerConfig, rng):
     if i_near is None:
         return None
     x_near = tree.coords(i_near)
-    gap = float(np.linalg.norm(x_rand - x_near))
+    gap = _norm(x_rand - x_near)
     if gap < 1e-12:
         return None
     x_new = x_near + min(cfg.step, gap) / gap * (x_rand - x_near)
     if not no_collision_2d(x_near, x_new, sections):
         return None
     # best_path closes a goal-region node's path straight to the goal
-    if np.linalg.norm(x_new - tree.goal) <= tree.goal_radius \
+    if _norm(x_new - tree.goal) <= tree.goal_radius \
             and not no_collision_2d(x_new, tree.goal, sections):
         return None
     near_idx = tree.near(x_new, cfg.r_w)
-    dists = {int(i): float(np.linalg.norm(tree.coords(int(i)) - x_new))
-             for i in near_idx}
-    if any(d < 1e-9 for d in dists.values()):
+    near = near_idx.tolist()
+    dists = _norms(tree._xy[near_idx] - x_new)
+    if dists and min(dists) < 1e-9:
         return None
     # choose parent: cheapest collision-free connection among neighbors,
     # with the steering node as always-valid fallback
-    candidates = sorted(
-        (tree.cost(i) + d, i) for i, d in dists.items())
+    candidates = sorted(zip(map(operator.add, tree._cost[near_idx].tolist(),
+                                dists), near))
     parent = i_near
-    new_cost = tree.cost(i_near) + float(np.linalg.norm(x_new - x_near))
+    new_cost = tree.cost(i_near) + _norm(x_new - x_near)
     for total, i in candidates:
         if total >= new_cost:
             break
@@ -517,10 +585,10 @@ def add_node(tree: PlanTree, sections, cfg: PlannerConfig, rng):
             break
     j = tree.insert(x_new, parent, new_cost)
     # rewire neighbors through the new node when strictly cheaper
-    for i in sorted(dists):
+    for i, d in zip(near, dists):
         if i == parent:
             continue
-        through = new_cost + dists[i]
+        through = new_cost + d
         if through < tree.cost(i) - 1e-12 and no_collision_2d(
                 x_new, tree.coords(i), sections):
             tree.reparent(i, j, through)
@@ -549,6 +617,7 @@ def informed_rrt_star(start, goal, sections, cfg: PlannerConfig, rng,
     """
     start = np.asarray(start, dtype=float).reshape(2)
     goal = np.asarray(goal, dtype=float).reshape(2)
+    sections = _stacked(sections)
     _require_free_endpoint("start", start, sections, cfg)
     _require_free_endpoint("goal", goal, sections, cfg)
     if tree is None:
@@ -640,7 +709,7 @@ class TubeEvaluator:
 
 
 def comp_obs_dist(tree: PlanTree, sections, evaluator: TubeEvaluator,
-                  cfg: PlannerConfig):
+                  cfg: PlannerConfig, timings=None):
     """Signed buffer adjustment per obstacle from the current best path.
 
     Propagates the tube along the tree's best path, then for every
@@ -648,15 +717,22 @@ def comp_obs_dist(tree: PlanTree, sections, evaluator: TubeEvaluator,
     obstacle, its current buffer):
     positive d_j shrinks the buffer by the tube's spare clearance
     (capped so buffers stay nonnegative), negative d_j grows it by the
-    violation depth.  Also returns the evaluated tube.
+    violation depth.  Also returns the evaluated tube.  A ``timings``
+    dict gets the wall-clock ms of both steps added to its
+    ``tube_eval_ms`` and ``buffer_sizing_ms``.
     """
+    tic = time.perf_counter()
     path = tree.best_path()
     tube, _, _ = evaluator.tube_for_path(path, cfg.altitude,
                                          cfg.cruise_speed)
+    toc = time.perf_counter()
     adjustments = {}
     for s in sections:
         d_touch = buffer_touch_distance(tube, s.obstacle, tube.c2)
         adjustments[s.id] = min(d_touch, s.buffer)
+    if timings is not None:
+        timings["tube_eval_ms"] += 1e3 * (toc - tic)
+        timings["buffer_sizing_ms"] += 1e3 * (time.perf_counter() - toc)
     return adjustments, tube
 
 
@@ -673,6 +749,7 @@ def cleanup_and_regrow(tree: PlanTree, grown: CrossSection, sections,
     there); components still orphaned after N_max/4 iterations are
     pruned.
     """
+    sections = _stacked(sections)
     nodes = np.flatnonzero(tree._state[:tree.size] != _DEAD).tolist()
     dead = {i for i in nodes if grown.contains(tree._xy[i])}
     dead.update(i for i in tree._goal_nodes if tree._state[i] != _DEAD
@@ -726,6 +803,7 @@ class PlanResult:
     solved: bool
     converged: bool
     tree: PlanTree
+    timings_ms: dict
     message: str = ""
 
 
@@ -748,6 +826,8 @@ def dynamic_informed_rrt_star(start, goal, obstacles, cfg: PlannerConfig,
     built for the final path, and its clearances are checked against
     the caller's true obstacles, which are never changed.  Buffers are
     keyed by obstacle id, so a repeated id raises ``ValueError``.
+    ``timings_ms`` sums the wall-clock ms of tree growth (with repairs),
+    tube evaluation and buffer sizing over the rounds.
     """
     seen = set()
     for obs in obstacles:
@@ -758,21 +838,28 @@ def dynamic_informed_rrt_star(start, goal, obstacles, cfg: PlannerConfig,
     start = np.asarray(start, dtype=float).reshape(2)
     goal = np.asarray(goal, dtype=float).reshape(2)
     init = evaluator.initial_buffer()
-    sections = [CrossSection(obs, cfg.altitude, init) for obs in obstacles]
+    sections = _Stacked(CrossSection(obs, cfg.altitude, init)
+                        for obs in obstacles)
     buffer_history = []
     cost_history = []
+    timings = dict.fromkeys(("tree_ms", "tube_eval_ms", "buffer_sizing_ms"),
+                            0.0)
     tree = None
     for rounds in range(1, 2 * cfg.M + 1):
         buffer_history.append({s.id: s.buffer for s in sections})
+        tic = time.perf_counter()
         tree = informed_rrt_star(start, goal, sections, cfg, rng, tree=tree)
+        timings["tree_ms"] += 1e3 * (time.perf_counter() - tic)
         cost_history.append(tree.c_best())
         if not math.isfinite(tree.c_best()):
             return PlanResult(
                 path=None, tube=None, reports=[],
                 buffer_history=buffer_history, cost_history=cost_history,
                 outer_iterations=rounds, solved=False, converged=True,
-                message="no path to the goal was found", tree=tree)
-        adjustments, tube = comp_obs_dist(tree, sections, evaluator, cfg)
+                message="no path to the goal was found", tree=tree,
+                timings_ms=timings)
+        adjustments, tube = comp_obs_dist(tree, sections, evaluator, cfg,
+                                          timings=timings)
         d = [adjustments[s.id] for s in sections]
         grew = any(d_j < -1e-12 for d_j in d)
         settled = all(abs(d_j) <= cfg.tol * s.buffer
@@ -780,13 +867,17 @@ def dynamic_informed_rrt_star(start, goal, obstacles, cfg: PlannerConfig,
         if (not grew and (settled or rounds >= cfg.M)) \
                 or rounds == 2 * cfg.M:
             break
-        sections = [CrossSection(s.obstacle, cfg.altitude, s.buffer - d_j)
-                    for d_j, s in zip(d, sections)]
+        sections = _Stacked(
+            CrossSection(s.obstacle, cfg.altitude, s.buffer - d_j)
+            for d_j, s in zip(d, sections))
+        tic = time.perf_counter()
         for d_j, s in zip(d, sections):
             if d_j < -1e-12:
                 cleanup_and_regrow(tree, s, sections, cfg, rng)
+        timings["tree_ms"] += 1e3 * (time.perf_counter() - tic)
     return PlanResult(
         path=tree.best_path(), tube=tube,
         reports=check_tube_collision(tube, obstacles),
         buffer_history=buffer_history, cost_history=cost_history,
-        outer_iterations=rounds, solved=True, converged=not grew, tree=tree)
+        outer_iterations=rounds, solved=True, converged=not grew, tree=tree,
+        timings_ms=timings)

@@ -213,6 +213,7 @@ def run_plan(sc: Scenario, out_dir) -> RunReport:
     result = dynamic_informed_rrt_star(sc.start, sc.goal, sc.obstacles,
                                        sc.planner, evaluator, rng)
     timings["plan_ms"] = 1e3 * (time.perf_counter() - tic)
+    timings.update(result.timings_ms)
 
     _write_json(out / "buffers.json", result.buffer_history)
     _write_jsonl(out / "tree.jsonl", result.tree.to_records())

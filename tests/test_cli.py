@@ -363,6 +363,27 @@ def test_timings_keys_mean_the_same_stages_in_validate_and_mc_compare(
         mc["linearize_ms"] + mc["covariance_ms"])
 
 
+def test_plan_timings_split_plan_ms_into_its_stages(tmp_path):
+    # tree growth, tube evaluation and buffer sizing, each summed over
+    # the rounds, lie inside plan_ms; the report carries none of them
+    main(["plan", "--scenario", str(write_plan_scenario(tmp_path)),
+          "--out", str(tmp_path / "p")])
+    t = json.loads((tmp_path / "p" / "timings.json").read_text())
+    assert set(t) == {"plan_ms", "tree_ms", "tube_eval_ms",
+                      "buffer_sizing_ms"}
+    assert all(v > 0.0 for v in t.values())
+    assert t["tree_ms"] + t["tube_eval_ms"] + t["buffer_sizing_ms"] \
+        <= t["plan_ms"]
+    report = json.loads((tmp_path / "p" / "report.json").read_text())
+    assert not any(k.endswith("_ms") for k in report["extras"])
+    # without a path no tube is evaluated
+    run_plan(load_scenario(write_walled_plan_scenario(tmp_path)),
+             tmp_path / "w")
+    t = json.loads((tmp_path / "w" / "timings.json").read_text())
+    assert t["tree_ms"] > 0.0
+    assert t["tube_eval_ms"] == t["buffer_sizing_ms"] == 0.0
+
+
 def test_mc_compare_rejects_tiny_ensembles(tmp_path, capsys):
     scn = write_quad_scenario(tmp_path)
     code = main(["mc-compare", "--scenario", str(scn),
@@ -467,8 +488,8 @@ def test_plan_exits_two_when_buffers_still_grow_at_the_round_cap(
         tmp_path, capsys, monkeypatch):
     real = planner.comp_obs_dist
 
-    def always_grow(tree, sections, evaluator, cfg):
-        adjustments, tube = real(tree, sections, evaluator, cfg)
+    def always_grow(tree, sections, evaluator, cfg, **kw):
+        adjustments, tube = real(tree, sections, evaluator, cfg, **kw)
         adjustments["mid"] = -0.01
         return adjustments, tube
 

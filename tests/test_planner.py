@@ -111,6 +111,57 @@ def test_tree_queries():
     tree.check_consistency()
 
 
+def test_consistency_catches_a_stale_closing_leg():
+    tree = PlanTree((0.0, 0.0), (10.0, 0.0), goal_radius=1.5)
+    a = tree.insert((5.0, 0.0), tree.root, 5.0)
+    near_goal = tree.insert((9.3, 0.7), a, 5.0 + math.hypot(4.3, 0.7))
+    tree.check_consistency()
+    for i in (a, near_goal):
+        leg = tree._leg[i]
+        tree._leg[i] = np.nextafter(leg, np.inf)
+        with pytest.raises(AssertionError, match="closing leg"):
+            tree.check_consistency()
+        tree._leg[i] = leg
+
+
+def test_c_best_adds_the_leg_computed_at_insert_bit_for_bit():
+    rng = np.random.default_rng(11)
+    goal = np.array([7.3, -2.1])
+    tree = PlanTree((0.0, 0.0), goal, goal_radius=2.0)
+    for _ in range(300):
+        xy = goal + rng.uniform(-2.0, 2.0, 2)
+        tree.insert(xy, tree.root, float(np.linalg.norm(xy)))
+    best, best_i = math.inf, None
+    for i in tree._goal_nodes:
+        total = tree._cost[i] + float(np.linalg.norm(tree._xy[i] - goal))
+        if total < best:
+            best, best_i = float(total), i
+    assert len(tree._goal_nodes) > 100
+    assert (tree.c_best(), tree.best_goal_node()) == (best, best_i)
+    tree.check_consistency()
+
+
+def test_distances_have_the_bits_of_the_per_node_norm():
+    rng = np.random.default_rng(5)
+    D = np.concatenate([rng.normal(size=(20_000, 2)) * scale
+                        for scale in (1e-6, 1.0, 40.0, 1e5)])
+    per_node = [float(np.linalg.norm(d)) for d in D]
+    assert planner._norms(D) == per_node
+    assert [planner._norm(d) for d in D] == per_node
+    assert planner._norms(np.zeros((0, 2))) == []
+
+
+def test_query_distances_have_the_bits_of_the_row_wise_einsum():
+    rng = np.random.default_rng(6)
+    tree = PlanTree((0.0, 0.0), (50.0, 20.0), goal_radius=1.0)
+    for _ in range(2000):
+        tree.insert(rng.uniform(-5.0, 55.0, 2), tree.root, 1.0)
+    for q in rng.uniform(-5.0, 55.0, (50, 2)):
+        D = tree._xy[:tree.size] - q
+        assert np.array_equal(tree._sq_dists(q),
+                              np.einsum("ij,ij->i", D, D))
+
+
 def test_c_best_includes_the_closing_segment():
     tree = PlanTree((0.0, 0.0), (10.0, 0.0), goal_radius=1.5)
     a = tree.insert((5.0, 0.0), tree.root, 5.0)
@@ -265,6 +316,50 @@ def test_sample_ellipse_degenerate_cost_stays_on_the_segment():
     assert -10.0 - 1e-9 <= q[0] <= 10.0 + 1e-9
 
 
+def _reference_sample_ellipse(start, goal, c_best, bounds, rng):
+    """Reference: sample_ellipse in numpy array arithmetic."""
+    start = np.asarray(start, dtype=float)
+    goal = np.asarray(goal, dtype=float)
+    c_min = float(np.linalg.norm(goal - start))
+    c_best = max(float(c_best), c_min)
+    center = 0.5 * (start + goal)
+    a = 0.5 * c_best
+    b = 0.5 * math.sqrt(max(c_best * c_best - c_min * c_min, 0.0))
+    ex = (goal - start) / c_min if c_min > 0.0 else np.array([1.0, 0.0])
+    ey = np.array([-ex[1], ex[0]])
+    for _ in range(10000):
+        r = math.sqrt(rng.random())
+        phi = 2.0 * math.pi * rng.random()
+        q = center + (a * r * math.cos(phi)) * ex + (b * r * math.sin(phi)) * ey
+        if bounds.contains(q):
+            return q
+    return np.clip(q, bounds.lo, bounds.hi)
+
+
+@pytest.mark.parametrize("start, goal, c_best, bounds", [
+    # the ellipse pokes out of the bounds, so draws are rejected
+    ((-10.0, 0.3), (10.0, -0.7), 30.0, Bounds((-12.0, -3.0), (12.0, 3.0))),
+    ((1.0, 2.0), (37.0, 19.0), 51.7, Bounds((-5.0, -5.0), (55.0, 25.0))),
+    # c_best == c_min, and below it
+    ((-10.0, 0.0), (10.0, 0.0), 20.0, Bounds((-50.0, -50.0), (50.0, 50.0))),
+    ((0.1, 0.2), (3.7, -1.9), 1.0, Bounds((-5.0, -5.0), (5.0, 5.0))),
+    # start == goal
+    ((2.0, 2.0), (2.0, 2.0), 3.0, Bounds((0.0, 0.0), (3.0, 3.0))),
+    # the ellipse misses the bounds: every draw is rejected, then clipped
+    ((20.0, 20.0), (24.0, 20.0), 5.0, Bounds((0.0, 0.0), (10.0, 10.0))),
+])
+def test_sample_ellipse_has_the_bits_of_the_array_form(start, goal, c_best,
+                                                       bounds):
+    ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(3 if start[0] == 20.0 else 400):
+        q = sample_ellipse(start, goal, c_best, bounds, ours)
+        assert np.array_equal(
+            q, _reference_sample_ellipse(start, goal, c_best, bounds, ref))
+        assert q.dtype == np.float64 and q.shape == (2,)
+    # both consumed the same draws
+    assert ours.random() == ref.random()
+
+
 # --------------------------------------------------------------------------
 # segment collision gate
 
@@ -313,6 +408,96 @@ def test_segment_endpoints_inside_count():
     obs = cut(box(10.0, 0.0))
     assert not no_collision_2d((10.0, 0.0), (30.0, 0.0), [obs])
     assert not no_collision_2d((9.0, 0.0), (11.0, 0.0), [obs])
+
+
+def _reference_meets(section, p, q):
+    """Reference: the clipping loop, one section at a time."""
+    alpha = section.A2 @ p - section.rhs
+    beta = section.A2 @ (q - p)
+    t0, t1 = 0.0, 1.0
+    for al, be in zip(alpha, beta):
+        if abs(be) < 1e-15:
+            if al > 1e-12:
+                return False
+            continue
+        crossing = -al / be
+        if be > 0.0:
+            t1 = min(t1, crossing)
+        else:
+            t0 = max(t0, crossing)
+        if t0 > t1 + 1e-12:
+            return False
+    return t0 <= t1 + 1e-12
+
+
+def _prism_section(rng, sides, cx, cy, radius, buffer=0.0):
+    """A vertical prism of sides + 2 faces, cut at altitude 10."""
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    A, b = [], []
+    for k in range(sides):
+        th = phase + 2.0 * math.pi * k / sides
+        A.append([math.cos(th), math.sin(th), 0.0])
+        b.append(A[-1][0] * cx + A[-1][1] * cy
+                 + radius * rng.uniform(0.8, 1.0))
+    A += [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    b += [20.0, 0.0]
+    return cut(CuboidObstacle(A=np.array(A), b=np.array(b), id=f"p{sides}"),
+               buffer=buffer)
+
+
+def _assert_gate_matches_reference(p, q, sections):
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    hits = [_reference_meets(s, p, q) for s in sections]
+    assert [s.meets_segment(p, q) for s in sections] == hits
+    assert no_collision_2d(p, q, sections) is (not any(hits))
+    return hits
+
+
+def test_edge_test_has_the_bits_of_the_per_section_loop_on_random_segments():
+    rng = np.random.default_rng(9)
+    sections = [_prism_section(rng, int(rng.integers(6, 19)),
+                               *rng.uniform(-10.0, 10.0, 2),
+                               rng.uniform(1.0, 6.0), rng.uniform(0.0, 0.5))
+                for _ in range(5)]
+    sections.append(cut(box(3.0, -4.0, hx=2.0, hy=5.0), buffer=0.25))
+    assert {len(s.rhs) for s in sections[:5]} <= set(range(8, 21))
+    hits = []
+    for _ in range(3000):
+        p, q = rng.uniform(-20.0, 20.0, (2, 2))
+        hits += _assert_gate_matches_reference(p, q, sections)
+        # zero-length segments, inside and outside
+        hits += _assert_gate_matches_reference(p, p, sections)
+    assert 0 < sum(hits) < len(hits)
+    assert no_collision_2d((0.0, 0.0), (1.0, 1.0), [])
+    assert no_collision_2d((0.0, 0.0), (0.0, 0.0), [])
+
+
+@pytest.mark.parametrize("eps", [0.0, 3e-13, -3e-13, 5e-13, 2e-12, -2e-12,
+                                 1e-9, -1e-9])
+def test_edge_test_keeps_the_grazing_slack_of_the_per_section_loop(eps):
+    box_ = cut(box(10.0, 0.0))                # [5, 15] x [-5, 5]
+    far = cut(box(40.0, 40.0))
+    rng = np.random.default_rng(10)
+    tilted = _prism_section(rng, 14, 0.0, 0.0, 3.0)
+    n = tilted.A2[0]                          # the first face's normal
+    foot = (tilted.rhs[0] + eps) * n
+    along = 3.0 * np.array([-n[1], n[0]])
+    cases = [
+        ((0.0, 5.0 + eps), (20.0, 5.0 + eps)),              # along a face
+        ((15.0 + eps, -8.0), (15.0 + eps, 8.0)),            # along a face
+        ((10.0, 10.0 + eps), (20.0, 0.0 + eps)),            # over a vertex
+        ((15.0 + eps, 5.0 + eps), (25.0, 5.0 + eps)),       # from a vertex
+        ((0.0, -5.0 - eps), (5.0 - eps, -5.0 - eps)),       # ends at a vertex
+        ((5.0 - eps, 0.0), (5.0 - eps, 0.0)),               # a point on a face
+        (foot - along, foot + along),             # along a slanted face
+    ]
+    for p, q in cases:
+        _assert_gate_matches_reference(p, q, [far, box_, tilted])
+        _assert_gate_matches_reference(q, p, [box_])
+    # a slack that is never used would let a dropped one pass
+    if 0.0 < eps <= 1e-12:
+        assert not no_collision_2d(*cases[0], [box_])
+        assert not no_collision_2d(*cases[2], [box_])
 
 
 # --------------------------------------------------------------------------
@@ -757,8 +942,8 @@ def test_shipped_plan_stops_once_buffers_settle_and_reports_the_checked_tube(
 def test_buffers_that_keep_growing_stop_the_planner_at_twice_m(monkeypatch):
     real = planner.comp_obs_dist
 
-    def always_grow(tree, sections, evaluator, cfg):
-        adjustments, tube = real(tree, sections, evaluator, cfg)
+    def always_grow(tree, sections, evaluator, cfg, **kw):
+        adjustments, tube = real(tree, sections, evaluator, cfg, **kw)
         adjustments["wall"] = -0.01
         return adjustments, tube
 
