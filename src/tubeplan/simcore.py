@@ -13,8 +13,20 @@ operations of the array expression, in its order, so the bits are
 those of stepping an (n,) array.  The desired
 trajectory is sampled with one call per set of step times (profiles take
 arrays of times, see ``vehicles.reference``), and each step reads its
-own row of those samples.  Randomness comes from numpy's Philox counter
-generator (run i of an ensemble seeds Philox with base_seed + i), with
+own row of those samples.
+
+The row steppers ``_rk4`` and ``_em`` are the one definition of a row
+step.  Each integration of a row first runs its stepper once on traced
+floats (``vehicles.elementwise.TraceMath``) and compiles what it
+recorded into one straight-line function of Python floats, which takes
+the reference rows flattened and does the same IEEE operations on the
+same operands, so it returns the stepper's bits.  A step where that
+function raises, or where a traced ``xp.all`` condition fails, is taken
+again by the stepper, which raises what it raises uncompiled.  A body
+that cannot be traced (it branches on a state value, or reads the state
+with numpy or math) is stepped by the stepper throughout.
+
+Randomness comes from numpy's Philox counter generator (run i of an ensemble seeds Philox with base_seed + i), with
 normal variates produced by numpy's ziggurat sampler; given the same
 (model, x0, reference, grid, seed) every output bit is reproducible.
 
@@ -31,6 +43,8 @@ from __future__ import annotations
 import collections
 import contextlib
 import dataclasses
+import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -38,6 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelDomainError
+from .vehicles.elementwise import Tape
 
 __all__ = [
     "TimeGrid",
@@ -137,40 +152,100 @@ def _step_refs(des, grid, rk4):
 _ROW_BLOCK = 256
 
 
-def _rows(ref):
-    """Yield one reference per time of ``ref``, sampled at an array of times.
+def _widths(ref):
+    """The layout of a flat row of the sampled reference ``ref``: per
+    field, None for a scalar field (a (steps,) array) and d for a
+    vector field (a (steps, d) array)."""
+    return [None if a.ndim == 1 else a.shape[1]
+            for a in (getattr(ref, f.name) for f in dataclasses.fields(ref))]
 
-    Each row is of the class of ``ref``, with Python floats for scalar
-    fields and lists of floats for vector fields, so a model body reads
-    it without numpy dispatch.
-    """
-    cls = type(ref)
-    arrays = [getattr(ref, f.name) for f in dataclasses.fields(cls)]
+
+def _flat_rows(ref):
+    """Yield one flat list of Python floats per time of ``ref``: its
+    fields in order, a vector field's components in place."""
+    arrays = [getattr(ref, f.name) for f in dataclasses.fields(ref)]
     for lo in range(0, len(arrays[0]), _ROW_BLOCK):
-        cols = [a[lo:lo + _ROW_BLOCK].tolist() for a in arrays]
-        for vals in zip(*cols, strict=True):
-            yield cls(*vals)
+        yield from np.column_stack(
+            [a[lo:lo + _ROW_BLOCK] for a in arrays]).tolist()
 
 
-def _rk4(model, x, ref, dt, zero_n):
-    """One classic RK4 step of the row x, a list of floats, with zero noise.
+def _unflat(cls, widths, flat):
+    """The reference row of class ``cls`` with the flat row ``flat``:
+    Python floats for scalar fields and lists of floats for vector
+    fields, so a model body reads it without numpy dispatch."""
+    vals, i = [], 0
+    for w in widths:
+        if w is None:
+            vals.append(flat[i])
+            i += 1
+        else:
+            vals.append(flat[i:i + w])
+            i += w
+    return cls(*vals)
+
+
+def _rows(ref):
+    """Yield one reference row (see _unflat) per time of ``ref``."""
+    return map(functools.partial(_unflat, type(ref), _widths(ref)),
+               _flat_rows(ref))
+
+
+def _rk4(model, x, ref, dt, n):
+    """One classic RK4 step of the row x, a list of floats, on the
+    reference rows (start, middle, end) ``ref`` and the noise sample n,
+    all zeros for the nominal.
 
     Each comprehension is the array expression in the comment beside it,
     element by element and in the same order.
     """
     ref1, refh, ref2 = ref
     h = 0.5 * dt
-    k1 = model.deriv(x, ref1, zero_n)
+    k1 = model.deriv(x, ref1, n)
     k2 = model.deriv([a + h * b for a, b in zip(x, k1)],  # x + 0.5*dt*k1
-                     refh, zero_n)
+                     refh, n)
     k3 = model.deriv([a + h * b for a, b in zip(x, k2)],  # x + 0.5*dt*k2
-                     refh, zero_n)
+                     refh, n)
     k4 = model.deriv([a + dt * b for a, b in zip(x, k3)],  # x + dt*k3
-                     ref2, zero_n)
+                     ref2, n)
     w = dt / 6.0
     # x + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)
     return [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+
+
+def _em(model, x, ref, dt, n):
+    """One Euler-Maruyama step x + dt * f of the row x on the reference
+    row ``ref[0]`` and the noise sample n."""
+    f = model.deriv(x, ref[0], n)
+    return [a + dt * b for a, b in zip(x, f)]
+
+
+def _compile(model, stepper, refs):
+    """``stepper`` (_rk4 or _em) on ``model``, compiled, or None.
+
+    The stepper runs once on Syms (see ``vehicles.elementwise``) for the
+    state, a row of each set of ``refs``, the noise and dt, and what it
+    records becomes ``step(x, r0, ..., n, dt)``: x a state row, r0, ...
+    flat reference rows (_flat_rows), n a noise sample.  The step
+    returns the stepper's bits on those values, or raises where the
+    stepper may raise or branch otherwise.  None when the body cannot
+    be traced: it reads a traced value as a number (a data-dependent
+    ``if``, numpy or math called directly) or a constant that is not a
+    Python float or int.
+    """
+    widths = _widths(refs[0])
+    size = sum(1 if w is None else w for w in widths)
+    tape = Tape()
+    x = tape.inputs("x", model.n_states)
+    rows = [_unflat(type(refs[0]), widths, tape.inputs(f"r{i}", size))
+            for i in range(len(refs))]
+    n = tape.inputs("n", model.n_noise)
+    params = ["x"] + [f"r{i}" for i in range(len(refs))] + ["n", "dt"]
+    try:
+        return tape.function(params, stepper(model, x, rows,
+                                             tape.input("dt"), n))
+    except Exception:  # whatever the body raises on Syms: not compiled
+        return None
 
 
 def _steps(model, x, grid, refs, noise=None):
@@ -183,23 +258,47 @@ def _steps(model, x, grid, refs, noise=None):
     shaped (m,) or (runs, m), step k is Euler-Maruyama on its k-th
     sample (x + dt * f).  A model domain error is re-raised naming the
     step's start time.
+
+    A row is stepped by the stepper compiled for its model (_compile);
+    a step that fails there is taken again by the stepper itself, which
+    raises what it raises uncompiled.  A body that does not compile is
+    stepped by the stepper throughout.
     """
     dt = grid.dt
-    row = x.ndim == 1
-    if row:
-        x = x.tolist()
-    zero_n = [0.0] * model.n_noise
-    noise = None if noise is None else iter(noise)
+    if x.ndim == 1:
+        yield from _row_steps(model, x.tolist(), grid, refs, noise)
+        return
     yield x
-    for k, ref in enumerate(zip(*map(_rows, refs), strict=True)):
+    for k, (ref, n) in enumerate(zip(_rows(refs[0]), noise)):
         try:
-            if noise is None:
-                x = _rk4(model, x, ref, dt, zero_n)
-            elif row:
-                f = model.deriv(x, ref[0], next(noise))
-                x = [a + dt * b for a, b in zip(x, f)]
+            x = x + dt * model.deriv(x, ref, n)
+        except ModelDomainError as err:
+            raise _wrap_domain_error(err, grid.t0 + k * dt) from err
+        yield x
+
+
+def _row_steps(model, x, grid, refs, noise):
+    """_steps on the row x, a list of floats."""
+    dt = grid.dt
+    if noise is None:
+        stepper, noise = _rk4, itertools.repeat([0.0] * model.n_noise)
+    else:
+        stepper = _em
+    yield x
+    step = _compile(model, stepper, refs)
+    unflat = functools.partial(_unflat, type(refs[0]), _widths(refs[0]))
+    rows = zip(*map(_flat_rows, refs), strict=True)
+    for k, (flat, n) in enumerate(zip(rows, noise)):
+        if step is not None:
+            try:
+                x = step(x, *flat, n, dt)
+            except Exception:  # a failed guard, or what the step raised
+                pass
             else:
-                x = x + dt * model.deriv(x, ref[0], next(noise))
+                yield x
+                continue
+        try:
+            x = stepper(model, x, [unflat(r) for r in flat], dt, n)
         except ModelDomainError as err:
             raise _wrap_domain_error(err, grid.t0 + k * dt) from err
         yield x

@@ -22,15 +22,30 @@ Both run the same expressions, so a row and the matching row of a batch
 agree to rounding: math and numpy may differ by 1 ulp in sin, cos and
 asin, and the batch's small matrix products go through BLAS, which may
 fuse multiply-adds.  Domain checks belong in the body, once per call.
+
+A third namespace, :class:`TraceMath`, records a body instead of running
+it: its components are :class:`Sym` values, traced floats, and every
+operation on them appends one line of Python to a :class:`Tape`, in
+evaluation order and with its operands in their order.  A line whose
+text is already on the tape is not added again; nothing else is
+simplified, and no constant is folded (``x + 0.0`` stays, since it maps
+-0.0 to 0.0).  ``Tape.function`` turns the tape into one straight-line
+function of Python floats that does the row path's IEEE operations, so
+it returns the row path's bits.  ``xp.all(cond)`` becomes a guard that
+raises GuardFailed when the condition does not hold.  Reading a Sym as a
+bool or a float raises TypeError, so a body that branches on data, or
+hands its state to numpy or math directly, cannot be traced.
 """
 
 from __future__ import annotations
 
+import collections
 import math
+import struct
 
 import numpy as np
 
-__all__ = ["RowMath", "BatchMath", "math_for", "split"]
+__all__ = ["RowMath", "BatchMath", "TraceMath", "Tape", "math_for", "split"]
 
 
 def _nan_outside(fn):
@@ -130,9 +145,216 @@ class BatchMath:
         return out
 
 
+class GuardFailed(Exception):
+    """The condition of a compiled body's ``xp.all`` did not hold."""
+
+
+class Sym:
+    """A traced float: the name its value has in the tape's function.
+
+    Arithmetic (``+ - * / **`` and unary minus), comparisons and ``abs``
+    with another Sym or a Python float or int constant append a line to
+    the tape.  Any other use raises TypeError: a bool or float
+    conversion, a constant of another type, a numpy function.
+    """
+
+    __slots__ = ("tape", "name")
+    __array_ufunc__ = None  # numpy raises instead of looping over it
+
+    def __init__(self, tape, name):
+        self.tape = tape
+        self.name = name
+
+    def __bool__(self):
+        raise TypeError("a traced body branched on a traced value")
+
+    def __float__(self):
+        raise TypeError("a traced value was read as a float")
+
+    def __neg__(self):
+        return self.tape.emit("-{}", self)
+
+    def __abs__(self):
+        return self.tape.emit("abs({})", self)
+
+
+def _binary(op, reflected):
+    fmt = "{} " + op + " {}"
+    if reflected:
+        return lambda self, other: self.tape.emit(fmt, other, self)
+    return lambda self, other: self.tape.emit(fmt, self, other)
+
+
+for _name, _op in (("add", "+"), ("sub", "-"), ("mul", "*"),
+                   ("truediv", "/"), ("pow", "**")):
+    setattr(Sym, f"__{_name}__", _binary(_op, False))
+    setattr(Sym, f"__r{_name}__", _binary(_op, True))
+# a reflected comparison (2.0 < s) arrives as the mirrored one (s > 2.0),
+# which is the same IEEE predicate
+for _name, _op in (("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="),
+                   ("eq", "=="), ("ne", "!=")):
+    setattr(Sym, f"__{_name}__", _binary(_op, False))
+
+# the functions a tape's lines call, by the names they call them
+_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
+              "asin": math.asin, "GuardFailed": GuardFailed}
+# source text -> compiled function, so a body traced again to the same
+# text is not compiled again; the oldest goes once _CACHED are held
+_COMPILED = {}
+_CACHED = 8
+# deepest nesting of parentheses that Tape.function writes into one line
+_MAX_DEPTH = 32
+
+
+class Tape:
+    """The operations recorded from evaluating a body on Syms.
+
+    Each is a line ``(name, fmt, operands)``: ``fmt`` with one ``{}``
+    per operand, each operand the source text of a Sym or a constant,
+    and ``name`` None for a guard.
+    """
+
+    def __init__(self):
+        self._inputs = []  # lines that unpack the arguments
+        self._lines = []
+        self._names = {}   # text of an expression or guard -> its name
+        self._consts = {}  # name -> non-finite constant
+
+    def inputs(self, name, count):
+        """``count`` Syms unpacked from the function's argument ``name``."""
+        names = [f"{name}_{i}" for i in range(count)]
+        self._inputs.append(f"{', '.join(names)}, = {name}")
+        return [Sym(self, s) for s in names]
+
+    def input(self, name):
+        """A Sym that is the function's argument ``name``."""
+        return Sym(self, name)
+
+    def operand(self, value):
+        """The source text of a Sym or a Python float or int constant:
+        its exact repr, or a name bound to it when it is not finite."""
+        if isinstance(value, Sym):
+            return value.name
+        if type(value) not in (float, int):
+            raise TypeError(
+                f"a traced body used a {type(value).__name__} constant")
+        if type(value) is int or math.isfinite(value):
+            text = repr(value)
+            return f"({text})" if text.startswith("-") else text
+        name = "k_" + struct.pack(">d", value).hex()  # nan keeps its bits
+        self._consts[name] = value
+        return name
+
+    def _record(self, fmt, args, guard=False):
+        operands = [self.operand(a) for a in args]
+        text = fmt.format(*operands)
+        if text not in self._names:
+            name = None if guard else f"v{len(self._lines)}"
+            self._names[text] = name
+            self._lines.append((name, fmt, operands))
+        return self._names[text]
+
+    def emit(self, fmt, *args):
+        """A Sym holding the value of ``fmt`` on the operands ``args``; a
+        line of the same text already on the tape gives its name."""
+        return Sym(self, self._record(fmt, args))
+
+    def guard(self, cond):
+        """Raise GuardFailed at this point unless ``cond`` holds."""
+        self._record("if not {}: raise GuardFailed", [cond], guard=True)
+
+    def function(self, params, outputs):
+        """The tape as ``def step(*params)`` returning the list of
+        ``outputs``, compiled once per source text.
+
+        Each line is one statement, in tape order, except that a value
+        used once is written in parentheses inside the expression that
+        uses it (up to _MAX_DEPTH deep).  That moves its operation later
+        but not across any use of its result, so every value has the
+        same operands and the same bits.
+        """
+        outs = [self.operand(v) for v in outputs]
+        uses = collections.Counter(
+            t for _, _, operands in self._lines for t in operands)
+        uses.update(outs)
+        pending = {}  # name of a value used once -> (its text, its depth)
+        body = list(self._inputs)
+
+        def fill(fmt, operands):
+            texts, depth = [], 0
+            for t in operands:
+                if t in pending:
+                    t, d = pending.pop(t)
+                    t, depth = f"({t})", max(depth, d)
+                texts.append(t)
+            return fmt.format(*texts), depth + 1
+
+        for name, fmt, operands in self._lines:
+            text, depth = fill(fmt, operands)
+            if name is None:
+                body.append(text)
+            elif uses[name] == 1 and depth < _MAX_DEPTH:
+                pending[name] = text, depth
+            else:
+                body.append(f"{name} = {text}")
+        ret = fill(", ".join(["{}"] * len(outs)), outs)[0]
+        src = "\n    ".join([f"def step({', '.join(params)}):", *body,
+                             f"return [{ret}]"]) + "\n"
+        fn = _COMPILED.get(src)
+        if fn is None:
+            namespace = dict(_FUNCTIONS, **self._consts)
+            exec(compile(src, "<traced step>", "exec"), namespace)
+            if len(_COMPILED) == _CACHED:
+                del _COMPILED[next(iter(_COMPILED))]
+            fn = _COMPILED[src] = namespace["step"]
+        return fn
+
+
+def _traced(name, fn):
+    """``name(*args)`` as a line when an argument is a Sym, else fn(*args)."""
+    def call(*args):
+        if not any(isinstance(a, Sym) for a in args):
+            return fn(*args)
+        tape = next(a.tape for a in args if isinstance(a, Sym))
+        return tape.emit(name + "(" + ", ".join(["{}"] * len(args)) + ")",
+                         *args)
+    return staticmethod(call)
+
+
+class TraceMath(RowMath):
+    """Syms, one state row being recorded on a Tape.
+
+    ``matvec`` and ``stack`` are RowMath's, on nested Python floats and
+    lists.  The compiled lines call :mod:`math` directly: where RowMath's
+    sin or cos would return nan for an infinite angle, math raises, and
+    the caller redoes that step on RowMath.
+    """
+
+    sin = _traced("sin", RowMath.sin)
+    cos = _traced("cos", RowMath.cos)
+    sqrt = _traced("sqrt", math.sqrt)
+    asin = _traced("asin", math.asin)
+    _min = _traced("min", min)
+    _max = _traced("max", max)
+
+    @staticmethod
+    def clip(a, lo, hi):
+        return TraceMath._min(TraceMath._max(a, lo), hi)
+
+    @staticmethod
+    def all(cond):
+        if not isinstance(cond, Sym):
+            return bool(cond)
+        cond.tape.guard(cond)
+        return True
+
+
 def math_for(x):
     """The namespace that evaluates a model body on state ``x``: a list
-    of floats or an (n,) array is one row, an (..., n) array a batch."""
-    if isinstance(x, list) or x.ndim == 1:
+    of floats or an (n,) array is one row, an (..., n) array a batch,
+    and a list of Syms a row being traced."""
+    if isinstance(x, list):
+        return TraceMath if x and isinstance(x[0], Sym) else RowMath
+    if x.ndim == 1:
         return RowMath
     return BatchMath

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import ModelDomainError
 from .dryden import longitudinal, transverse
-from .elementwise import BatchMath, RowMath, math_for, split
+from .elementwise import BatchMath, RowMath, TraceMath, math_for, split
 
 __all__ = ["FixedWingParams", "FixedWingModel", "EPS_SING"]
 
@@ -179,7 +179,8 @@ class FixedWingModel:
     def __init__(self, params: FixedWingParams | None = None):
         p = self._params = params if params is not None else FixedWingParams()
         # Lam_f as each namespace's matvec takes it, converted once
-        self._Lam_f = {RowMath: p.Lam_f.tolist(), BatchMath: p.Lam_f}
+        rows = p.Lam_f.tolist()
+        self._Lam_f = {RowMath: rows, TraceMath: rows, BatchMath: p.Lam_f}
 
     @property
     def params(self):

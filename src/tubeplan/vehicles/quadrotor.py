@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import ModelDomainError
 from .dryden import longitudinal
-from .elementwise import BatchMath, RowMath, math_for, split
+from .elementwise import BatchMath, RowMath, TraceMath, math_for, split
 
 __all__ = ["QuadrotorParams", "QuadrotorModel"]
 
@@ -95,9 +95,9 @@ class QuadrotorModel:
         p = self._params = params if params is not None else QuadrotorParams()
         # the constants as the body reads them, converted once: the gain
         # matrices as each namespace's matvec takes them, the gust
-        # settings as Python floats for both
-        self._gains = {RowMath: (p.K.tolist(), p.Lam.tolist()),
-                       BatchMath: (p.K, p.Lam)}
+        # settings as Python floats for all
+        rows = (p.K.tolist(), p.Lam.tolist())
+        self._gains = {RowMath: rows, TraceMath: rows, BatchMath: (p.K, p.Lam)}
         self._gust = (p.sigma.tolist(), p.L.tolist())
 
     @property
