@@ -9,11 +9,12 @@ read the run objects a ``Scenario`` holds; ``Scenario.with_overrides``
 gives one with another seed or confidence level.  A scenario that lacks
 a block its mode needs raises ScenarioError naming the file.
 
-LinCov behind the nominal (``uncertainty.lincov``) and validate's two
-CSV files are each one job.  With a second usable core each job runs in
-a forked child, beside the nominal and beside the tube check; on one
-core it runs in-process after them.  The artifacts are the same bytes
-either way.
+LinCov behind the nominal (``uncertainty.lincov``) and validate's
+variances.csv are each one job.  With a second usable core each job
+runs in a forked child, beside the nominal and beside the tube check;
+on one core it runs in-process after them.  validate writes nominal.csv
+itself, between the nominal and the wait for LinCov.  The artifacts are
+the same bytes either way.
 """
 
 from __future__ import annotations
@@ -80,12 +81,26 @@ def _write_jsonl(path, records):
                           encoding="utf-8")
 
 
+# rows converted to Python floats and written at a time
+_BLOCK = 256
+
+
+def _write_rows(path, head, columns, line):
+    """head, then line(row) for each row of the columns side by side,
+    where row is a list of Python floats.  _BLOCK rows are stacked and
+    converted at a time, so the whole table is never copied."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(head)
+        for lo in range(0, len(columns[0]), _BLOCK):
+            block = np.column_stack([c[lo:lo + _BLOCK] for c in columns])
+            rows = np.asarray(block, dtype=float).tolist()
+            f.write("".join(map(line, rows)))
+
+
 def _write_csv(path, header, columns):
     """Column-major CSV writer using repr() floats for exact round trips."""
-    rows = np.asarray(np.column_stack(columns), dtype=float).tolist()
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, ",".join(header) + "\n", columns,
+                lambda row: ",".join(map(repr, row)) + "\n")
 
 
 def _write_variances(path, times, labels, variances):
@@ -94,12 +109,38 @@ def _write_variances(path, times, labels, variances):
                [times] + [variances[:, i] for i in range(len(labels))])
 
 
-def _write_state_csvs(out, times, labels, states, P):
-    """nominal.csv and variances.csv of a validate run."""
-    _write_csv(out / "nominal.csv", ["t"] + labels,
-               [times] + [states[:, i] for i in range(len(labels))])
-    _write_variances(out / "variances.csv", times, labels,
-                     np.diagonal(P, axis1=1, axis2=2))
+def _json_float(x):
+    """x as json writes it: repr() when finite, else NaN or ±Infinity."""
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _write_tube(path, tube):
+    """tube.jsonl: per sample the line that json.dumps(..., sort_keys=True,
+    separators=(",", ":")) writes for its t, center, sigma (row-major)
+    and c2, with a row of floats formatted into a fixed template.
+
+    Stored covariances are symmetrized bit for bit, so when every sigma
+    equals its transpose in its int64 bits (which tells -0.0 from 0.0)
+    each sample formats its upper triangle only; else all nine entries.
+    """
+    sig = tube.sigmas.reshape(-1, 9)
+    bits = tube.sigmas.view(np.int64)
+    if np.array_equal(bits, bits.transpose(0, 2, 1)):
+        cols, order = [0, 1, 2, 4, 5, 8], [0, 1, 2, 1, 3, 4, 2, 4, 5]
+    else:
+        cols = order = range(9)
+    finite = all(np.isfinite(a).all()
+                 for a in (tube.times, tube.centers, tube.sigmas))
+    fmt = repr if finite else _json_float
+    # a str.format template over the row t, center, sigma entries
+    sigma = ",".join("{%d}" % (4 + i) for i in order)
+    template = ('{{"c2":%s,"center":[{1},{2},{3}],"sigma":[%s],"t":{0}}}\n'
+                % (_json_float(tube.c2), sigma))
+    columns = [tube.times, tube.centers, *(sig[:, i] for i in cols)]
+    _write_rows(path, "", columns,
+                lambda row: template.format(*map(fmt, row)))
 
 
 def _finite_or_none(x):
@@ -122,14 +163,6 @@ def _clearance_dicts(reports):
             "verdict": r.verdict,
         })
     return out
-
-
-def _tube_records(tube):
-    c2 = float(tube.c2)
-    return [{"t": t, "center": center, "sigma": sigma, "c2": c2}
-            for t, center, sigma in zip(
-                tube.times.tolist(), tube.centers.tolist(),
-                tube.sigmas.reshape(-1, 9).tolist())]
 
 
 # --------------------------------------------------------------------------
@@ -156,9 +189,11 @@ def run_validate(sc: Scenario, out_dir) -> RunReport:
     """Propagate the tube along the scenario trajectory and check obstacles.
 
     Writes nominal.csv, variances.csv, tube.jsonl, report.json and
-    timings.json into ``out_dir``.  The two CSV files are written beside
-    the tube, the obstacle check and tube.jsonl: in a forked child with a
-    second usable core, else after tube.jsonl.
+    timings.json into ``out_dir``.  nominal.csv is written by lincov's
+    ``on_nominal`` hook, while the LinCov job still runs beside it.
+    variances.csv is written beside the tube, the obstacle check and
+    tube.jsonl: in a forked child with a second usable core, else after
+    tube.jsonl.
     """
     if sc.profile is None:
         raise _scenario_error(sc,
@@ -166,11 +201,20 @@ def run_validate(sc: Scenario, out_dir) -> RunReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model, grid = sc.model, sc.grid
+    times, labels = grid.times(), list(model.state_labels)
+    written = {}
+
+    def write_nominal(nominal):
+        tic = time.perf_counter()
+        _write_csv(out / "nominal.csv", ["t"] + labels,
+                   [times, *nominal.states.T])
+        written["nominal_csv_ms"] = 1e3 * (time.perf_counter() - tic)
 
     nominal, cov, timings = lincov(model, sc.initial_state(), sc.profile,
-                                   grid, sc.P0)
-    with _beside("CSV writer", _write_state_csvs, out, grid.times(),
-                 list(model.state_labels), nominal.states, cov.P):
+                                   grid, sc.P0, on_nominal=write_nominal)
+    timings.update(written)
+    with _beside("CSV writer", _write_variances, out / "variances.csv",
+                 times, labels, np.diagonal(cov.P, axis1=1, axis2=2)):
         tic = time.perf_counter()
         tube = build_tube(nominal, cov, sc.beta)
         timings["tube_ms"] = 1e3 * (time.perf_counter() - tic)
@@ -179,7 +223,9 @@ def run_validate(sc: Scenario, out_dir) -> RunReport:
         tic = time.perf_counter()
         reports = check_tube_collision(tube, sc.obstacles)
         timings["collision_ms"] = 1e3 * (time.perf_counter() - tic)
-        _write_jsonl(out / "tube.jsonl", _tube_records(tube))
+        tic = time.perf_counter()
+        _write_tube(out / "tube.jsonl", tube)
+        timings["tube_jsonl_ms"] = 1e3 * (time.perf_counter() - tic)
 
     return _finish(sc, out, "validate", overall_verdict(reports),
                    _clearance_dicts(reports),
@@ -214,6 +260,7 @@ def run_plan(sc: Scenario, out_dir) -> RunReport:
                                        sc.planner, evaluator, rng)
     timings["plan_ms"] = 1e3 * (time.perf_counter() - tic)
     timings.update(result.timings_ms)
+    timings["tube_jsonl_ms"] = 0.0
 
     _write_json(out / "buffers.json", result.buffer_history)
     _write_jsonl(out / "tree.jsonl", result.tree.to_records())
@@ -231,7 +278,9 @@ def run_plan(sc: Scenario, out_dir) -> RunReport:
         extras["waypoints"] = len(path)
         _write_csv(out / "path.csv", ["x", "y"],
                    [path[:, 0], path[:, 1]])
-        _write_jsonl(out / "tube.jsonl", _tube_records(result.tube))
+        tic = time.perf_counter()
+        _write_tube(out / "tube.jsonl", result.tube)
+        timings["tube_jsonl_ms"] = 1e3 * (time.perf_counter() - tic)
         verdict = overall_verdict(result.reports)
     else:
         extras["message"] = result.message

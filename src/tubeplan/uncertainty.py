@@ -253,21 +253,25 @@ def _covariance_behind(model, des, grid, states, P0, out):
     yield 1e3 * lin_s, 1e3 * cov_s
 
 
-def lincov(model, x0, des, grid, P0):
+def lincov(model, x0, des, grid, P0, on_nominal=None):
     """The LinCov chain: nominal, linearization, covariance, each timed.
 
     Returns ``(nominal, cov, timings)``, where ``timings`` holds the
     time of each stage in ms under ``nominal_ms``, ``linearize_ms`` and
     ``covariance_ms``, and under ``lincov_wait_ms`` how long the caller
-    waited for the job once the nominal was done.  Each block of 256
-    nominal rows goes to a job (_covariance_behind) that linearizes it
-    and maps its steps, and scans once the last row is in; the
-    linearize and covariance times are the job's busy time.  With a
-    second usable core the job is a forked child that runs one block
-    behind the nominal; on one core it runs in-process after the
-    nominal.  Either way the job runs the block functions of
-    ``linearize`` and ``propagate_covariance`` on their block
-    boundaries, so the results are the bits of those two.
+    then waited for the job.  Each block of 256 nominal rows goes to a
+    job (_covariance_behind) that linearizes it and maps its steps, and
+    scans once the last row is in; the linearize and covariance times
+    are the job's busy time.  With a second usable core the job is a
+    forked child that runs one block behind the nominal; on one core it
+    runs in-process after the nominal.  Either way the job runs the
+    block functions of ``linearize`` and ``propagate_covariance`` on
+    their block boundaries, so the results are the bits of those two.
+
+    ``on_nominal(nominal)``, when given, is called once the nominal is
+    integrated and before the wait, so its work overlaps the forked job;
+    on one core the job runs after it.  Should it raise, the job is
+    ended and the exception propagates.
     """
     P0 = _checked_P0(P0, model.n_states)
     states = _shared((grid.count, model.n_states))
@@ -283,6 +287,9 @@ def lincov(model, x0, des, grid, P0):
         nominal = integrate_nominal(model, x0, des, grid, hand_over)
         tac = time.perf_counter()
         timings["nominal_ms"] = 1e3 * (tac - tic)
+        if on_nominal is not None:
+            on_nominal(nominal)
+            tac = time.perf_counter()
         timings["linearize_ms"], timings["covariance_ms"] = job.recv()
         timings["lincov_wait_ms"] = 1e3 * (time.perf_counter() - tac)
     return nominal, CovarianceHistory(grid=grid, P=P), timings

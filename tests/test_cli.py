@@ -21,8 +21,8 @@ from tubeplan.cli import main
 from tubeplan.errors import PlanningError, ScenarioError
 from tubeplan.geometry import CuboidObstacle, solve_qp, sphere_prefilter
 from tubeplan.planner import PlannerConfig
-from tubeplan.runner import (RunReport, _tube_records, _write_csv,
-                             _write_jsonl, run_plan, run_validate)
+from tubeplan.runner import (RunReport, _write_csv, _write_tube, run_plan,
+                             run_validate)
 from tubeplan.scenario import load_scenario
 from tubeplan.uncertainty import ConfidenceEllipsoid, Tube
 from tubeplan.vehicles import QuadrotorModel
@@ -354,7 +354,8 @@ def test_timings_keys_mean_the_same_stages_in_validate_and_mc_compare(
     val = json.loads((tmp_path / "v" / "timings.json").read_text())
     mc = json.loads((tmp_path / "m" / "timings.json").read_text())
     assert set(val) == {"nominal_ms", "linearize_ms", "covariance_ms",
-                        "lincov_wait_ms", "tube_ms", "lc_ms", "collision_ms"}
+                        "lincov_wait_ms", "tube_ms", "lc_ms", "collision_ms",
+                        "nominal_csv_ms", "tube_jsonl_ms"}
     assert set(mc) == {"nominal_ms", "linearize_ms", "covariance_ms",
                        "lincov_wait_ms", "lc_ms", "mc_ms"}
     assert val["lc_ms"] == pytest.approx(
@@ -365,23 +366,25 @@ def test_timings_keys_mean_the_same_stages_in_validate_and_mc_compare(
 
 def test_plan_timings_split_plan_ms_into_its_stages(tmp_path):
     # tree growth, tube evaluation and buffer sizing, each summed over
-    # the rounds, lie inside plan_ms; the report carries none of them
+    # the rounds, lie inside plan_ms, and tube.jsonl is written after
+    # it; the report carries none of them
     main(["plan", "--scenario", str(write_plan_scenario(tmp_path)),
           "--out", str(tmp_path / "p")])
     t = json.loads((tmp_path / "p" / "timings.json").read_text())
     assert set(t) == {"plan_ms", "tree_ms", "tube_eval_ms",
-                      "buffer_sizing_ms"}
+                      "buffer_sizing_ms", "tube_jsonl_ms"}
     assert all(v > 0.0 for v in t.values())
     assert t["tree_ms"] + t["tube_eval_ms"] + t["buffer_sizing_ms"] \
         <= t["plan_ms"]
     report = json.loads((tmp_path / "p" / "report.json").read_text())
     assert not any(k.endswith("_ms") for k in report["extras"])
-    # without a path no tube is evaluated
+    # without a path no tube is evaluated or written
     run_plan(load_scenario(write_walled_plan_scenario(tmp_path)),
              tmp_path / "w")
     t = json.loads((tmp_path / "w" / "timings.json").read_text())
     assert t["tree_ms"] > 0.0
     assert t["tube_eval_ms"] == t["buffer_sizing_ms"] == 0.0
+    assert t["tube_jsonl_ms"] == 0.0
 
 
 def test_mc_compare_rejects_tiny_ensembles(tmp_path, capsys):
@@ -560,31 +563,67 @@ def test_a_scenario_runs_twice_with_the_same_bits(
 # deterministic writers
 
 AWKWARD = [-0.0, 5e-324, 0.1 + 0.2, 1e16, -1.5e-300, 2.0**53 + 2.0, 1.0 / 3.0]
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+def _spread(count, values):
+    """count floats: ``values`` cycled, each cycle scaled, so that the
+    rows on either side of a 256-row block boundary differ."""
+    cycles = np.arange(count) // len(values) + 1.0
+    return np.resize(np.array(values), count) * cycles
 
 
 def test_csv_bytes_match_the_per_element_formulation(tmp_path):
-    columns = [np.array(AWKWARD), np.array(AWKWARD[::-1]),
-               np.arange(len(AWKWARD), dtype=float)]
+    # 513 rows: two 256-row blocks and a one-row tail
+    columns = [_spread(513, AWKWARD + NONFINITE),
+               _spread(513, AWKWARD[::-1]), np.arange(513, dtype=float)]
     _write_csv(tmp_path / "a.csv", ["p", "q", "r"], columns)
     lines = ["p,q,r"] + [",".join(repr(float(c[k])) for c in columns)
-                         for k in range(len(AWKWARD))]
+                         for k in range(513)]
     assert (tmp_path / "a.csv").read_bytes() == \
         ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _symmetric_sigmas(count, values):
+    upper = np.stack([_spread(count, values[i:] + values[:i])
+                      for i in range(6)], axis=1)
+    return upper[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(count, 3, 3)
+
+
+def _tube_cases():
+    n = 513
+    vals = AWKWARD + NONFINITE
+    times = _spread(n, vals)
+    centers = np.stack([_spread(n, vals[i:] + vals[:i]) for i in (1, 2, 3)],
+                       axis=1)
+    # bitwise symmetric, with nan and ±inf in sigma, center and t
+    yield Tube(times, centers, _symmetric_sigmas(n, vals), c2=0.1 + 0.2)
+    # equal to its transpose but for -0.0 against 0.0 across the diagonal
+    # of one sample past the first block
+    sigmas = _symmetric_sigmas(n, AWKWARD)
+    sigmas[300, 0, 1], sigmas[300, 1, 0] = -0.0, 0.0
+    assert np.array_equal(sigmas, sigmas.transpose(0, 2, 1))
+    yield Tube(times, centers, sigmas, c2=math.inf)
+    # no symmetry at all
+    rng = np.random.default_rng(5)
+    yield Tube(times, centers, rng.standard_normal((n, 3, 3)), c2=7.8)
+    # one sample per value, each broadcast over the whole sample
+    v = np.array(vals)
+    yield Tube(v, np.column_stack([v] * 3),
+               np.broadcast_to(v[:, None, None], (len(v), 3, 3)), c2=1.0)
+    yield Tube(np.empty(0), np.empty((0, 3)), np.empty((0, 3, 3)), c2=1.0)
+
+
 def test_tube_jsonl_bytes_match_the_per_element_formulation(tmp_path):
-    n = len(AWKWARD)
-    vals = np.array(AWKWARD)
-    tube = Tube(times=vals, centers=np.column_stack([vals] * 3),
-                sigmas=np.broadcast_to(vals[:, None, None], (n, 3, 3)),
-                c2=0.1 + 0.2)
-    _write_jsonl(tmp_path / "tube.jsonl", _tube_records(tube))
-    lines = [json.dumps({"t": float(tube.times[k]),
-                         "center": [float(v) for v in tube.centers[k]],
-                         "sigma": [float(v) for v in
-                                   tube.sigmas[k].reshape(-1)],
-                         "c2": float(tube.c2)},
-                        sort_keys=True, separators=(",", ":"))
-             for k in range(n)]
-    assert (tmp_path / "tube.jsonl").read_bytes() == \
-        ("\n".join(lines) + "\n").encode("utf-8")
+    for case, tube in enumerate(_tube_cases()):
+        path = tmp_path / f"tube{case}.jsonl"
+        _write_tube(path, tube)
+        lines = [json.dumps({"t": float(tube.times[k]),
+                             "center": [float(v) for v in tube.centers[k]],
+                             "sigma": [float(v) for v in
+                                       tube.sigmas[k].reshape(-1)],
+                             "c2": float(tube.c2)},
+                            sort_keys=True, separators=(",", ":"))
+                 for k in range(len(tube))]
+        assert path.read_bytes() == \
+            "".join(line + "\n" for line in lines).encode("utf-8"), case

@@ -1,8 +1,9 @@
 """Jobs give the same bits wherever they run.
 
 ``lincov`` hands each block of nominal rows to one job that linearizes
-it and maps its steps, and ``run_validate`` writes its two CSV files in
-another.  With two usable cores each job runs in a forked child beside
+it and maps its steps, and ``run_validate`` writes variances.csv in
+another; nominal.csv is written by the parent before it waits for the
+first.  With two usable cores each job runs in a forked child beside
 the parent's work; with one core it runs in-process after that work.
 The oracle for LinCov on either core count is the chain of
 ``integrate_nominal``, ``linearize`` and ``propagate_covariance``
@@ -17,6 +18,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import re
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +80,24 @@ def _lincov_bits(monkeypatch, cpus, model, x0, des, grid, P0):
     assert set(timings) == {"nominal_ms", "linearize_ms", "covariance_ms",
                             "lincov_wait_ms"}
     return nominal.states.tobytes(), cov.P.tobytes()
+
+
+def test_lincov_wait_leaves_out_the_on_nominal_hook(monkeypatch, forks):
+    # the hook sleeps longer than the whole job takes on either core count
+    seen = []
+
+    def hook(nominal):
+        seen.append(nominal.states.shape)
+        time.sleep(0.3)
+
+    for cpus in (2, 1):
+        _cores(monkeypatch, cpus)
+        _, _, timings = lincov(ToyModel(), np.zeros(2), toy_des,
+                               TimeGrid(0.0, 1.0, 0.01), np.eye(2),
+                               on_nominal=hook)
+        assert timings["lincov_wait_ms"] < 300.0
+    assert seen == [(101, 2), (101, 2)]
+    assert forks == ["LinCov process"]
 
 
 def _chain_bits(model, x0, des, grid, P0):
@@ -172,17 +192,53 @@ def test_a_lincov_child_that_dies_mid_stream_raises_with_its_exit_code(
     assert forks == ["LinCov process"]
 
 
+def _failing_csv(monkeypatch, name):
+    """Make the write of the CSV file ``name`` raise, as a full disk would."""
+    write = runner._write_csv
+
+    def failing(path, *args):
+        if path.name == name:
+            raise OSError(f"{path}: disk full")
+        write(path, *args)
+
+    monkeypatch.setattr(runner, "_write_csv", failing)
+
+
 def test_a_csv_writer_that_raises_fails_the_run_before_its_report(
         quad_scenario, monkeypatch, forks, tmp_path):
-    def failing(out, *args):
-        raise OSError(f"{out / 'nominal.csv'}: disk full")
-
-    monkeypatch.setattr(runner, "_write_state_csvs", failing)
+    _failing_csv(monkeypatch, "variances.csv")
     with pytest.raises(OSError, match="disk full"):
         run_validate(quad_scenario, tmp_path)
     assert forks == ["LinCov process", "CSV writer"]
     assert (tmp_path / "tube.jsonl").exists()
     assert not (tmp_path / "report.json").exists()
+
+
+def test_a_nominal_csv_write_that_raises_ends_the_lincov_child(
+        quad_scenario, monkeypatch, forks, tmp_path):
+    # the write runs in the parent while the child still works; the
+    # child is killed and joined (child_guard), and nothing follows
+    _failing_csv(monkeypatch, "nominal.csv")
+    with pytest.raises(OSError, match="disk full"):
+        run_validate(quad_scenario, tmp_path)
+    assert forks == ["LinCov process"]
+    assert not (tmp_path / "tube.jsonl").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_on_two_cores_nominal_csv_is_written_before_the_lincov_wait(
+        quad_scenario, monkeypatch, forks, tmp_path):
+    waits = []
+    recv = simcore._Child.recv
+
+    def logged(child):
+        waits.append((child.what, (tmp_path / "nominal.csv").exists()))
+        return recv(child)
+
+    monkeypatch.setattr(simcore._Child, "recv", logged)
+    report = run_validate(quad_scenario, tmp_path)
+    assert waits == [("LinCov process", True), ("CSV writer", True)]
+    assert report.timings_ms["nominal_csv_ms"] > 0.0
 
 
 def test_on_one_core_each_job_runs_after_the_work_it_could_overlap(
@@ -202,11 +258,11 @@ def test_on_one_core_each_job_runs_after_the_work_it_could_overlap(
         lambda args: "nominal", integrate_nominal))
     monkeypatch.setattr(uncertainty, "_linearize_rows", logged(
         lambda args: "linearize", uncertainty._linearize_rows))
-    monkeypatch.setattr(runner, "_write_jsonl", logged(
-        lambda args: args[0].name, runner._write_jsonl))
-    monkeypatch.setattr(runner, "_write_state_csvs", logged(
-        lambda args: "CSV files", runner._write_state_csvs))
+    monkeypatch.setattr(runner, "_write_tube", logged(
+        lambda args: args[0].name, runner._write_tube))
+    monkeypatch.setattr(runner, "_write_csv", logged(
+        lambda args: args[0].name, runner._write_csv))
     run_validate(quad_scenario, tmp_path)
-    assert log[0] == "nominal"
-    assert set(log[1:-2]) == {"linearize"}
-    assert log[-2:] == ["tube.jsonl", "CSV files"]
+    assert log[:2] == ["nominal", "nominal.csv"]
+    assert set(log[2:-2]) == {"linearize"}
+    assert log[-2:] == ["tube.jsonl", "variances.csv"]
