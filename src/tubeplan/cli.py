@@ -13,10 +13,11 @@ mode, buffers still growing when the planner hit its round cap, 1 = any
 error (bad scenario, infeasible planning problem, numerical failure).
 
 Randomness: run ``i`` of a Monte Carlo ensemble draws from its own
-Philox(base_seed + i) stream and reductions use a fixed chunk order, so
-a given scenario + seed reproduces byte-identical artifacts.  The
-planner consumes a single default_rng(seed) stream.  Wall-clock stage
-times go to timings.json; every other artifact is deterministic.
+Philox(base_seed + i) stream and the ensemble adds each step's sums pass
+after pass, in run order, so a given scenario + seed reproduces
+byte-identical artifacts.  The planner consumes a single
+default_rng(seed) stream.  Wall-clock stage times go to timings.json;
+every other artifact is deterministic.
 """
 
 from __future__ import annotations

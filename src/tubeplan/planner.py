@@ -112,10 +112,11 @@ class PlannerConfig:
             object.__setattr__(self, "step", self.bounds.diagonal() / 50.0)
         if self.r_w is None:
             object.__setattr__(self, "r_w", 3.0 * self.step)
-        ints = {"N_max": self.N_max, "N_conv": self.N_conv, "M": self.M}
-        for name, v in ints.items():
+        for name in ("N_max", "N_conv", "M"):
+            v = getattr(self, name)
             if int(v) != v or v <= 0:
                 raise ValueError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, int(v))
         pos = {"tol": self.tol, "step": self.step, "r_w": self.r_w,
                "goal_radius": self.goal_radius, "altitude": self.altitude,
                "cruise_speed": self.cruise_speed}
@@ -253,12 +254,12 @@ class PlanTree:
                 out.append(p)
         return np.array(out)
 
-    def to_records(self):
-        """Flat node dump (live nodes only) for artifacts."""
-        return [{"index": i, "x": float(self._xy[i, 0]),
-                 "y": float(self._xy[i, 1]), "parent": int(self._parent[i]),
-                 "cost": float(self._cost[i])}
-                for i in np.flatnonzero(self._active_mask()).tolist()]
+    def live_columns(self):
+        """Index, parent, x, y and cost of the live nodes, as arrays in
+        index order."""
+        i = np.flatnonzero(self._active_mask())
+        return (i, self._parent[i], self._xy[i, 0], self._xy[i, 1],
+                self._cost[i])
 
     # -- mutation ---------------------------------------------------------
 

@@ -31,7 +31,7 @@ from .errors import ScenarioError
 from .geometry import check_tube_collision, overall_verdict
 from .planner import TubeEvaluator, dynamic_informed_rrt_star
 from .scenario import Scenario
-from .simcore import _beside, mc_ensemble
+from .simcore import _beside, _row_blocks, mc_ensemble
 from .uncertainty import build_tube, lincov
 
 __all__ = ["RunReport", "run_validate", "run_plan", "run_mc_compare"]
@@ -60,40 +60,19 @@ class RunReport:
 # deterministic writers
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _write_json(path, obj):
-    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+    text = json.dumps(obj, sort_keys=True, indent=2)
     Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def _write_jsonl(path, records):
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                              default=_json_default).encode
-    lines = [encode(rec) for rec in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")
-
-
-# rows converted to Python floats and written at a time
-_BLOCK = 256
 
 
 def _write_rows(path, head, columns, line):
     """head, then line(row) for each row of the columns side by side,
-    where row is a list of Python floats.  _BLOCK rows are stacked and
-    converted at a time, so the whole table is never copied."""
+    where row is a list of Python floats.  The rows are converted and
+    written a block at a time (simcore._row_blocks), so the whole table
+    is never copied."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(head)
-        for lo in range(0, len(columns[0]), _BLOCK):
-            block = np.column_stack([c[lo:lo + _BLOCK] for c in columns])
-            rows = np.asarray(block, dtype=float).tolist()
+        for rows in _row_blocks(columns):
             f.write("".join(map(line, rows)))
 
 
@@ -116,6 +95,11 @@ def _json_float(x):
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
+def _float_format(*arrays):
+    """repr when every value of the arrays is finite, else _json_float."""
+    return repr if all(np.isfinite(a).all() for a in arrays) else _json_float
+
+
 def _write_tube(path, tube):
     """tube.jsonl: per sample the line that json.dumps(..., sort_keys=True,
     separators=(",", ":")) writes for its t, center, sigma (row-major)
@@ -131,9 +115,7 @@ def _write_tube(path, tube):
         cols, order = [0, 1, 2, 4, 5, 8], [0, 1, 2, 1, 3, 4, 2, 4, 5]
     else:
         cols = order = range(9)
-    finite = all(np.isfinite(a).all()
-                 for a in (tube.times, tube.centers, tube.sigmas))
-    fmt = repr if finite else _json_float
+    fmt = _float_format(tube.times, tube.centers, tube.sigmas)
     # a str.format template over the row t, center, sigma entries
     sigma = ",".join("{%d}" % (4 + i) for i in order)
     template = ('{{"c2":%s,"center":[{1},{2},{3}],"sigma":[%s],"t":{0}}}\n'
@@ -141,6 +123,18 @@ def _write_tube(path, tube):
     columns = [tube.times, tube.centers, *(sig[:, i] for i in cols)]
     _write_rows(path, "", columns,
                 lambda row: template.format(*map(fmt, row)))
+
+
+def _write_tree(path, tree):
+    """tree.jsonl: per live node the line that json.dumps(...,
+    sort_keys=True, separators=(",", ":")) writes for its cost, index,
+    parent (-1 for the root), x and y, formatted into a fixed template."""
+    index, parent, x, y, cost = tree.live_columns()
+    fmt = _float_format(x, y, cost)
+    template = '{"cost":%s,"index":%d,"parent":%d,"x":%s,"y":%s}\n'
+    _write_rows(path, "", [cost, index, parent, x, y],
+                lambda r: template % (fmt(r[0]), r[1], r[2],
+                                      fmt(r[3]), fmt(r[4])))
 
 
 def _finite_or_none(x):
@@ -263,7 +257,7 @@ def run_plan(sc: Scenario, out_dir) -> RunReport:
     timings["tube_jsonl_ms"] = 0.0
 
     _write_json(out / "buffers.json", result.buffer_history)
-    _write_jsonl(out / "tree.jsonl", result.tree.to_records())
+    _write_tree(out / "tree.jsonl", result.tree)
     extras = {
         "cost_history": [_finite_or_none(c) for c in result.cost_history],
         "outer_iterations": result.outer_iterations,

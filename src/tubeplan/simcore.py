@@ -147,9 +147,19 @@ def _step_refs(des, grid, rk4):
     return [des(times) for times in sets]
 
 
-# reference rows converted to Python floats at a time: enough to spread
-# the conversion's numpy calls, few enough that only a block is held
+# rows converted to Python floats at a time: enough to spread the
+# conversion's numpy calls, few enough that only a block is held
 _ROW_BLOCK = 256
+
+
+def _row_blocks(columns):
+    """Yield the rows of ``columns`` side by side, _ROW_BLOCK rows at a
+    time: each block a list of rows, each row a list of Python floats
+    (so one column at least must be a float array).  A (count,) column
+    takes one place in a row, a (count, d) column d."""
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        yield np.column_stack([c[lo:lo + _ROW_BLOCK]
+                               for c in columns]).tolist()
 
 
 def _widths(ref):
@@ -163,10 +173,8 @@ def _widths(ref):
 def _flat_rows(ref):
     """Yield one flat list of Python floats per time of ``ref``: its
     fields in order, a vector field's components in place."""
-    arrays = [getattr(ref, f.name) for f in dataclasses.fields(ref)]
-    for lo in range(0, len(arrays[0]), _ROW_BLOCK):
-        yield from np.column_stack(
-            [a[lo:lo + _ROW_BLOCK] for a in arrays]).tolist()
+    return itertools.chain.from_iterable(_row_blocks(
+        [getattr(ref, f.name) for f in dataclasses.fields(ref)]))
 
 
 def _unflat(cls, widths, flat):
@@ -304,6 +312,14 @@ def _row_steps(model, x, grid, refs, noise):
         yield x
 
 
+def _state_row(model, x0):
+    """x0 as a float (n,) array; ValueError unless it has that shape."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (model.n_states,):
+        raise ValueError(f"x0 must have shape ({model.n_states},)")
+    return x0
+
+
 # grid points linearized per batched model call: large enough that numpy
 # dispatch overhead vanishes, small enough to keep temporaries in cache
 _LIN_BLOCK = 256
@@ -317,9 +333,7 @@ def integrate_nominal(model, x0, des, grid, on_rows=None):
     is integrated, so a consumer can linearize it while the rest is
     integrated.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n_states,):
-        raise ValueError(f"x0 must have shape ({model.n_states},)")
+    x0 = _state_row(model, x0)
     refs = _step_refs(des, grid, rk4=True)
     states = np.empty((grid.count, model.n_states))
     for k, x in enumerate(_steps(model, x0, grid, refs)):
@@ -402,10 +416,11 @@ def _noise_stream(seed, m, dt):
 
 def mc_run(model, x0, des, grid, seed):
     """One Euler-Maruyama sample path, fully determined by the seed."""
+    x0 = _state_row(model, x0)
     noise = _noise_stream(seed, model.n_noise, grid.dt)(grid.count - 1)
     noise = noise.tolist()
     refs = _step_refs(des, grid, rk4=False)
-    states = _steps(model, np.asarray(x0, dtype=float), grid, refs, noise)
+    states = _steps(model, x0, grid, refs, noise)
     return Trajectory(grid=grid, states=list(states))
 
 
@@ -638,7 +653,7 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     """
     if runs < 2:
         raise ValueError("an ensemble needs at least two runs")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _state_row(model, x0)
     n = model.n_states
     m = model.n_noise
     dt = grid.dt

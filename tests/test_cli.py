@@ -20,9 +20,9 @@ from tubeplan import planner, uncertainty
 from tubeplan.cli import main
 from tubeplan.errors import PlanningError, ScenarioError
 from tubeplan.geometry import CuboidObstacle, solve_qp, sphere_prefilter
-from tubeplan.planner import PlannerConfig
-from tubeplan.runner import (RunReport, _write_csv, _write_tube, run_plan,
-                             run_validate)
+from tubeplan.planner import PlannerConfig, PlanTree
+from tubeplan.runner import (RunReport, _write_csv, _write_tree, _write_tube,
+                             run_plan, run_validate)
 from tubeplan.scenario import load_scenario
 from tubeplan.uncertainty import ConfidenceEllipsoid, Tube
 from tubeplan.vehicles import QuadrotorModel
@@ -625,5 +625,47 @@ def test_tube_jsonl_bytes_match_the_per_element_formulation(tmp_path):
                              "c2": float(tube.c2)},
                             sort_keys=True, separators=(",", ":"))
                  for k in range(len(tube))]
+        assert path.read_bytes() == \
+            "".join(line + "\n" for line in lines).encode("utf-8"), case
+
+
+def _tree_cases():
+    # the root at (-0.0, 0.0), then 700 nodes, node i under node (i - 1) // 2
+    tree = PlanTree((-0.0, 0.0), (1e3, 1e3), goal_radius=1.0)
+    n = 700
+    xs, ys = _spread(n, AWKWARD), _spread(n, AWKWARD[3:] + AWKWARD[:3])
+    costs = _spread(n, AWKWARD[1:] + AWKWARD[:1])
+    for i in range(1, n + 1):
+        tree.insert((xs[i - 1], ys[i - 1]), (i - 1) // 2, costs[i - 1])
+    # killed leaves (nodes past 349 have no children), and the orphaned
+    # component of node 9, whose nodes fall in all three 256-row blocks
+    killed = [351, 352, 511, 512, 700]
+    for i in killed:
+        tree.kill(i)
+    orphaned = tree.component(9)
+    tree.detach_orphan(9)
+    gone = set(killed) | set(orphaned)
+    live = [i for i in range(n + 1) if i not in gone]
+    assert len(live) > 512 and len(orphaned) > 20
+    yield tree, live
+    # the root alone, parent -1
+    yield PlanTree((0.1 + 0.2, -0.0), (5.0, 5.0), goal_radius=1.0), [0]
+    # costs that json writes as NaN and ±Infinity
+    tree = PlanTree((0.0, 0.0), (5.0, 5.0), goal_radius=1.0)
+    for i, c in enumerate(NONFINITE + AWKWARD):
+        tree.insert((1.0 + i, -0.0), i, c)
+    yield tree, list(range(tree.size))
+
+
+def test_tree_jsonl_bytes_match_the_per_element_formulation(tmp_path):
+    for case, (tree, live) in enumerate(_tree_cases()):
+        path = tmp_path / f"tree{case}.jsonl"
+        _write_tree(path, tree)
+        lines = [json.dumps({"index": i, "parent": tree.parent(i),
+                             "x": float(tree.coords(i)[0]),
+                             "y": float(tree.coords(i)[1]),
+                             "cost": tree.cost(i)},
+                            sort_keys=True, separators=(",", ":"))
+                 for i in live]
         assert path.read_bytes() == \
             "".join(line + "\n" for line in lines).encode("utf-8"), case

@@ -85,6 +85,19 @@ def test_config_rejects_bad_values():
         free_config(cruise_speed=-1.0)
 
 
+def test_config_stores_integral_float_counts_as_ints():
+    # integral floats pass the check, so they must plan as their ints do
+    kw = dict(bounds=Bounds((0.0, 0.0), (10.0, 10.0)), altitude=5.0,
+              cruise_speed=2.0)
+    cfg = PlannerConfig(**kw, N_max=50.0, N_conv=10.0, M=2.0)
+    trees = [informed_rrt_star((1.0, 1.0), (9.0, 9.0), [], c,
+                               np.random.default_rng(3))
+             for c in (cfg, PlannerConfig(**kw, N_max=50, N_conv=10, M=2))]
+    for a, b in zip(*(t.live_columns() for t in trees)):
+        assert np.array_equal(a, b)
+    assert [type(v) for v in (cfg.N_max, cfg.N_conv, cfg.M)] == [int] * 3
+
+
 # --------------------------------------------------------------------------
 # tree bookkeeping
 

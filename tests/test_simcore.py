@@ -238,6 +238,18 @@ def test_row_stepping_has_the_bits_of_array_stepping(fixture, request):
                           _array_steps(sc.model, x0, sc.profile, grid, noise))
 
 
+@pytest.mark.parametrize("run", [
+    lambda sc, x0: integrate_nominal(sc.model, x0, sc.profile, sc.grid),
+    lambda sc, x0: mc_run(sc.model, x0, sc.profile, sc.grid, seed=1),
+    lambda sc, x0: mc_ensemble(sc.model, x0, sc.profile, sc.grid, runs=2,
+                               base_seed=1),
+], ids=["integrate_nominal", "mc_run", "mc_ensemble"])
+def test_a_wrong_length_initial_state_is_named(run, quad_scenario):
+    x0 = quad_scenario.initial_state()[:-1]
+    with pytest.raises(ValueError, match=re.escape("x0 must have shape (9,")):
+        run(quad_scenario, x0)
+
+
 # --------------------------------------------------------------------------
 # linearization
 
