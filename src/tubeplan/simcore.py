@@ -171,8 +171,8 @@ def _widths(ref):
 
 
 def _flat_rows(ref):
-    """Yield one flat list of Python floats per time of ``ref``: its
-    fields in order, a vector field's components in place."""
+    """An iterator of one flat list of Python floats per time of
+    ``ref``: its fields in order, a vector field's components in place."""
     return itertools.chain.from_iterable(_row_blocks(
         [getattr(ref, f.name) for f in dataclasses.fields(ref)]))
 
