@@ -47,6 +47,7 @@ import functools
 import itertools
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,9 @@ _PASS = 2048
 # take at most this many bytes (one chunk in-process, two when a forked
 # child draws ahead), instead of holding a (runs, count - 1, m) array
 _NOISE_BYTES = 12_000_000
+# runs whose chunks the noise job draws into one contiguous block, which
+# one divide then scales and transposes into the pass's buffer
+_FILL_RUNS = 128
 
 
 @dataclass(frozen=True)
@@ -402,32 +406,30 @@ def _linearize_rows(model, des, times, states, A, B, start, stop):
         B[lo:hi] = np.transpose(dn / (2.0 * 1e-6), (0, 2, 1))
 
 
-def _noise_stream(seed, m, dt):
-    """Run ``seed``'s white noise: ``draw(steps)`` returns its next samples.
+def _noise_stream(seed, dt):
+    """Run ``seed``'s white noise, as ``(normals, scale)``.
 
-    Philox(seed) feeds numpy's ziggurat standard normals, scaled to
-    N(0, 1/dt) and returned as a (steps, m) array.  Successive draws
-    continue one stream, so drawing it in chunks gives the bits of one
-    draw of the total length.
+    ``normals`` is the ``standard_normal`` of a numpy Generator on
+    Philox(seed), numpy's ziggurat sampler: ``normals((steps, m))``
+    returns the next ``steps`` rows of m standard normals, and
+    ``normals(out=a)`` writes them into the C-contiguous (steps, m)
+    array a.  A step's sample is its row divided by ``scale``, sqrt(dt),
+    so each component is N(0, 1/dt).  Successive calls continue one
+    stream, so drawing it in chunks gives the bits of one draw of the
+    total length.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    return lambda steps: rng.standard_normal((steps, m)) / np.sqrt(dt)
+    return rng.standard_normal, np.sqrt(dt)
 
 
 def mc_run(model, x0, des, grid, seed):
     """One Euler-Maruyama sample path, fully determined by the seed."""
     x0 = _state_row(model, x0)
-    noise = _noise_stream(seed, model.n_noise, grid.dt)(grid.count - 1)
-    noise = noise.tolist()
+    normals, scale = _noise_stream(seed, grid.dt)
+    noise = (normals((grid.count - 1, model.n_noise)) / scale).tolist()
     refs = _step_refs(des, grid, rk4=False)
     states = _steps(model, x0, grid, refs, noise)
     return Trajectory(grid=grid, states=list(states))
-
-
-def _fill(buf, draws, size):
-    """Write each run's next ``size`` noise samples into buf[:size, :, r]."""
-    for r, draw in enumerate(draws):
-        buf[:size, :, r] = draw(size)
 
 
 def _usable_cpus():
@@ -581,31 +583,48 @@ def _beside(what, fn, *args):
         child.recv()
 
 
-def _noise_chunks(bufs, seeds, sizes, m, dt):
+def _noise_chunks(bufs, seeds, sizes, dt):
     """Job of _pass_noise: fill chunk j into bufs[j % len(bufs)] and send
-    j, once the parent has released that buffer's previous chunk."""
-    nbuf = len(bufs)
-    draws = [_noise_stream(seed, m, dt) for seed in seeds]
+    j, once the parent has released that buffer's previous chunk.
+
+    A buffer holds a chunk as (steps, m, runs).  The job draws
+    _FILL_RUNS runs at a time, each run's normals (_noise_stream) into
+    its own contiguous rows of one block, and one divide by the scale
+    writes the block's samples, transposed, into the buffer: the bits of
+    dividing each run's draw on its own.
+    """
+    nbuf, runs = len(bufs), len(seeds)
+    normals, scales = zip(*(_noise_stream(seed, dt) for seed in seeds))
+    block = np.empty((min(_FILL_RUNS, runs),) + bufs.shape[1:3])
     for j, size in enumerate(sizes):
         if j >= nbuf:
             yield  # the parent has stepped through chunk j - nbuf
-        _fill(bufs[j % nbuf], draws, size)
+        buf = bufs[j % nbuf]
+        for lo in range(0, runs, _FILL_RUNS):
+            part = block[:min(_FILL_RUNS, runs - lo), :size]
+            for draw, rows in zip(normals[lo:], part):
+                draw(out=rows)
+            # every run has the same dt, so one scale serves the block
+            np.divide(part.transpose(1, 2, 0), scales[lo],
+                      out=buf[:size, :, lo:lo + len(part)])
         yield j
 
 
 @contextlib.contextmanager
-def _pass_noise(seeds, steps, m, dt):
+def _pass_noise(seeds, steps, m, dt, timings):
     """Per-step (runs, m) noise of the runs ``seeds``, drawn in time chunks.
 
     Entering yields an iterator over the steps' samples, which a
-    _noise_chunks job fills from the runs' own streams.  With a second
-    usable core the job is a forked child that starts drawing on entry,
-    while the caller still prepares, and draws chunk j + 1 while the
-    caller steps through chunk j, in two buffers that split
-    _NOISE_BYTES.  Otherwise it fills one buffer in-process, each chunk
-    when the caller reaches it.  Each sample is a Fortran-ordered view,
-    so every component's column is contiguous; a later chunk overwrites
-    it.  Leaving ends the job.
+    _noise_chunks job fills from the runs' own streams, a block of runs
+    at a time.  With a second usable core the job is a forked child that
+    starts drawing on entry, while the caller still prepares, and draws
+    chunk j + 1 while the caller steps through chunk j, in two buffers
+    that split _NOISE_BYTES.  Otherwise it fills one buffer in-process,
+    each chunk when the caller reaches it.  Each sample is a
+    Fortran-ordered view, so every component's column is contiguous; a
+    later chunk overwrites it.  How long the caller waits for each chunk
+    is added to ``timings["noise_wait_ms"]``; in-process, that is the
+    fill itself.  Leaving ends the job.
     """
     ctx = _fork_context()
     nbuf = 1 if ctx is None else 2
@@ -613,10 +632,12 @@ def _pass_noise(seeds, steps, m, dt):
     sizes = [min(chunk, steps - lo) for lo in range(0, steps, chunk)]
     bufs = _shared((nbuf, chunk, m, len(seeds)))
     with _forked(ctx, "noise process", _noise_chunks,
-                 bufs, seeds, sizes, m, dt) as job:
+                 bufs, seeds, sizes, dt) as job:
         def samples():
             for j, size in enumerate(sizes):
+                tic = time.perf_counter()
                 job.recv()
+                timings["noise_wait_ms"] += 1e3 * (time.perf_counter() - tic)
                 buf = bufs[j % nbuf]
                 for k in range(size):
                     yield buf[k].T
@@ -629,27 +650,36 @@ def _pass_noise(seeds, steps, m, dt):
             yield noise
 
 
-def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
+def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None,
+                on_start=None, timings=None):
     """Seeded Monte Carlo ensemble: mean trajectory and sample covariance.
 
     Run i draws its noise exactly as ``mc_run(..., seed=base_seed + i)``
     would, in time chunks of about 12 MB across a pass, by one noise job
-    per pass (see _pass_noise).  With two usable cores the job is a
-    forked child, and the first pass's child starts before the shared
-    reference path is integrated.  Each child is joined before its pass
-    ends, also when a step raises, and a child that dies raises
-    ChildProcessError.  Runs are integrated in passes of up to 2048, each
-    holding its state column-major so the model works on contiguous
-    state columns; a run's states do not depend on the pass it falls
-    in.  Each step of a pass adds its deviations to the sums in one
-    reduction, pass after pass in run order, so results are reproducible
-    bit for bit.  The sample covariance is the unbiased estimator,
-    accumulated about a deterministic reference path to keep the
-    reduction well conditioned.
+    per pass (see _pass_noise), which draws a block of runs into one
+    contiguous array and scales it into the pass's buffer in one divide.
+    With two usable cores the job is a forked child, and the first
+    pass's child starts before ``on_start`` and the shared reference
+    path.  Each child is joined before its pass ends, also when a step
+    or the hook raises, and a child that dies raises ChildProcessError.
+    Runs are integrated in passes of up to 2048, each holding its state
+    column-major so the model works on contiguous state columns; a run's
+    states do not depend on the pass it falls in.  Each step of a pass
+    adds its deviations to the sums in one reduction, pass after pass in
+    run order, so results are reproducible bit for bit.  The sample
+    covariance is the unbiased estimator, accumulated about a
+    deterministic reference path to keep the reduction well conditioned.
 
     When ``record_indices`` (distinct grid indices) is given, per-run
     states at those indices are returned as an extra
     (runs, len(indices), n) array.
+
+    ``on_start()``, when given, is called once the first pass's noise
+    job has started, so that with two cores the child draws beside it;
+    mc-compare runs LinCov there.  Should it raise, the noise job is
+    ended and the exception propagates.  ``timings``, when given, is a
+    dict that gains ``noise_wait_ms``: how long the ensemble waited on
+    the noise jobs of all passes (on one core, the time they took).
     """
     if runs < 2:
         raise ValueError("an ensemble needs at least two runs")
@@ -669,11 +699,15 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None):
     sum_d = np.zeros((count, n))
     sum_o = np.zeros((count, n, n))
     seeds = range(base_seed, base_seed + runs)
+    timings = {} if timings is None else timings
+    timings["noise_wait_ms"] = 0.0
 
     for lo in range(0, runs, _PASS):
         hi = min(lo + _PASS, runs)
-        with _pass_noise(seeds[lo:hi], count - 1, m, dt) as noise:
+        with _pass_noise(seeds[lo:hi], count - 1, m, dt, timings) as noise:
             if lo == 0:
+                if on_start is not None:
+                    on_start()
                 # inside the first pass, so that its noise child draws
                 # beside the reference path, which every pass shares
                 # with one sample of des

@@ -25,13 +25,21 @@ The coefficient kernels take the vehicle body's ``xp`` namespace (see
 :mod:`.elementwise`), so a model evaluates them on one state row in
 Python floats or on a batch in numpy.  They need V > 0 and do not check
 it: each model's ``deriv`` checks its own domain once per call.
+
+A kernel's coefficients depend on V, sigma and L alone, so channels
+with the same (sigma, L) share them bit for bit.  Each model groups its
+channels once with ``distinct_channels`` and evaluates each distinct
+(sigma, L) once per ``deriv`` call: by default the quadrotor's three
+longitudinal channels are one, and so are the fixed-wing's w and v
+transverse channels.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
-__all__ = ["longitudinal", "transverse"]
+__all__ = ["longitudinal", "transverse", "distinct_channels"]
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -55,3 +63,23 @@ def transverse(xp, V, sigma, length):
     vl = V / length
     k = sigma * xp.sqrt(vl)
     return -2.0 * vl, -(vl * vl), _SQRT3 * k, k * vl
+
+
+def distinct_channels(channels):
+    """Group gust channels by their (sigma, L).
+
+    Returns ``(distinct, index)``: the distinct pairs of ``channels`` in
+    order of first appearance, and for each channel the position of its
+    pair in ``distinct``.  Two pairs are the same only when their values
+    have the same types and the same float bits, which is when a traced
+    row step writes them as the same text: 0.0 and -0.0 stay apart,
+    and so do the int 1 and the float 1.0.
+    """
+    distinct, index, seen = [], [], {}  # seen: key -> place in distinct
+    for pair in channels:
+        key = tuple((type(v), struct.pack(">d", v)) for v in pair)
+        if key not in seen:
+            seen[key] = len(distinct)
+            distinct.append(pair)
+        index.append(seen[key])
+    return distinct, index

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelDomainError
-from .dryden import longitudinal, transverse
+from .dryden import distinct_channels, longitudinal, transverse
 from .elementwise import BatchMath, RowMath, TraceMath, math_for, split
 
 __all__ = ["FixedWingParams", "FixedWingModel", "EPS_SING"]
@@ -181,6 +181,9 @@ class FixedWingModel:
         # Lam_f as each namespace's matvec takes it, converted once
         rows = p.Lam_f.tolist()
         self._Lam_f = {RowMath: rows, TraceMath: rows, BatchMath: p.Lam_f}
+        # the distinct transverse channels, and the w and v channels' own
+        self._transverse, self._transverse_of = distinct_channels(
+            [(p.sigma_w, p.L_w), (p.sigma_v, p.L_v)])
 
     @property
     def params(self):
@@ -222,10 +225,12 @@ class FixedWingModel:
         mu, C_L, T_cmd = _inner_loop(V, cg, sg, gamma, psi, psi_des, V_des,
                                      gamma_des, p)
 
-        # gust filters in wind axes, evaluated at the current airspeed
+        # gust filters in wind axes, evaluated at the current airspeed,
+        # once per distinct transverse channel
         a_u, c_u = longitudinal(xp, V, p.sigma_u, p.L_u)
-        aw1, aw2, cw1, cw2 = transverse(xp, V, p.sigma_w, p.L_w)
-        av1, av2, cv1, cv2 = transverse(xp, V, p.sigma_v, p.L_v)
+        gust = [transverse(xp, V, sig, L) for sig, L in self._transverse]
+        (aw1, aw2, cw1, cw2), (av1, av2, cv1, cv2) = [
+            gust[i] for i in self._transverse_of]
 
         etadot_u = a_u * eta_u + n_u
         etadot_w1 = aw1 * eta_w1 + aw2 * eta_w2 + n_w

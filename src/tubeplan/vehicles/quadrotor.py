@@ -6,7 +6,8 @@ State layout (9):
 
 r is inertial position, V0 inertial velocity, and eta the three scalar
 gust filter states (one longitudinal Dryden channel replicated per
-inertial axis, each evaluated at the vehicle speed ||V0||).
+inertial axis, each evaluated at the vehicle speed ||V0||; axes with the
+same (sigma, L) share one evaluation of the channel's coefficients).
 
 The translational dynamics are a double integrator with aerodynamic
 drag on the gust-relative velocity:
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelDomainError
-from .dryden import longitudinal
+from .dryden import distinct_channels, longitudinal
 from .elementwise import BatchMath, RowMath, TraceMath, math_for, split
 
 __all__ = ["QuadrotorParams", "QuadrotorModel"]
@@ -94,11 +95,12 @@ class QuadrotorModel:
     def __init__(self, params: QuadrotorParams | None = None):
         p = self._params = params if params is not None else QuadrotorParams()
         # the constants as the body reads them, converted once: the gain
-        # matrices as each namespace's matvec takes them, the gust
-        # settings as Python floats for all
+        # matrices as each namespace's matvec takes them, the distinct
+        # gust channels as Python floats for all, and each axis's channel
         rows = (p.K.tolist(), p.Lam.tolist())
         self._gains = {RowMath: rows, TraceMath: rows, BatchMath: (p.K, p.Lam)}
-        self._gust = (p.sigma.tolist(), p.L.tolist())
+        self._gust, self._gust_of = distinct_channels(
+            list(zip(p.sigma.tolist(), p.L.tolist())))
 
     @property
     def params(self):
@@ -138,10 +140,8 @@ class QuadrotorModel:
             raise ModelDomainError(
                 "quadrotor gust filters are singular at zero vehicle speed")
         ux, uy, uz = self._command(xp, cols, ref)
-        (sig_x, sig_y, sig_z), (L_x, L_y, L_z) = self._gust
-        a_x, c_x = longitudinal(xp, speed, sig_x, L_x)
-        a_y, c_y = longitudinal(xp, speed, sig_y, L_y)
-        a_z, c_z = longitudinal(xp, speed, sig_z, L_z)
+        gust = [longitudinal(xp, speed, sig, L) for sig, L in self._gust]
+        (a_x, c_x), (a_y, c_y), (a_z, c_z) = [gust[i] for i in self._gust_of]
 
         # drag on the gust-relative velocity V_q = V0 - w, w_i = c_i eta_i
         qx = vx - c_x * eta_x

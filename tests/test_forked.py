@@ -26,7 +26,7 @@ import pytest
 
 from tubeplan import runner, simcore, uncertainty
 from tubeplan.errors import ModelDomainError
-from tubeplan.runner import run_plan, run_validate
+from tubeplan.runner import run_mc_compare, run_plan, run_validate
 from tubeplan.simcore import TimeGrid, integrate_nominal, linearize
 from tubeplan.uncertainty import lincov, propagate_covariance
 
@@ -266,3 +266,26 @@ def test_on_one_core_each_job_runs_after_the_work_it_could_overlap(
     assert log[:2] == ["nominal", "nominal.csv"]
     assert set(log[2:-2]) == {"linearize"}
     assert log[-2:] == ["tube.jsonl", "variances.csv"]
+
+
+def test_mc_compare_forks_the_noise_process_before_lincov(
+        quad_scenario, tmp_path, forks):
+    # the first pass's noise child draws while LinCov runs
+    run_mc_compare(quad_scenario, tmp_path, runs=100)
+    assert forks == ["noise process", "LinCov process"]
+
+
+def test_a_lincov_error_in_mc_compare_ends_the_noise_child(
+        quad_scenario, tmp_path, monkeypatch, forks):
+    def failing_scan(*args):
+        raise FloatingPointError("the scan failed")
+
+    monkeypatch.setattr(uncertainty, "_scan", failing_scan)
+    # noise chunks of 5 steps: the noise child still waits to refill a
+    # buffer when LinCov fails, so it must be ended, not just joined
+    monkeypatch.setattr(simcore, "_NOISE_BYTES", 8 * 3 * 100 * 10)
+    with pytest.raises(FloatingPointError, match="the scan failed"):
+        run_mc_compare(quad_scenario, tmp_path, runs=100)
+    assert forks == ["noise process", "LinCov process"]
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "report.json").exists()

@@ -442,14 +442,14 @@ def test_a_noise_process_that_dies_makes_the_ensemble_raise(
         draws_before_death, monkeypatch, forks):
     stream = simcore._noise_stream
 
-    def dying_stream(seed, m, dt):
-        draw, calls = stream(seed, m, dt), itertools.count()
+    def dying_stream(seed, dt):
+        (normals, scale), calls = stream(seed, dt), itertools.count()
 
-        def dying(steps):
+        def dying(*args, **kwargs):
             if next(calls) == draws_before_death:
                 os._exit(3)
-            return draw(steps)
-        return dying
+            return normals(*args, **kwargs)
+        return dying, scale
 
     monkeypatch.setattr(simcore, "_noise_stream", dying_stream)
     monkeypatch.setattr(simcore, "_NOISE_BYTES", 8 * 4 * 10)
@@ -465,7 +465,7 @@ def test_a_noise_process_that_dies_makes_the_ensemble_raise(
 @_needs_fork
 def test_an_error_in_the_noise_process_is_raised_in_the_ensemble(
         monkeypatch, forks):
-    def failing_stream(seed, m, dt):
+    def failing_stream(seed, dt):
         raise ArithmeticError(f"no stream for seed {seed}")
 
     monkeypatch.setattr(simcore, "_noise_stream", failing_stream)
@@ -493,17 +493,23 @@ def test_the_first_noise_process_starts_before_the_reference_path(
     assert forks.count("deriv") == 1 + 2 * 10
 
 
+def _draw(seed, m, dt, steps):
+    """Run ``seed``'s first ``steps`` noise samples, drawn in one call."""
+    normals, scale = simcore._noise_stream(seed, dt)
+    return normals((steps, m)) / scale
+
+
 @_needs_fork
 def test_the_noise_child_refills_a_buffer_only_once_it_is_released(forks):
     seeds, sizes = range(5, 7), [3, 3, 3]
-    whole = [simcore._noise_stream(seed, 1, 0.01)(9) for seed in seeds]
+    whole = [_draw(seed, 1, 0.01, 9) for seed in seeds]
 
     def chunk(j):  # (steps, m, runs), as the job fills a buffer
         return np.stack([w[3 * j:3 * j + 3] for w in whole], axis=-1)
 
     bufs = simcore._shared((2, 3, 1, len(seeds)))
     with simcore._forked(simcore._fork_context(), "noise process",
-                         simcore._noise_chunks, bufs, seeds, sizes, 1,
+                         simcore._noise_chunks, bufs, seeds, sizes,
                          0.01) as job:
         assert [job.recv(), job.recv()] == [0, 1]
         time.sleep(0.2)  # time for a child that did not wait to refill
@@ -515,11 +521,39 @@ def test_the_noise_child_refills_a_buffer_only_once_it_is_released(forks):
     assert forks == ["noise process"]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_pass_noise_sample_is_its_runs_own_stream(
+        cpus, request, monkeypatch):
+    if cpus == 2:
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the noise process is forked")
+        forks = request.getfixturevalue("forks")
+    monkeypatch.setattr(simcore, "_usable_cpus", lambda: cpus)
+    # blocks of 4 runs, so a 10-run pass ends on a block of 2; chunks of
+    # 7 steps in one buffer or 3 in each of two, so that 17 steps end on
+    # a short chunk; then a second pass of 3 runs in one chunk
+    monkeypatch.setattr(simcore, "_FILL_RUNS", 4)
+    m, dt, steps = 3, 0.01, 17
+    monkeypatch.setattr(simcore, "_NOISE_BYTES", 8 * m * 10 * 7)
+    for seeds in (range(20, 30), range(30, 33)):
+        timings = {"noise_wait_ms": 0.0}
+        with simcore._pass_noise(seeds, steps, m, dt, timings) as noise:
+            got = np.stack([sample.copy() for sample in noise])
+        want = np.stack([_draw(seed, m, dt, steps) for seed in seeds], axis=1)
+        assert np.array_equal(got, want)
+        assert timings["noise_wait_ms"] > 0.0
+    if cpus == 2:
+        assert forks == ["noise process"] * 2
+
+
 def test_chunked_noise_draws_equal_one_draw():
-    whole = simcore._noise_stream(5, 3, 0.01)(100)
-    draw = simcore._noise_stream(5, 3, 0.01)
-    chunks = np.concatenate([draw(k) for k in (1, 32, 0, 60, 7)])
-    assert np.array_equal(chunks, whole)
+    whole = _draw(5, 3, 0.01, 100)
+    normals, scale = simcore._noise_stream(5, 0.01)
+    chunks = [normals((1, 3)), normals((32, 3)), normals((0, 3))]
+    for k in (60, 7):  # writing into an array continues the same stream
+        chunks.append(np.empty((k, 3)))
+        normals(out=chunks[-1])
+    assert np.array_equal(np.concatenate(chunks) / scale, whole)
     rng = np.random.Generator(np.random.Philox(5))
     assert np.array_equal(whole, rng.standard_normal((100, 3)) / 0.1)
 
