@@ -664,11 +664,13 @@ def path_to_trajectory(path_xy, altitude, cruise_speed, vehicle, fd_step):
 class TubeEvaluator:
     """Covariance pipeline bound to one vehicle and one time step.
 
-    ``tube_for_path`` runs the LinCov chain (``lincov``) and tube
-    extraction for a candidate planar path.  When no explicit initial
-    state is given, the model's ``start_state`` on the path's reference
-    at t = 0 is used: the first waypoint, heading along the first leg at
-    cruise speed.  ``P0`` defaults to zero, a deterministic start.
+    ``tube_for_path`` runs the LinCov chain (``lincov``, in-process)
+    and tube extraction for a candidate planar path.  When no explicit
+    initial state is given, the model's ``start_state`` on the path's
+    reference at t = 0 is used: the first waypoint, heading along the
+    first leg at cruise speed.  ``P0`` defaults to zero, a deterministic
+    start.  ``timings_ms`` sums the chain's ``nominal_ms``,
+    ``linearize_ms`` and ``covariance_ms`` over the evaluations.
     """
 
     model: object
@@ -677,11 +679,14 @@ class TubeEvaluator:
     P0: np.ndarray | None = None
     initial_state: np.ndarray | None = None
     c2: float = field(init=False)
+    timings_ms: dict = field(init=False)
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         self.c2 = chi2_quantile(self.beta, dof=3)
+        self.timings_ms = dict.fromkeys(
+            ("nominal_ms", "linearize_ms", "covariance_ms"), 0.0)
         self.P0 = (np.zeros((self.model.n_states,) * 2) if self.P0 is None
                    else np.asarray(self.P0, dtype=float))
 
@@ -701,7 +706,9 @@ class TubeEvaluator:
         x0 = (self.model.start_state(des(grid.t0))
               if self.initial_state is None
               else np.asarray(self.initial_state, dtype=float))
-        nominal, cov, _ = lincov(self.model, x0, des, grid, self.P0)
+        nominal, cov, timings = lincov(self.model, x0, des, grid, self.P0)
+        for key in self.timings_ms:
+            self.timings_ms[key] += timings[key]
         return build_tube(nominal, cov, self.beta), nominal, cov
 
 

@@ -13,10 +13,12 @@ LinCov behind the nominal (``uncertainty.lincov``), validate's
 variances.csv and each Monte Carlo pass's noise are each one job.  With
 a second usable core each job runs in a forked child, beside the
 nominal, beside the tube check and beside the ensemble; on one core it
-runs in-process after them.  validate writes nominal.csv itself,
-between the nominal and the wait for LinCov.  mc-compare runs LinCov
-inside the ensemble's first pass, once its noise job has started.  The
-artifacts are the same bytes either way.
+runs in-process after them.  LinCov forks only in validate, which
+writes nominal.csv itself between the nominal and the wait for LinCov;
+mc-compare and the planner have no work for that wait, so they run
+LinCov in-process on any core count.  mc-compare runs it inside the
+ensemble's first pass, once its noise job has started.  The artifacts
+are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -186,7 +188,8 @@ def run_validate(sc: Scenario, out_dir) -> RunReport:
 
     Writes nominal.csv, variances.csv, tube.jsonl, report.json and
     timings.json into ``out_dir``.  nominal.csv is written by lincov's
-    ``on_nominal`` hook, while the LinCov job still runs beside it.
+    ``on_nominal`` hook, while with a second usable core the LinCov job
+    still runs beside it.
     variances.csv is written beside the tube, the obstacle check and
     tube.jsonl: in a forked child with a second usable core, else after
     tube.jsonl.
@@ -241,6 +244,10 @@ def run_plan(sc: Scenario, out_dir) -> RunReport:
     writing any artifact, ScenarioError when the scenario has no planner
     block, and PlanningError when the start or the goal lies inside a
     buffered obstacle (or a grown buffer later covers the start).
+    timings.json sums over the rounds the ms of tree growth, tube
+    evaluation and buffer sizing, and within the tube evaluations those
+    of the LinCov stages (``nominal_ms``, ``linearize_ms``,
+    ``covariance_ms``), which run in-process.
     """
     if sc.planner is None:
         raise _scenario_error(sc, "planner: required for plan mode")
@@ -256,6 +263,7 @@ def run_plan(sc: Scenario, out_dir) -> RunReport:
                                        sc.planner, evaluator, rng)
     timings["plan_ms"] = 1e3 * (time.perf_counter() - tic)
     timings.update(result.timings_ms)
+    timings.update(evaluator.timings_ms)
     timings["tube_jsonl_ms"] = 0.0
 
     _write_json(out / "buffers.json", result.buffer_history)
@@ -295,10 +303,11 @@ def run_mc_compare(sc: Scenario, out_dir, *, runs) -> RunReport:
     the MC variance is at least 5% of that channel's peak; channels
     whose MC variance is identically zero are flagged degenerate.
 
-    LinCov runs in the ensemble's ``on_start`` hook, so the first noise
-    job draws beside it.  ``mc_ms`` is the ensemble's wall time without
-    that hook, and ``noise_wait_ms`` the part of it spent waiting on
-    the noise jobs.
+    LinCov runs in-process in the ensemble's ``on_start`` hook, so the
+    first noise job draws beside it; its ``lincov_wait_ms`` is the time
+    of its linearization and covariance together.  ``mc_ms`` is the
+    ensemble's wall time without that hook, and ``noise_wait_ms`` the
+    part of it spent waiting on the noise jobs.
     """
     if runs < 100:
         raise ValueError("mc-compare needs runs >= 100")
@@ -311,12 +320,15 @@ def run_mc_compare(sc: Scenario, out_dir, *, runs) -> RunReport:
     x0 = sc.initial_state()
 
     timings = {}
-    cov, lincov_s = None, 0.0
+    lc_var, lincov_s = None, 0.0
 
     def run_lincov():
-        nonlocal cov, lincov_s
+        # keeps only the variances, so the covariance history is freed
+        # before the ensemble's passes
+        nonlocal lc_var, lincov_s
         tic = time.perf_counter()
         _, cov, lc = lincov(model, x0, profile, grid, sc.P0)
+        lc_var = np.diagonal(cov.P, axis1=1, axis2=2).copy()
         lincov_s = time.perf_counter() - tic
         timings.update(lc)
 
@@ -327,7 +339,6 @@ def run_mc_compare(sc: Scenario, out_dir, *, runs) -> RunReport:
     timings["mc_ms"] = 1e3 * (time.perf_counter() - tic - lincov_s)
     timings["lc_ms"] = timings["linearize_ms"] + timings["covariance_ms"]
 
-    lc_var = np.diagonal(cov.P, axis1=1, axis2=2)
     mc_var = np.diagonal(mc_cov.P, axis1=1, axis2=2)
     labels = list(model.state_labels)
     channels = {}

@@ -16,22 +16,27 @@ arrays of times, see ``vehicles.reference``), and each step reads its
 own row of those samples.
 
 The row steppers ``_rk4`` and ``_em`` are the one definition of a row
-step.  Each integration of a row first runs its stepper once on traced
-floats (``vehicles.elementwise.TraceMath``) and compiles what it
-recorded into one straight-line function of Python floats, which takes
-the reference rows flattened and does the same IEEE operations on the
-same operands, so it returns the stepper's bits.  A step where that
-function raises, or where a traced ``xp.all`` condition fails, is taken
-again by the stepper, which raises what it raises uncompiled.  A body
-that cannot be traced (it branches on a state value, or reads the state
-with numpy or math) is stepped by the stepper throughout.
+step.  A row integration runs its stepper once on traced floats
+(``vehicles.elementwise.TraceMath``) and compiles what it recorded into
+one loop over a block of steps: each step is the straight-line Python
+of the same IEEE operations on the same operands, so it has the
+stepper's bits.  The loop reads the reference rows and noise samples,
+converted to Python floats a block of 256 steps at a time, and appends
+each new state to a list; the history is stored a block at a time.  A
+step where a traced ``xp.all`` condition fails, or where the loop
+raises, is taken again by the stepper, which raises what it raises
+uncompiled, and the loop resumes after it.  The loop is traced once
+per model object, stepper and reference layout and then reused, so a
+model's constants must not change after its first integration.  A
+body that cannot be traced (it branches on a state value, or reads the
+state with numpy or math) is stepped by the stepper throughout.
 
 Randomness comes from numpy's Philox counter generator (run i of an ensemble seeds Philox with base_seed + i), with
 normal variates produced by numpy's ziggurat sampler; given the same
 (model, x0, reference, grid, seed) every output bit is reproducible.
 
 Work that may go to a second core (an ensemble pass's noise, LinCov
-behind the nominal, validate's CSV files) is written once, as a
+behind validate's nominal, validate's CSV files) is written once, as a
 generator job, and ``_forked`` alone decides where it runs: in a forked
 child when two cores are usable, else in-process while the parent waits
 for the job's next message.  The parent's side is the same code either
@@ -48,6 +53,7 @@ import itertools
 import math
 import os
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,54 +238,70 @@ def _em(model, x, ref, dt, n):
     return [a + dt * b for a, b in zip(x, f)]
 
 
+def _split_row(cls, widths, sets, row):
+    """The reference rows (_unflat) and the noise sample of a step row:
+    ``sets`` flat reference rows of class ``cls``, then the noise."""
+    size = sum(1 if w is None else w for w in widths)
+    return ([_unflat(cls, widths, row[i * size:(i + 1) * size])
+             for i in range(sets)], row[sets * size:])
+
+
 def _compile(model, stepper, refs):
     """``stepper`` (_rk4 or _em) on ``model``, compiled, or None.
 
     The stepper runs once on Syms (see ``vehicles.elementwise``) for the
-    state, a row of each set of ``refs``, the noise and dt, and what it
-    records becomes ``step(x, r0, ..., n, dt)``: x a state row, r0, ...
-    flat reference rows (_flat_rows), n a noise sample.  The step
-    returns the stepper's bits on those values, or raises where the
-    stepper may raise or branch otherwise.  None when the body cannot
-    be traced: it reads a traced value as a number (a data-dependent
-    ``if``, numpy or math called directly) or a constant that is not a
-    Python float or int.
+    state, a step row and dt, and what it records becomes the block loop
+    ``steps(out, x, rows, dt)``: from the state row x, a list of floats,
+    each step row of ``rows`` takes one step, whose state is appended to
+    out.  A step row is a list of floats: a flat row (_flat_rows) of
+    each set of ``refs``, then the noise sample (see _split_row).  Each
+    step has the stepper's bits, or raises where the stepper may raise
+    or branch otherwise (see ``Tape.function`` for how to resume).  None
+    when the body cannot be traced: it reads a traced value as a number
+    (a data-dependent ``if``, numpy or math called directly) or a
+    constant that is not a Python float or int.
     """
-    widths = _widths(refs[0])
+    cls, widths = type(refs[0]), _widths(refs[0])
     size = sum(1 if w is None else w for w in widths)
     tape = Tape()
     x = tape.inputs("x", model.n_states)
-    rows = [_unflat(type(refs[0]), widths, tape.inputs(f"r{i}", size))
-            for i in range(len(refs))]
-    n = tape.inputs("n", model.n_noise)
-    params = ["x"] + [f"r{i}" for i in range(len(refs))] + ["n", "dt"]
+    ref, n = _split_row(cls, widths, len(refs),
+                        tape.inputs("r", len(refs) * size + model.n_noise))
     try:
-        return tape.function(params, stepper(model, x, rows,
-                                             tape.input("dt"), n))
+        return tape.function("x", "r", ["dt"], stepper(model, x, ref,
+                                                       tape.input("dt"), n))
     except Exception:  # whatever the body raises on Syms: not compiled
         return None
 
 
-def _steps(model, x, grid, refs, noise=None):
-    """Yield the closed-loop state at every grid time, starting with x.
+# model -> {(stepper, reference layout): its block loop, or None}
+_LOOPS = weakref.WeakKeyDictionary()
 
-    x is one (n,) state row, stepped and yielded as a list of floats, or
-    a (runs, n) batch, and refs the samples of _step_refs; step k reads
-    row k of each.  Without noise each step of a row is classic RK4 with
-    zero noise; with noise, an iterable of count - 1 per-step samples
-    shaped (m,) or (runs, m), step k is Euler-Maruyama on its k-th
-    sample (x + dt * f).  A model domain error is re-raised naming the
-    step's start time.
 
-    A row is stepped by the stepper compiled for its model (_compile);
-    a step that fails there is taken again by the stepper itself, which
-    raises what it raises uncompiled.  A body that does not compile is
-    stepped by the stepper throughout.
+def _loop(model, stepper, refs):
+    """_compile's block loop, traced once per model object, stepper and
+    reference layout (class, field widths and sets), then reused: a
+    model's constants must not change after its first integration."""
+    key = (stepper, type(refs[0]), tuple(_widths(refs[0])), len(refs))
+    try:
+        loops = _LOOPS.setdefault(model, {})
+    except TypeError:  # a model that is not hashable or weakly referable
+        loops = {}
+    if key not in loops:
+        loops[key] = _compile(model, stepper, refs)
+    return loops[key]
+
+
+def _steps(model, x, grid, refs, noise):
+    """Yield the closed-loop state of the (runs, n) batch x at every
+    grid time, starting with x.
+
+    refs is the sample of _step_refs at the step starts, and noise an
+    iterable of count - 1 (runs, m) samples: step k is Euler-Maruyama
+    on row k of refs and the k-th sample (x + dt * f).  A model domain
+    error is re-raised naming the step's start time.
     """
     dt = grid.dt
-    if x.ndim == 1:
-        yield from _row_steps(model, x.tolist(), grid, refs, noise)
-        return
     yield x
     for k, (ref, n) in enumerate(zip(_rows(refs[0]), noise)):
         try:
@@ -289,31 +311,66 @@ def _steps(model, x, grid, refs, noise=None):
         yield x
 
 
-def _row_steps(model, x, grid, refs, noise):
-    """_steps on the row x, a list of floats."""
-    dt = grid.dt
+# states of a row integrated per block, which a consumer of the nominal
+# is handed, and grid points linearized per batched model call: large
+# enough to spread numpy's per-call cost, small enough to keep
+# temporaries in cache
+_LIN_BLOCK = 256
+
+
+def _row_states(model, x0, grid, refs, noise=None, on_rows=None):
+    """The closed-loop states of the (n,) row x0 at every grid time, as a
+    (count, n) array.
+
+    refs are the samples of _step_refs; step k reads row k of each.
+    Without noise each step is classic RK4 with zero noise (_rk4); with
+    a (count - 1, m) array of per-step samples, step k is Euler-Maruyama
+    on its row k (_em).  The states are integrated _LIN_BLOCK at a time
+    by the model's block loop (_loop), on step rows converted to Python
+    floats a block at a time, and ``on_rows(lo, rows)``, when given, is
+    handed each block of new states as soon as it is stored.  A step
+    where the loop raises is taken by the stepper, which raises what it
+    raises uncompiled, and the loop resumes after it; a body that does
+    not compile is stepped by the stepper throughout.  A model domain
+    error is re-raised naming the step's start time.
+    """
+    count, dt = grid.count, grid.dt
     if noise is None:
-        stepper, noise = _rk4, itertools.repeat([0.0] * model.n_noise)
+        stepper, noise = _rk4, np.zeros((count - 1, model.n_noise))
     else:
         stepper = _em
-    yield x
-    step = _compile(model, stepper, refs)
-    unflat = functools.partial(_unflat, type(refs[0]), _widths(refs[0]))
-    rows = zip(*map(_flat_rows, refs), strict=True)
-    for k, (flat, n) in enumerate(zip(rows, noise)):
-        if step is not None:
+    cls, widths = type(refs[0]), _widths(refs[0])
+    columns = [getattr(ref, f.name) for ref in refs
+               for f in dataclasses.fields(ref)] + [noise]
+    loop = _loop(model, stepper, refs)
+    states = np.empty((count, model.n_states))
+    states[0] = x0
+    x = x0.tolist()
+    for lo in range(0, count, _LIN_BLOCK):
+        hi = min(lo + _LIN_BLOCK, count)
+        s = max(lo - 1, 0)  # steps s .. hi - 2 give the states s + 1 .. hi - 1
+        rows = np.column_stack([c[s:hi - 1] for c in columns]).tolist()
+        out = [x]  # the block's start state, then each step's
+        todo = iter(rows)
+        while len(out) <= len(rows):
+            if loop is not None:
+                try:
+                    loop(out, out[-1], todo, dt)
+                    break
+                except Exception:  # a failed guard, or what the step raised
+                    pass
+            k = len(out) - 1
+            ref, n = _split_row(cls, widths, len(refs), rows[k])
             try:
-                x = step(x, *flat, n, dt)
-            except Exception:  # a failed guard, or what the step raised
-                pass
-            else:
-                yield x
-                continue
-        try:
-            x = stepper(model, x, [unflat(r) for r in flat], dt, n)
-        except ModelDomainError as err:
-            raise _wrap_domain_error(err, grid.t0 + k * dt) from err
-        yield x
+                out.append(stepper(model, out[-1], ref, dt, n))
+            except ModelDomainError as err:
+                raise _wrap_domain_error(err, grid.t0 + (s + k) * dt) from err
+        if rows:
+            states[s + 1:hi] = out[1:]
+        x = out[-1]
+        if on_rows is not None:
+            on_rows(lo, states[lo:hi])
+    return states
 
 
 def _state_row(model, x0):
@@ -322,11 +379,6 @@ def _state_row(model, x0):
     if x0.shape != (model.n_states,):
         raise ValueError(f"x0 must have shape ({model.n_states},)")
     return x0
-
-
-# grid points linearized per batched model call: large enough that numpy
-# dispatch overhead vanishes, small enough to keep temporaries in cache
-_LIN_BLOCK = 256
 
 
 def integrate_nominal(model, x0, des, grid, on_rows=None):
@@ -339,14 +391,8 @@ def integrate_nominal(model, x0, des, grid, on_rows=None):
     """
     x0 = _state_row(model, x0)
     refs = _step_refs(des, grid, rk4=True)
-    states = np.empty((grid.count, model.n_states))
-    for k, x in enumerate(_steps(model, x0, grid, refs)):
-        states[k] = x
-        if on_rows is not None and (
-                (k + 1) % _LIN_BLOCK == 0 or k + 1 == grid.count):
-            lo = k - k % _LIN_BLOCK
-            on_rows(lo, states[lo:k + 1])
-    return Trajectory(grid=grid, states=states)
+    return Trajectory(grid=grid, states=_row_states(model, x0, grid, refs,
+                                                    on_rows=on_rows))
 
 
 def linearize(model, nominal, des):
@@ -426,10 +472,10 @@ def mc_run(model, x0, des, grid, seed):
     """One Euler-Maruyama sample path, fully determined by the seed."""
     x0 = _state_row(model, x0)
     normals, scale = _noise_stream(seed, grid.dt)
-    noise = (normals((grid.count - 1, model.n_noise)) / scale).tolist()
+    noise = normals((grid.count - 1, model.n_noise)) / scale
     refs = _step_refs(des, grid, rk4=False)
-    states = _steps(model, x0, grid, refs, noise)
-    return Trajectory(grid=grid, states=list(states))
+    return Trajectory(grid=grid, states=_row_states(model, x0, grid, refs,
+                                                    noise))
 
 
 def _usable_cpus():
@@ -712,8 +758,8 @@ def mc_ensemble(model, x0, des, grid, runs, base_seed, record_indices=None,
                 # beside the reference path, which every pass shares
                 # with one sample of des
                 refs = _step_refs(des, grid, rk4=False)
-                ref_path = np.array(list(_steps(model, x0, grid, refs,
-                                                [[0.0] * m] * (count - 1))))
+                ref_path = _row_states(model, x0, grid, refs,
+                                       np.zeros((count - 1, m)))
             x = np.full((hi - lo, n), x0, order="F")
             for k, X in enumerate(_steps(model, x, grid, refs, noise)):
                 d = X - ref_path[k]

@@ -14,13 +14,15 @@ constant A and B_n the scheme is fourth order in dt; for time-varying
 ones the half-step averages make it second order.
 
 ``lincov`` chains the nominal, the linearization and the covariance.
-It hands each block of nominal rows to one job that linearizes it and
-maps its steps, then scans; ``simcore._forked`` runs that job in a
-forked child beside the nominal when a second core is usable, else
-in-process after it.  The linearization, the step maps and the scan are
-the same block functions as those of ``linearize`` and
-``propagate_covariance``, on the same block boundaries, so the
-covariance is the same bits on any core count.
+It forks only when its caller has work for the wait (``on_nominal``,
+which only validate passes) and a second core is usable: then it hands
+each block of nominal rows to one job, in a child beside the nominal,
+that linearizes it and maps its steps, then scans.  Otherwise (the
+planner, mc-compare, one core) ``linearize`` and
+``propagate_covariance`` run in-process after the nominal.  The job's
+linearization, step maps and scan are the block functions of those
+two, on the same block boundaries, so the covariance is the same bits
+on either path.
 
 A probability tube is the time-ordered sequence of position-marginal
 ellipsoids
@@ -49,6 +51,7 @@ from .simcore import (
     _linearize_rows,
     _shared,
     integrate_nominal,
+    linearize,
 )
 
 __all__ = [
@@ -113,14 +116,14 @@ def _check_sym_psd(P, what):
 _CHUNK = 256
 
 
-def _step_maps(lin: LinearizationHistory):
+def _step_maps(lin: LinearizationHistory, Phi):
     """(Phi, Q), each (count - 1, n, n): P_{k+1} = Phi_k P_k Phi_k^T + Q_k.
 
-    See _map_chunk for one chunk of steps.
+    Phi is written into the given array.  See _map_chunk for one chunk
+    of steps.
     """
     steps = lin.grid.count - 1
     n = lin.A.shape[1]
-    Phi = np.empty((steps, n, n))
     Q = np.empty((steps, n, n))
     for s in range(0, steps, _CHUNK):
         _map_chunk(lin, Phi, Q, s)
@@ -178,6 +181,9 @@ def _checked_P0(P0, n):
 def _scan(Phi, Q, P0, out):
     """Write P_0 .. P_count of the recursion into out; Phi, Q are reused.
 
+    out[1:] may be Phi itself: each P_{k+1} is written once Phi_k has
+    been used.
+
     The steps are split into blocks of about sqrt(count) steps; the maps
     of every block are composed at once, in place, so that Phi[s + j]
     and Q[s + j] carry the block's start covariance P_s to P_{s + j + 1}.
@@ -211,10 +217,12 @@ def propagate_covariance(lin: LinearizationHistory, P0) -> CovarianceHistory:
 
     P_{k+1} = Phi_k P_k Phi_k^T + Q_k, with the step maps of
     ``_step_maps``, is evaluated as a two-level blocked scan (_scan).
+    Phi is formed in the history's rows 1 .. count, which the scan
+    overwrites with the covariances, so the two share one array.
     """
     P0 = _checked_P0(P0, lin.A.shape[1])
     out = np.empty((lin.grid.count,) + P0.shape)
-    _scan(*_step_maps(lin), P0, out)
+    _scan(*_step_maps(lin, out[1:]), P0, out)
     return CovarianceHistory(grid=lin.grid, P=out)
 
 
@@ -259,25 +267,45 @@ def lincov(model, x0, des, grid, P0, on_nominal=None):
     Returns ``(nominal, cov, timings)``, where ``timings`` holds the
     time of each stage in ms under ``nominal_ms``, ``linearize_ms`` and
     ``covariance_ms``, and under ``lincov_wait_ms`` how long the caller
-    then waited for the job.  Each block of 256 nominal rows goes to a
-    job (_covariance_behind) that linearizes it and maps its steps, and
-    scans once the last row is in; the linearize and covariance times
-    are the job's busy time.  With a second usable core the job is a
-    forked child that runs one block behind the nominal; on one core it
-    runs in-process after the nominal.  Either way the job runs the
-    block functions of ``linearize`` and ``propagate_covariance`` on
-    their block boundaries, so the results are the bits of those two.
+    waited, after the nominal and ``on_nominal``, for the covariance.
 
-    ``on_nominal(nominal)``, when given, is called once the nominal is
-    integrated and before the wait, so its work overlaps the forked job;
-    on one core the job runs after it.  Should it raise, the job is
-    ended and the exception propagates.
+    ``on_nominal(nominal)``, when given, is work for that wait: it is
+    called once the nominal is integrated.  Only then, and with a second
+    usable core, does LinCov fork.  Each block of 256 nominal rows goes
+    to a job (_covariance_behind) in a child, which linearizes it and
+    maps its steps one block behind the nominal and scans once the last
+    row is in, while the parent integrates on and then runs the hook.
+    The linearize and covariance times are then the job's busy time.
+    Should the hook raise, the child is ended and the exception
+    propagates.
+
+    Otherwise nothing overlaps the rest of the chain: ``linearize`` and
+    ``propagate_covariance`` run in-process after the nominal and the
+    hook, and ``lincov_wait_ms`` is their time together.  The job runs
+    their block functions on their block boundaries, so both paths give
+    the same bits.
     """
     P0 = _checked_P0(P0, model.n_states)
+    ctx = None if on_nominal is None else _fork_context()
+    if ctx is None:
+        tic = time.perf_counter()
+        nominal = integrate_nominal(model, x0, des, grid)
+        tac = time.perf_counter()
+        if on_nominal is not None:
+            on_nominal(nominal)
+        toc = time.perf_counter()
+        lin = linearize(model, nominal, des)
+        mid = time.perf_counter()
+        cov = propagate_covariance(lin, P0)
+        end = time.perf_counter()
+        return nominal, cov, {"nominal_ms": 1e3 * (tac - tic),
+                              "linearize_ms": 1e3 * (mid - toc),
+                              "covariance_ms": 1e3 * (end - mid),
+                              "lincov_wait_ms": 1e3 * (end - toc)}
     states = _shared((grid.count, model.n_states))
     P = _shared((grid.count,) + P0.shape)
     timings = {}
-    with _forked(_fork_context(), "LinCov process", _covariance_behind,
+    with _forked(ctx, "LinCov process", _covariance_behind,
                  model, des, grid, states, P0, P) as job:
         def hand_over(lo, rows):
             states[lo:lo + len(rows)] = rows
@@ -287,9 +315,8 @@ def lincov(model, x0, des, grid, P0, on_nominal=None):
         nominal = integrate_nominal(model, x0, des, grid, hand_over)
         tac = time.perf_counter()
         timings["nominal_ms"] = 1e3 * (tac - tic)
-        if on_nominal is not None:
-            on_nominal(nominal)
-            tac = time.perf_counter()
+        on_nominal(nominal)
+        tac = time.perf_counter()
         timings["linearize_ms"], timings["covariance_ms"] = job.recv()
         timings["lincov_wait_ms"] = 1e3 * (time.perf_counter() - tac)
     return nominal, CovarianceHistory(grid=grid, P=P), timings

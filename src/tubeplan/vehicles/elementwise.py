@@ -29,9 +29,10 @@ operation on them appends one line of Python to a :class:`Tape`, in
 evaluation order and with its operands in their order.  A line whose
 text is already on the tape is not added again; nothing else is
 simplified, and no constant is folded (``x + 0.0`` stays, since it maps
--0.0 to 0.0).  ``Tape.function`` turns the tape into one straight-line
-function of Python floats that does the row path's IEEE operations, so
-it returns the row path's bits.  ``xp.all(cond)`` becomes a guard that
+-0.0 to 0.0).  ``Tape.function`` turns the tape into one compiled loop
+over a block of steps, each step the straight-line Python of the row
+path's IEEE operations on floats, so each returns the row path's bits.
+``xp.all(cond)`` becomes a guard that
 raises GuardFailed when the condition does not hold.  Reading a Sym as a
 bool or a float raises TypeError, so a body that branches on data, or
 hands its state to numpy or math directly, cannot be traced.
@@ -215,7 +216,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._inputs = []  # lines that unpack the arguments
+        self._inputs = {}  # argument name -> the line that unpacks it
         self._lines = []
         self._names = {}   # text of an expression or guard -> its name
         self._consts = {}  # name -> non-finite constant
@@ -223,7 +224,7 @@ class Tape:
     def inputs(self, name, count):
         """``count`` Syms unpacked from the function's argument ``name``."""
         names = [f"{name}_{i}" for i in range(count)]
-        self._inputs.append(f"{', '.join(names)}, = {name}")
+        self._inputs[name] = f"{', '.join(names)}, = {name}"
         return [Sym(self, s) for s in names]
 
     def input(self, name):
@@ -263,9 +264,24 @@ class Tape:
         """Raise GuardFailed at this point unless ``cond`` holds."""
         self._record("if not {}: raise GuardFailed", [cond], guard=True)
 
-    def function(self, params, outputs):
-        """The tape as ``def step(*params)`` returning the list of
-        ``outputs``, compiled once per source text.
+    def function(self, state, row, params, outputs):
+        """The tape as a loop over a block of steps, compiled once per
+        source text::
+
+            def steps(out, <state>, rows, *params):
+                for <row> in rows:
+                    <the lines>
+                    <state> = [<outputs>]
+                    out.append(<state>)
+
+        The inputs ``state`` and ``row`` are unpacked at the top of each
+        step, and the inputs among ``params`` once, before the loop.  So
+        each item of ``rows`` takes one step from the state the step
+        before it left, and every new state is appended to ``out``.
+        Where a line raises or a guard fails, ``out`` holds the states
+        of the steps before, and ``rows`` has yielded the failed step's
+        row: a caller takes that step another way and calls again with
+        the rest of ``rows``.
 
         Each line is one statement, in tape order, except that a value
         used once is written in parentheses inside the expression that
@@ -278,7 +294,7 @@ class Tape:
             t for _, _, operands in self._lines for t in operands)
         uses.update(outs)
         pending = {}  # name of a value used once -> (its text, its depth)
-        body = list(self._inputs)
+        step = [self._inputs[p] for p in (state, row) if p in self._inputs]
 
         def fill(fmt, operands):
             texts, depth = [], 0
@@ -292,21 +308,26 @@ class Tape:
         for name, fmt, operands in self._lines:
             text, depth = fill(fmt, operands)
             if name is None:
-                body.append(text)
+                step.append(text)
             elif uses[name] == 1 and depth < _MAX_DEPTH:
                 pending[name] = text, depth
             else:
-                body.append(f"{name} = {text}")
+                step.append(f"{name} = {text}")
         ret = fill(", ".join(["{}"] * len(outs)), outs)[0]
-        src = "\n    ".join([f"def step({', '.join(params)}):", *body,
-                             f"return [{ret}]"]) + "\n"
+        step += [f"{state} = [{ret}]", f"append({state})"]
+        src = "\n    ".join([
+            f"def steps({', '.join(['out', state, 'rows', *params])}):",
+            *(self._inputs[p] for p in params if p in self._inputs),
+            "append = out.append",
+            f"for {row} in rows:",
+            *("    " + line for line in step)]) + "\n"
         fn = _COMPILED.get(src)
         if fn is None:
             namespace = dict(_FUNCTIONS, **self._consts)
-            exec(compile(src, "<traced step>", "exec"), namespace)
+            exec(compile(src, "<traced steps>", "exec"), namespace)
             if len(_COMPILED) == _CACHED:
                 del _COMPILED[next(iter(_COMPILED))]
-            fn = _COMPILED[src] = namespace["step"]
+            fn = _COMPILED[src] = namespace["steps"]
         return fn
 
 

@@ -365,6 +365,9 @@ def test_timings_keys_mean_the_same_stages_in_validate_and_mc_compare(
     # LinCov runs inside the ensemble's first pass, but mc_ms leaves it
     # out; the wait on the noise jobs is a part of mc_ms
     assert 0.0 <= mc["noise_wait_ms"] <= mc["mc_ms"]
+    # mc-compare runs LinCov in-process, so its wait is its linearize
+    # and covariance stages
+    assert mc["lincov_wait_ms"] == pytest.approx(mc["lc_ms"])
 
 
 def test_plan_timings_split_plan_ms_into_its_stages(tmp_path):
@@ -375,10 +378,14 @@ def test_plan_timings_split_plan_ms_into_its_stages(tmp_path):
           "--out", str(tmp_path / "p")])
     t = json.loads((tmp_path / "p" / "timings.json").read_text())
     assert set(t) == {"plan_ms", "tree_ms", "tube_eval_ms",
-                      "buffer_sizing_ms", "tube_jsonl_ms"}
+                      "buffer_sizing_ms", "tube_jsonl_ms", "nominal_ms",
+                      "linearize_ms", "covariance_ms"}
     assert all(v > 0.0 for v in t.values())
     assert t["tree_ms"] + t["tube_eval_ms"] + t["buffer_sizing_ms"] \
         <= t["plan_ms"]
+    # the LinCov stages, summed over the rounds, lie inside tube_eval_ms
+    assert t["nominal_ms"] + t["linearize_ms"] + t["covariance_ms"] \
+        <= t["tube_eval_ms"]
     report = json.loads((tmp_path / "p" / "report.json").read_text())
     assert not any(k.endswith("_ms") for k in report["extras"])
     # without a path no tube is evaluated or written
@@ -387,6 +394,7 @@ def test_plan_timings_split_plan_ms_into_its_stages(tmp_path):
     t = json.loads((tmp_path / "w" / "timings.json").read_text())
     assert t["tree_ms"] > 0.0
     assert t["tube_eval_ms"] == t["buffer_sizing_ms"] == 0.0
+    assert t["nominal_ms"] == t["linearize_ms"] == t["covariance_ms"] == 0.0
     assert t["tube_jsonl_ms"] == 0.0
 
 

@@ -1,17 +1,20 @@
-"""The compiled row step has the bits of the stepper it is traced from.
+"""The compiled row loop has the bits of the stepper it is traced from.
 
 ``simcore._compile`` runs ``_rk4`` or ``_em`` once on a model body with
 traced floats (``vehicles.elementwise.Sym``) and compiles the tape into
-one straight-line function.  The oracle everywhere here is the stepper
-itself on Python floats: a row step through ``simcore._row_steps``
-(the compiled step, or the stepper again where the compiled step
-raises) must return its bits or raise its exact error.
+one loop over a block of steps, each step straight-line Python;
+``simcore._loop`` keeps it per model object, stepper and reference
+layout.  The oracle everywhere here is the stepper itself on Python
+floats: a row integration through ``simcore._row_states`` (the
+compiled loop, or the stepper where the loop raises, after which the
+loop resumes) must return its bits or raise its exact error.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -21,7 +24,9 @@ from tubeplan import simcore
 from tubeplan.errors import ModelDomainError
 from tubeplan.simcore import TimeGrid, integrate_nominal
 from tubeplan.uncertainty import lincov
-from tubeplan.vehicles.elementwise import Tape, math_for, split
+from tubeplan.vehicles import QuadrotorModel, QuadrotorParams
+from tubeplan.vehicles.elementwise import Sym, Tape, math_for, split
+from tubeplan.vehicles.reference import QuadrotorRef
 
 BUNDLED = ["quad_scenario", "fw_scenario"]
 STEPPERS = {"rk4": simcore._rk4, "em": simcore._em}
@@ -41,6 +46,13 @@ def _one_row(cls, flat, widths):
     row = simcore._unflat(cls, widths, flat)
     return cls(*(np.array([getattr(row, f.name)])
                  for f in dataclasses.fields(cls)))
+
+
+def _one_step(loop, x, rows, noise, dt):
+    """The state after one step of a compiled block loop."""
+    out = []
+    loop(out, x, iter([[v for r in rows for v in r] + noise]), dt)
+    return out[0]
 
 
 def _outcome(fn):
@@ -114,7 +126,7 @@ def test_a_compiled_row_step_has_the_bits_of_the_stepper(fixture, stepper,
     refs = _sampled_refs(sc, fn)
     cls, widths = type(refs[0]), simcore._widths(refs[0])
     flat_rows = [list(simcore._flat_rows(r)) for r in refs]
-    step = simcore._compile(model, fn, refs)
+    loop = simcore._compile(model, fn, refs)
     rng = np.random.default_rng(2311)
     cases = _cases(sc, flat_rows, rng, 60)
     checked = 0
@@ -125,7 +137,8 @@ def test_a_compiled_row_step_has_the_bits_of_the_stepper(fixture, stepper,
             simcore._unflat(cls, widths, r) for r in rows], dt, noise))
         if want[0] == "value":
             # where the stepper returns, so does the compiled step
-            assert ("value", _bits(step(x, *rows, noise, dt))) == want
+            assert ("value", _bits(_one_step(loop, x, rows, noise, dt))) \
+                == want
             checked += 1
     assert checked >= 40  # a zero speed fails a guard
     for x, rows, noise, dt in cases + _edge_cases(sc, cases[0]):
@@ -141,20 +154,30 @@ def test_a_compiled_row_step_has_the_bits_of_the_stepper(fixture, stepper,
 
         def stepped(x=x, rows=rows, noise=noise, dt=dt):
             sampled = [_one_row(cls, r, widths) for r in rows]
-            states = simcore._row_steps(
-                model, list(x), TimeGrid(0.0, dt, dt), sampled,
-                None if fn is simcore._rk4 else [noise])
-            next(states)
-            return next(states)
+            states = simcore._row_states(
+                model, np.array(x), TimeGrid(0.0, dt, dt), sampled,
+                None if fn is simcore._rk4 else np.array([noise]))
+            return states[1].tolist()
 
         assert _outcome(stepped) == _outcome(oracle)
+
+
+def _straight(tape, outputs):
+    """The tape's outputs on its input x, one step of its block loop."""
+    loop = tape.function("x", "r", [], outputs)
+
+    def step(x):
+        out = []
+        loop(out, x, [[]])
+        return out[0]
+    return step
 
 
 def test_the_tracer_folds_no_constant_and_keeps_operand_order():
     tape = Tape()
     a, b = tape.inputs("x", 2)
-    step = tape.function(["x"], [a + 0.0, 0.0 * b, a - 0.0, a * 1.0,
-                                 a + b, b + a, a + b, -a, abs(b)])
+    step = _straight(tape, [a + 0.0, 0.0 * b, a - 0.0, a * 1.0,
+                            a + b, b + a, a + b, -a, abs(b)])
     # two NaNs of different payloads: which one a sum keeps depends on
     # its operand order on most hardware
     nan1 = struct.unpack(">d", bytes.fromhex("7ff8000000000001"))[0]
@@ -169,7 +192,7 @@ def test_a_non_finite_constant_keeps_its_bits():
     tape = Tape()
     (a,) = tape.inputs("x", 1)
     nan = struct.unpack(">d", bytes.fromhex("7ff8000000000123"))[0]
-    step = tape.function(["x"], [a * math.inf, a + nan, -math.inf + a])
+    step = _straight(tape, [a * math.inf, a + nan, -math.inf + a])
     want = [2.0 * math.inf, 2.0 + nan, -math.inf + 2.0]
     assert _bits(step([2.0])) == _bits(want)
 
@@ -239,16 +262,16 @@ def test_a_branch_on_data_is_refused_or_guarded(branch, compiled):
 
 
 @pytest.fixture
-def compiles(monkeypatch):
-    """The results of simcore._compile, as they are returned."""
+def loops(monkeypatch):
+    """The results of simcore._loop, as they are returned."""
     seen = []
-    real = simcore._compile
+    real = simcore._loop
 
     def spy(*args):
         seen.append(real(*args))
         return seen[-1]
 
-    monkeypatch.setattr(simcore, "_compile", spy)
+    monkeypatch.setattr(simcore, "_loop", spy)
     return seen
 
 
@@ -272,7 +295,7 @@ def compiles(monkeypatch):
         "fw-turns-vertical", "fw-Vdes0", "fw-Vdes-falls"])
 def test_a_domain_error_through_the_compiled_step_names_its_time(
         fixture, label, value, message, cpus, request, monkeypatch,
-        compiles, child_guard):
+        loops, child_guard):
     # the messages and times are those of the uncompiled stepper
     monkeypatch.setattr(simcore, "_usable_cpus", lambda: cpus)
     sc = request.getfixturevalue(fixture)
@@ -282,8 +305,193 @@ def test_a_domain_error_through_the_compiled_step_names_its_time(
         x0[sc.model.state_labels.index(name)] = value
     with pytest.raises(ModelDomainError) as compiled:
         lincov(sc.model, x0, sc.profile, grid, sc.P0)
-    assert compiles and compiles[-1] is not None
-    monkeypatch.setattr(simcore, "_compile", lambda *args: None)
+    assert loops and loops[-1] is not None
+    monkeypatch.setattr(simcore, "_loop", lambda *args: None)
     with pytest.raises(ModelDomainError) as uncompiled:
         lincov(sc.model, x0, sc.profile, grid, sc.P0)
     assert str(compiled.value) == str(uncompiled.value) == message
+
+
+# --------------------------------------------------------------------------
+# the block loop over a whole integration
+
+
+def _stepper_states(model, x0, grid, refs, noise=None):
+    """The oracle: the stepper alone, one step after another, on the
+    reference rows of ``refs`` and the (count - 1, m) noise, if any."""
+    stepper = simcore._rk4 if noise is None else simcore._em
+    rows = [list(simcore._rows(r)) for r in refs]
+    x = np.asarray(x0, dtype=float).tolist()
+    states = [x]
+    for k in range(grid.count - 1):
+        n = [0.0] * model.n_noise if noise is None else noise[k].tolist()
+        x = stepper(model, x, [r[k] for r in rows], grid.dt, n)
+        states.append(x)
+    return np.array(states)
+
+
+def _noise(model, grid, seed=7):
+    normals, scale = simcore._noise_stream(seed, grid.dt)
+    return normals((grid.count - 1, model.n_noise)) / scale
+
+
+@pytest.mark.parametrize("stepper", STEPPERS)
+@pytest.mark.parametrize("fixture", BUNDLED)
+def test_the_block_loop_has_the_stepper_bits_over_a_whole_integration(
+        fixture, stepper, request):
+    # the bundled flights, every block of 256 steps and the short last
+    # one, through integrate_nominal and mc_run
+    sc = request.getfixturevalue(fixture)
+    x0, grid = sc.initial_state(), sc.grid
+    assert grid.count > 3 * simcore._LIN_BLOCK
+    rk4 = stepper == "rk4"
+    refs = simcore._step_refs(sc.profile, grid, rk4=rk4)
+    if rk4:
+        states = integrate_nominal(sc.model, x0, sc.profile, grid).states
+        want = _stepper_states(sc.model, x0, grid, refs)
+    else:
+        states = simcore.mc_run(sc.model, x0, sc.profile, grid, 7).states
+        want = _stepper_states(sc.model, x0, grid, refs,
+                               _noise(sc.model, grid))
+    assert simcore._loop(sc.model, STEPPERS[stepper], refs) is not None
+    assert states.tobytes() == want.tobytes()
+
+
+@dataclasses.dataclass
+class _GateRef:
+    t: float
+    g: float
+
+
+class _Gated:
+    """p'' = -p - c p' + n, where c is 0.5 while the reference's gate g
+    is positive and 0.1 where it is not, through a traced guard; a gate
+    below -2 is outside the domain."""
+
+    n_states = 2
+    n_noise = 1
+
+    def deriv(self, x, ref, noise):
+        xp = math_for(x)
+        p, v = split(x)
+        (n,) = split(noise)
+        if not xp.all(ref.g > -2.0):
+            raise ModelDomainError("the gate is broken")
+        c = 0.5 if xp.all(ref.g > 0.0) else 0.1
+        return xp.stack([v, -p - c * v + n], x)
+
+
+def _gate(dt, closed, broken=()):
+    """A reference whose gate is shut at the grid indices ``closed`` and
+    broken at those of ``broken``."""
+    def des(t):
+        t = np.asarray(t, dtype=float)
+        g = np.ones_like(t)
+        for indices, value in ((closed, -1.0), (broken, -3.0)):
+            for j in indices:
+                g[np.abs(t - j * dt) < 0.25 * dt] = value
+        return _GateRef(t=t, g=g)
+    return des
+
+
+@pytest.mark.parametrize("rk4", [True, False], ids=["rk4", "em"])
+def test_a_failed_guard_is_stepped_and_the_loop_resumes(rk4, monkeypatch):
+    # blocks of steps 0-254, 255-510 and 511-699; the gate is shut at the
+    # start of steps 0 (the first of all), 254 (the last of a block),
+    # 255 and 511 (the first of one) and 300 (mid-block), and RK4 also
+    # reads it at the end of each step before those
+    dt = 0.01
+    grid = TimeGrid(0.0, 7.0, dt)
+    closed = [0, 254, 255, 300, 511]
+    refs = simcore._step_refs(_gate(dt, closed), grid, rk4=rk4)
+    model, x0 = _Gated(), [1.0, 0.0]
+    noise = None if rk4 else _noise(model, grid)
+    name = "_rk4" if rk4 else "_em"
+    stepper = getattr(simcore, name)
+    taken = []
+
+    def logged(model, x, ref, dt, n):
+        if not isinstance(x[0], Sym):  # not the trace
+            taken.append(round(ref[0].t / dt))
+        return stepper(model, x, ref, dt, n)
+
+    monkeypatch.setattr(simcore, name, logged)
+    got = simcore._row_states(model, np.array(x0), grid, refs, noise)
+    monkeypatch.setattr(simcore, name, stepper)
+    assert got.tobytes() == _stepper_states(model, x0, grid, refs,
+                                            noise).tobytes()
+    # exactly the failed steps were taken by the stepper
+    assert taken == sorted({k for j in closed
+                            for k in ((j - 1, j) if rk4 else (j,)) if k >= 0})
+
+
+@pytest.mark.parametrize("rk4, t", [(True, "2.99"), (False, "3")],
+                         ids=["rk4", "em"])
+def test_a_domain_error_mid_block_names_its_step_time(rk4, t):
+    # step 300 lies mid-block; RK4 reads the gate at the end of step 299
+    grid = TimeGrid(0.0, 7.0, 0.01)
+    refs = simcore._step_refs(_gate(0.01, [120], [300]), grid, rk4=rk4)
+    model = _Gated()
+    noise = None if rk4 else _noise(model, grid)
+    with pytest.raises(ModelDomainError, match=re.escape(
+            f"model domain error at t={t}: the gate is broken")):
+        simcore._row_states(model, np.zeros(2), grid, refs, noise)
+    assert simcore._loop(model, simcore._rk4 if rk4 else simcore._em,
+                         refs) is not None
+
+
+@dataclasses.dataclass
+class _TaggedRef(QuadrotorRef):
+    """A quadrotor reference with one more field, which no body reads."""
+
+    tag: float = 0.0
+
+
+def test_a_loop_is_traced_once_per_model_stepper_and_layout(
+        quad_scenario, monkeypatch):
+    sc = quad_scenario
+    traces = []
+    real = simcore._compile
+
+    def spy(model, stepper, refs):
+        traces.append((model, stepper.__name__, type(refs[0]).__name__))
+        return real(model, stepper, refs)
+
+    monkeypatch.setattr(simcore, "_compile", spy)
+    model = QuadrotorModel(sc.model.params)  # no integration has seen it
+    x0 = sc.initial_state()
+    short = TimeGrid(0.0, 3.0, sc.grid.dt)
+    first = integrate_nominal(model, x0, sc.profile, short).states
+    integrate_nominal(model, x0, sc.profile, sc.grid)
+    lincov(model, x0, sc.profile, short, sc.P0)
+    assert traces == [(model, "_rk4", "QuadrotorRef")]
+    simcore.mc_run(model, x0, sc.profile, short, 1)
+    simcore.mc_ensemble(model, x0, sc.profile, short, runs=2, base_seed=1)
+    assert traces[1:] == [(model, "_em", "QuadrotorRef")]
+
+    def tagged(t):
+        ref = sc.profile(t)
+        return _TaggedRef(*(getattr(ref, f.name)
+                            for f in dataclasses.fields(ref)),
+                          tag=np.zeros(np.shape(t)))
+
+    again = integrate_nominal(model, x0, tagged, short).states
+    assert traces[2:] == [(model, "_rk4", "_TaggedRef")]
+    other = QuadrotorModel(sc.model.params)
+    integrate_nominal(other, x0, sc.profile, short)
+    assert traces[3:] == [(other, "_rk4", "QuadrotorRef")]
+    assert again.tobytes() == first.tobytes()
+
+
+def test_models_with_other_params_do_not_share_a_loop(quad_scenario):
+    sc = quad_scenario
+    x0 = sc.initial_state()
+    grid = TimeGrid(0.0, 5.0, sc.grid.dt)
+    refs = simcore._step_refs(sc.profile, grid, rk4=True)
+    calm = QuadrotorModel(QuadrotorParams())
+    draggy = QuadrotorModel(QuadrotorParams(C_D=1.5, K=3.0 * np.eye(3)))
+    integrate_nominal(calm, x0, sc.profile, grid)
+    got = integrate_nominal(draggy, x0, sc.profile, grid).states
+    want = _stepper_states(draggy, x0, grid, refs)
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() != _stepper_states(calm, x0, grid, refs).tobytes()

@@ -1,13 +1,16 @@
 """Jobs give the same bits wherever they run.
 
-``lincov`` hands each block of nominal rows to one job that linearizes
-it and maps its steps, and ``run_validate`` writes variances.csv in
-another; nominal.csv is written by the parent before it waits for the
-first.  With two usable cores each job runs in a forked child beside
-the parent's work; with one core it runs in-process after that work.
-The oracle for LinCov on either core count is the chain of
-``integrate_nominal``, ``linearize`` and ``propagate_covariance``
-called directly; for the artifacts it is the one-core run.  Errors
+Given work for the wait (``on_nominal``) and two usable cores,
+``lincov`` hands each block of nominal rows to a job in a forked child
+that linearizes it and maps its steps; otherwise (the planner,
+mc-compare, one core) it runs ``linearize`` and
+``propagate_covariance`` in-process.  ``run_validate`` writes
+variances.csv in another job, in a child beside the parent's work with
+two cores and in-process after it with one, and nominal.csv itself
+before it waits for LinCov.  The oracle for LinCov on every path is
+the chain of ``integrate_nominal``, ``linearize`` and
+``propagate_covariance`` called directly; for the artifacts it is the
+one-core run.  Errors
 raised in a child reach the parent with their own type and message, a
 child that dies raises ChildProcessError with its exit code, and no
 child outlives its call (``child_guard``).
@@ -74,9 +77,13 @@ class ToyModel:
         return out
 
 
-def _lincov_bits(monkeypatch, cpus, model, x0, des, grid, P0):
+def _idle(nominal):
+    """An on_nominal hook with no work: it makes lincov fork."""
+
+
+def _lincov_bits(monkeypatch, cpus, model, x0, des, grid, P0, hook=None):
     _cores(monkeypatch, cpus)
-    nominal, cov, timings = lincov(model, x0, des, grid, P0)
+    nominal, cov, timings = lincov(model, x0, des, grid, P0, hook)
     assert set(timings) == {"nominal_ms", "linearize_ms", "covariance_ms",
                             "lincov_wait_ms"}
     return nominal.states.tobytes(), cov.P.tobytes()
@@ -118,8 +125,11 @@ def test_streamed_lincov_gives_the_bits_of_the_one_core_chain(
     P0 = np.diag([0.3, 0.1])
     args = (model, np.array([1.0, -0.5]), toy_des, grid, P0)
     chain = _chain_bits(*args)
+    # without a hook nothing forks, even with two cores
     assert _lincov_bits(monkeypatch, 2, *args) == chain
-    assert _lincov_bits(monkeypatch, 1, *args) == chain
+    assert forks == []
+    assert _lincov_bits(monkeypatch, 2, *args, hook=_idle) == chain
+    assert _lincov_bits(monkeypatch, 1, *args, hook=_idle) == chain
     assert forks == ["LinCov process"]
 
 
@@ -129,8 +139,11 @@ def test_streamed_lincov_of_each_vehicle_gives_the_one_core_bits(
     sc = request.getfixturevalue(which)
     args = (sc.model, sc.initial_state(), sc.profile, sc.grid, sc.P0)
     chain = _chain_bits(*args)
+    # without a hook nothing forks, even with two cores
     assert _lincov_bits(monkeypatch, 2, *args) == chain
-    assert _lincov_bits(monkeypatch, 1, *args) == chain
+    assert forks == []
+    assert _lincov_bits(monkeypatch, 2, *args, hook=_idle) == chain
+    assert _lincov_bits(monkeypatch, 1, *args, hook=_idle) == chain
     assert forks == ["LinCov process"]
 
 
@@ -153,14 +166,28 @@ def test_validate_artifacts_do_not_depend_on_the_core_count(
 
 def test_shipped_plan_does_not_depend_on_the_core_count(
         plan_scenario, monkeypatch, forks, tmp_path):
-    run_plan(plan_scenario, tmp_path / "forked")
-    evaluations = len(forks)
-    assert evaluations >= 2 and set(forks) == {"LinCov process"}
+    # nothing waits on the planner's tube evaluations, so with two cores
+    # too they run LinCov in-process
+    report = run_plan(plan_scenario, tmp_path / "two-core")
+    assert report.extras["outer_iterations"] >= 2
+    assert forks == []
     _cores(monkeypatch, 1)
     run_plan(plan_scenario, tmp_path / "one-core")
-    assert len(forks) == evaluations
-    assert _artifacts(tmp_path / "forked", PLAN_ARTIFACTS) == \
+    assert _artifacts(tmp_path / "two-core", PLAN_ARTIFACTS) == \
         _artifacts(tmp_path / "one-core", PLAN_ARTIFACTS)
+
+
+def test_mc_compare_does_not_depend_on_the_core_count(
+        quad_scenario, monkeypatch, forks, tmp_path):
+    names = ["lc_variances.csv", "mc_variances.csv", "deviation.json",
+             "report.json"]
+    run_mc_compare(quad_scenario, tmp_path / "two-core", runs=200)
+    assert forks == ["noise process"]
+    _cores(monkeypatch, 1)
+    run_mc_compare(quad_scenario, tmp_path / "one-core", runs=200)
+    assert forks == ["noise process"]
+    assert _artifacts(tmp_path / "two-core", names) == \
+        _artifacts(tmp_path / "one-core", names)
 
 
 def test_domain_error_in_the_lincov_child_names_its_time(forks):
@@ -169,7 +196,7 @@ def test_domain_error_in_the_lincov_child_names_its_time(forks):
     model = ToyModel(t_bad=3.0)
     grid = TimeGrid(0.0, 10.0, 0.01)
     with pytest.raises(ModelDomainError, match="linearized past") as err:
-        lincov(model, np.zeros(2), toy_des, grid, np.zeros((2, 2)))
+        lincov(model, np.zeros(2), toy_des, grid, np.zeros((2, 2)), _idle)
     t = float(re.search(r"at t=(\S+):", str(err.value)).group(1))
     assert t == pytest.approx(3.0, abs=1e-9)
     assert forks == ["LinCov process"]
@@ -188,7 +215,7 @@ def test_a_lincov_child_that_dies_mid_stream_raises_with_its_exit_code(
     with pytest.raises(ChildProcessError,
                        match="LinCov process exited with code 5"):
         lincov(ToyModel(), np.zeros(2), toy_des, TimeGrid(0.0, 10.0, 0.01),
-               np.zeros((2, 2)))
+               np.zeros((2, 2)), _idle)
     assert forks == ["LinCov process"]
 
 
@@ -256,23 +283,27 @@ def test_on_one_core_each_job_runs_after_the_work_it_could_overlap(
     _cores(monkeypatch, 1)
     monkeypatch.setattr(uncertainty, "integrate_nominal", logged(
         lambda args: "nominal", integrate_nominal))
-    monkeypatch.setattr(uncertainty, "_linearize_rows", logged(
-        lambda args: "linearize", uncertainty._linearize_rows))
+    monkeypatch.setattr(uncertainty, "linearize", logged(
+        lambda args: "linearize", uncertainty.linearize))
     monkeypatch.setattr(runner, "_write_tube", logged(
         lambda args: args[0].name, runner._write_tube))
     monkeypatch.setattr(runner, "_write_csv", logged(
         lambda args: args[0].name, runner._write_csv))
     run_validate(quad_scenario, tmp_path)
-    assert log[:2] == ["nominal", "nominal.csv"]
-    assert set(log[2:-2]) == {"linearize"}
-    assert log[-2:] == ["tube.jsonl", "variances.csv"]
+    assert log == ["nominal", "nominal.csv", "linearize", "tube.jsonl",
+                   "variances.csv"]
 
 
 def test_mc_compare_forks_the_noise_process_before_lincov(
-        quad_scenario, tmp_path, forks):
-    # the first pass's noise child draws while LinCov runs
+        quad_scenario, tmp_path, monkeypatch, forks):
+    # the first pass's noise child draws while LinCov runs in-process
+    def logged(*args):
+        forks.append("lincov")
+        return lincov(*args)
+
+    monkeypatch.setattr(runner, "lincov", logged)
     run_mc_compare(quad_scenario, tmp_path, runs=100)
-    assert forks == ["noise process", "LinCov process"]
+    assert forks == ["noise process", "lincov"]
 
 
 def test_a_lincov_error_in_mc_compare_ends_the_noise_child(
@@ -286,6 +317,7 @@ def test_a_lincov_error_in_mc_compare_ends_the_noise_child(
     monkeypatch.setattr(simcore, "_NOISE_BYTES", 8 * 3 * 100 * 10)
     with pytest.raises(FloatingPointError, match="the scan failed"):
         run_mc_compare(quad_scenario, tmp_path, runs=100)
-    assert forks == ["noise process", "LinCov process"]
+    # the scan raised in the parent, inside the ensemble's first pass
+    assert forks == ["noise process"]
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "report.json").exists()

@@ -191,7 +191,7 @@ def test_blocked_recursion_equals_the_step_by_step_loop(steps):
     P0 = G @ G.T
     lin = LinearizationHistory(grid=grid, A=A, B_n=B)
 
-    Phi, Q = _step_maps(lin)
+    Phi, Q = _step_maps(lin, np.empty((steps, n, n)))
     expect = [P0]
     for F, Qk in zip(Phi, Q):
         X = F @ expect[-1] @ F.T + Qk
